@@ -73,6 +73,9 @@ _DEFAULTS = {
     "output_dir": None,
 }
 
+# numeric fields that default to null; the others are typed by their default
+_NULLABLE_NUMBERS = ("atom.gamma_p", "pulse.t_a", "grid.t_max")
+
 
 def _merge_section(name, defaults, given):
     if given is None:
@@ -85,9 +88,18 @@ def _merge_section(name, defaults, given):
             raise ConfigError(f"{name}.{key}", "unknown key")
         if isinstance(defaults[key], dict) and defaults[key]:
             out[key] = _merge_section(f"{name}.{key}", defaults[key], val)
+        elif isinstance(defaults[key], (int, float)) or (
+                val is not None and f"{name}.{key}" in _NULLABLE_NUMBERS):
+            out[key] = _number(f"{name}.{key}", val, integer=isinstance(defaults[key], int))
         else:
             out[key] = val
     return out
+
+
+def _number(field: str, val, integer: bool = False):
+    if isinstance(val, bool) or not isinstance(val, int if integer else (int, float)):
+        raise ConfigError(field, "must be an integer" if integer else "must be a number")
+    return val
 
 
 def normalize_config(raw: dict) -> dict:
@@ -110,7 +122,7 @@ def normalize_config(raw: dict) -> dict:
         raise ConfigError("solver", f"must be one of {SOLVERS}")
 
     atom = cfg["atom"]
-    if not isinstance(atom["gamma"], (int, float)) or atom["gamma"] <= 0:
+    if atom["gamma"] <= 0:
         raise ConfigError("atom.gamma", "must be a positive number")
     frac = atom["mode_fraction"]
     if atom["gamma_p"] is None:
@@ -122,7 +134,7 @@ def normalize_config(raw: dict) -> dict:
                                   f"unknown preset; use one of {sorted(MODE_FRACTION_PRESETS)}")
             ratio = MODE_FRACTION_PRESETS[frac]
         else:
-            ratio = float(frac)
+            ratio = float(_number("atom.mode_fraction", frac))
         atom["gamma_p"] = ratio * atom["gamma"]
     if not 0 < atom["gamma_p"] <= atom["gamma"]:
         raise ConfigError("atom.gamma_p", "need 0 < gamma_p <= gamma")
@@ -130,7 +142,7 @@ def normalize_config(raw: dict) -> dict:
     spec = cfg["spectrum"]
     if spec["kind"] not in ("lorentzian", "flat", "tabulated"):
         raise ConfigError("spectrum.kind", "must be lorentzian, flat or tabulated")
-    if spec["kind"] == "lorentzian" and (spec["kappa"] is None or spec["kappa"] <= 0):
+    if spec["kind"] == "lorentzian" and spec["kappa"] <= 0:
         raise ConfigError("spectrum.kappa", "must be a positive rate")
     if spec["kind"] == "tabulated" and not spec["csv"]:
         raise ConfigError("spectrum.csv", "tabulated spectrum needs a CSV path")
@@ -144,7 +156,7 @@ def normalize_config(raw: dict) -> dict:
         raise ConfigError("pulse.n_bar", "must be >= 0")
 
     grid = cfg["grid"]
-    if not isinstance(grid["dt"], (int, float)) or grid["dt"] <= 0:
+    if grid["dt"] <= 0:
         raise ConfigError("grid.dt", "must be a positive time step")
 
     for axis in ("tau_f", "kappa"):
@@ -387,11 +399,14 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}")
+    if not isinstance(raw, dict):
+        raise ConfigError("config", "top level must be a JSON object")
+    return raw
 
 
 def _apply_overrides(raw: dict, args) -> dict:

@@ -37,10 +37,10 @@ from .pulses import DELTA, PulseSpec
 from .serialize import params_digest
 from .spectra import (
     FLAT,
+    TABULATED,
     InteractionSpectrum,
-    _driving_quadrature_nodes,
-    _phase_sum_uniform,
     driving_term_uniform,
+    exp_filter,
     memory_kernel,
 )
 
@@ -328,7 +328,8 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
 
     Product-trapezoid memory sum (O(n^2)) with an implicit trapezoid step;
     the step is linear in C_i, so the corrector is solved exactly. A flat
-    spectrum has no memory to integrate and is redirected to `solve_markov`.
+    spectrum has no memory to integrate and is redirected to `solve_markov`;
+    a tabulated one is refused on grids reaching its kernel's period 2*pi/h.
     """
     if spectrum.kind == FLAT:
         warnings.warn("flat spectrum has a memoryless kernel; redirecting to solve_markov",
@@ -336,6 +337,11 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
         return solve_markov(atom, pulse, grid)
     if grid.n > _VOLTERRA_MAX_N:
         raise ValueError(f"memory budget exceeded: n={grid.n} > {_VOLTERRA_MAX_N}")
+    if spectrum.kind == TABULATED:
+        horizon = 2.0 * np.pi / np.diff(spectrum.table_delta).max()
+        if (grid.n - 1) * grid.dt >= horizon:
+            raise ValueError(f"grid span {(grid.n - 1) * grid.dt:g} reaches the tabulated "
+                             f"kernel's alias horizon 2*pi/h = {horizon:g} (h = largest node gap)")
     if abs(spectrum.gamma - atom.gamma) > 1e-12 * atom.gamma or \
        abs(spectrum.gamma_p - atom.gamma_p) > 1e-12 * atom.gamma:
         raise ValueError("atom rates and spectrum rates disagree")
@@ -434,9 +440,11 @@ def branch_decomposition(atom: AtomParams, kappa: float, pulse: PulseSpec | None
     """Frequency-domain split C = C1 + C2 over the two Lorentzian branches.
 
     C_j(t) = s_j int g(delta) xi(delta) / (p_j - 1j*delta) e^{-1j*delta*(t - t_a - t_d)}
-    d delta, by quadrature. Valid once the pulse is fully inside the window
-    (the t0 transient of the closed form is absent here). The degenerate
-    kappa = 2*gamma point has no two-branch split.
+    d delta, which partial fractions turn into the cavity filters (`exp_filter`)
+    C_j = s_j (-1j sqrt(gamma_p) kappa) (F_kappa - F_{p_j}) / (p_j - kappa);
+    p_j != kappa as p1*p2 = gamma*kappa/2 > 0. Valid once the pulse is fully
+    inside the window (the t0 transient of the closed form is absent here).
+    The degenerate kappa = 2*gamma point has no two-branch split.
     """
     br = branch_params(atom.gamma, kappa)
     if br.degenerate:
@@ -444,14 +452,8 @@ def branch_decomposition(atom: AtomParams, kappa: float, pulse: PulseSpec | None
     if pulse is None:
         z = np.zeros(grid.n, dtype=complex)
         return z, z.copy()
-    spectrum = _lorentz_spectrum(atom, kappa)
-    slow = min(br.p1.real, br.p2.real)
-    tau0 = grid.t0 - pulse.t_a - atom.t_d
-    span = (grid.n - 1) * grid.dt
-    nodes, vals = _driving_quadrature_nodes(spectrum, pulse, tau_span=span,
-                                            extra_pad=25.0 / slow)
-    out = []
-    for p, s in br.pairs:
-        fj = vals / (p - 1j * nodes)
-        out.append(s * _phase_sum_uniform(fj, nodes, tau0, grid.dt, grid.n))
-    return out[0], out[1]
+    tau = grid.t0 - pulse.t_a - atom.t_d + grid.dt * np.arange(grid.n)
+    amp = -1j * np.sqrt(atom.gamma_p) * kappa
+    f_kappa = exp_filter(kappa, pulse, tau)
+    return tuple(s * amp * (f_kappa - exp_filter(p, pulse, tau)) / (p - kappa)
+                 for p, s in br.pairs)

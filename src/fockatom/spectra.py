@@ -21,13 +21,12 @@ Three spectrum variants:
   pulse coupling uses the uniform fraction sqrt(gamma_p/gamma * g2) with
   zero phase.
 
-Driving-term evaluation: the lorentzian spectrum paired with exponential or
-delta pulses has simple poles only, so D(t) is evaluated by exact partial
-fractions (a truncated detuning quadrature cannot reach the accuracy the
-closed form provides; its tail error decays only like 1/W). Gaussian pulses
-and tabulated spectra use composite-trapezoid quadrature on a uniform
-detuning grid, evaluated for all requested times at once with a chirp-z
-transform.
+Driving-term evaluation: the lorentzian pulse coupling is a causal
+first-order cavity filter, D(tau) = -1j sqrt(gamma_p) kappa F_kappa[u](tau)
+with F_r[u](tau) = int_{-inf}^tau exp(-r (tau - s)) u(s) ds, and `exp_filter`
+evaluates F_r in closed form for every pulse shape. Tabulated spectra use
+composite-trapezoid quadrature on a uniform detuning grid, evaluated for all
+requested times at once with a chirp-z transform.
 """
 
 from __future__ import annotations
@@ -37,11 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import czt
+from scipy.special import erfcx
 
 from .pulses import (
     DECAYING_EXP,
     DELTA,
-    GAUSSIAN,
     RISING_EXP,
     PulseSpec,
     envelope,
@@ -52,8 +51,8 @@ LORENTZIAN = "lorentzian"
 FLAT = "flat"
 TABULATED = "tabulated"
 
-# Degenerate-pole guard for the partial-fraction driving forms: wide enough
-# that the (e^{-z tau} - e^{-kappa tau})/(kappa - z) cancellation stays benign.
+# Degenerate-pole guard for the decaying-exp filter: wide enough that the
+# (e^{-a tau} - e^{-r tau})/(r - a) cancellation stays benign.
 _POLE_TOL = 1e-7
 
 
@@ -224,9 +223,9 @@ def memory_kernel(spec: InteractionSpectrum) -> MemoryKernel:
 def driving_term(spec: InteractionSpectrum, pulse: PulseSpec, t) -> np.ndarray | complex:
     """Driving term D(t) of the amplitude equation at time(s) t.
 
-    Times are absolute; the pulse reference enters through t - t_a. Closed
-    forms are used where the spectrum-pulse pair is rational (see module
-    docstring); otherwise composite-trapezoid quadrature over the detuning
+    Times are absolute; the pulse reference enters through t - t_a.
+    Lorentzian drives are the closed-form cavity filter (`exp_filter`);
+    tabulated drives use composite-trapezoid quadrature over the detuning
     window.
     """
     t_arr = np.asarray(t, dtype=float)
@@ -237,9 +236,9 @@ def driving_term(spec: InteractionSpectrum, pulse: PulseSpec, t) -> np.ndarray |
 
 def driving_term_uniform(spec: InteractionSpectrum, pulse: PulseSpec,
                          t0: float, dt: float, n: int) -> np.ndarray:
-    """D on the uniform grid t0 + k*dt (chirp-z fast path for quadrature)."""
+    """D on the uniform grid t0 + k*dt; tabulated spectra take the chirp-z path."""
     tau0 = t0 - pulse.t_a
-    if (spec.kind == LORENTZIAN and pulse.shape != GAUSSIAN) or spec.kind == FLAT:
+    if spec.kind != TABULATED:
         return _driving_eval(spec, pulse, tau0 + dt * np.arange(n))
     nodes, vals = _driving_quadrature_nodes(spec, pulse, tau_span=(n - 1) * dt)
     return _phase_sum_uniform(vals, nodes, tau0, dt, n)
@@ -255,85 +254,68 @@ def _driving_eval(spec: InteractionSpectrum, pulse: PulseSpec, tau: np.ndarray) 
         # Markov short-circuit: D = sqrt(gamma_p) * u(t - t_a)
         return np.sqrt(spec.gamma_p) * np.asarray(envelope(pulse, tau + pulse.t_a))
     if spec.kind == LORENTZIAN:
-        if pulse.shape == DELTA:
-            return _drive_lorentz_delta(spec, pulse, tau)
-        if pulse.shape == DECAYING_EXP:
-            return _drive_lorentz_decaying(spec, pulse, tau)
-        if pulse.shape == RISING_EXP:
-            return _drive_lorentz_rising(spec, pulse, tau)
-        nodes, vals = _driving_quadrature_nodes(spec, pulse,
-                                                tau_span=float(np.ptp(tau)) if tau.size else 0.0)
-        return _phase_sum(vals, nodes, tau)
-    # tabulated
-    if pulse.shape == DELTA:
-        raise ValueError("delta pulse with tabulated spectrum has no closed form "
-                         "(constant spectrum is not integrable on a finite table)")
+        return -1j * np.sqrt(spec.gamma_p) * spec.kappa * exp_filter(spec.kappa, pulse, tau)
     nodes, vals = _driving_quadrature_nodes(spec, pulse,
                                             tau_span=float(np.ptp(tau)) if tau.size else 0.0)
     return _phase_sum(vals, nodes, tau)
 
 
-def _drive_lorentz_delta(spec, pulse, tau):
-    kap = spec.kappa
-    amp = -1j * pulse.xi0 * np.sqrt(2.0 * np.pi * spec.gamma_p) * kap
-    return np.where(tau >= 0.0, amp * np.exp(-kap * np.clip(tau, 0.0, None)), 0.0 + 0j)
+def exp_filter(rate: complex, pulse: PulseSpec, tau) -> np.ndarray:
+    """F_r[u](tau) = int_{-inf}^tau exp(-r (tau - s)) u(s) ds in closed form, Re r > 0.
 
-
-def _drive_lorentz_decaying(spec, pulse, tau):
-    kap, r, d0 = spec.kappa, 0.5 / pulse.tau_f, pulse.delta0
-    pre = -2j * np.pi * 1j * np.sqrt(spec.gamma_p / (2.0 * np.pi)) * kap * np.sqrt(r / np.pi)
-    z2 = d0 - 1j * r
+    u is the pulse envelope, tau counted from t_a; the delta pulse is
+    sqrt(2 pi) xi0 times a Dirac mass at 0. The Gaussian form uses erfcx(z),
+    z = (r - 1j delta0) tau_f - tau/(2 tau_f), and where Re z < 0 would make
+    it overflow, the reflection erfcx(z) = 2 exp(z^2) - erfcx(-z).
+    """
+    tau = np.asarray(tau, dtype=float)
+    after = tau >= 0.0
     tpos = np.clip(tau, 0.0, None)
-    if abs(z2 + 1j * kap) < _POLE_TOL * kap:
-        body = -1j * tpos * np.exp(-kap * tpos)
-    else:
-        body = (np.exp(-1j * z2 * tpos) - np.exp(-kap * tpos)) / (z2 + 1j * kap)
-    return np.where(tau >= 0.0, pre * body, 0.0 + 0j)
-
-
-def _drive_lorentz_rising(spec, pulse, tau):
-    kap, r, d0 = spec.kappa, 0.5 / pulse.tau_f, pulse.delta0
-    pre = 2j * np.pi * (-1j) * np.sqrt(spec.gamma_p / (2.0 * np.pi)) * kap * np.sqrt(r / np.pi)
-    z3 = d0 + 1j * r  # upper half-plane: the pulse tail before cut-off
-    denom = z3 + 1j * kap
-    after = np.exp(-kap * np.clip(tau, 0.0, None))
-    before = np.exp(-1j * z3 * np.clip(tau, None, 0.0))
-    return pre / denom * np.where(tau >= 0.0, after, before)
+    if pulse.shape == DELTA:
+        return np.where(after, pulse.xi0 * np.sqrt(2.0 * np.pi) * np.exp(-rate * tpos), 0.0 + 0j)
+    tf, d0 = pulse.tau_f, pulse.delta0
+    if pulse.shape == DECAYING_EXP:
+        a = 0.5 / tf + 1j * d0
+        if abs(rate - a) < _POLE_TOL * abs(rate):
+            body = tpos * np.exp(-rate * tpos)
+        else:
+            body = (np.exp(-a * tpos) - np.exp(-rate * tpos)) / (rate - a)
+        return np.where(after, body / np.sqrt(tf), 0.0 + 0j)
+    if pulse.shape == RISING_EXP:
+        b = 0.5 / tf - 1j * d0  # the pulse tail before cut-off grows as e^{b tau}
+        before = np.exp(b * np.clip(tau, None, 0.0))
+        return np.where(after, np.exp(-rate * tpos), before) / ((rate + b) * np.sqrt(tf))
+    # gaussian
+    amp = (2.0 * np.pi * tf**2) ** -0.25 * tf * np.sqrt(np.pi)
+    q = (rate - 1j * d0) * tf
+    z = np.asarray(q - tau / (2.0 * tf))
+    gauss = np.exp(-1j * d0 * tau - tau**2 / (4.0 * tf**2))
+    out = np.empty(tau.shape, dtype=complex)
+    head, tail = z.real >= 0.0, z.real < 0.0
+    out[head] = amp * gauss[head] * erfcx(z[head])
+    out[tail] = amp * (2.0 * np.exp(q * q - rate * tau[tail]) - gauss[tail] * erfcx(-z[tail]))
+    return out
 
 
 def _driving_quadrature_nodes(spec: InteractionSpectrum, pulse: PulseSpec,
-                              tau_span: float, extra_pad: float = 0.0
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform detuning nodes and weighted integrand g*xi for the drive.
+                              tau_span: float) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform detuning nodes and weighted integrand g*xi for a tabulated drive.
 
-    The spacing h obeys two constraints: resolving the narrowest spectral
-    feature, and pushing the 2*pi/h aliasing images of the trapezoid sum
-    beyond the evaluation span plus the drive's own decay tail. Gaussian
-    pulses truncate the window at the super-exponential spectral tail
-    instead of the generic 50*max(kappa, 1/tau_f) rule: same accuracy,
-    far fewer nodes when kappa*tau_f >> 1.
+    The spacing h obeys two constraints: resolving the pulse spectrum, and
+    pushing the 2*pi/h aliasing images of the trapezoid sum beyond the
+    evaluation span plus the drive's own decay tail.
     """
     if pulse.shape == DELTA:
-        raise ValueError("delta pulse drive is closed-form only")
-    inv_tf = 1.0 / pulse.tau_f
-    if spec.kind == LORENTZIAN:
-        feature = min(spec.kappa, inv_tf)
-        half_width = 50.0 * max(spec.kappa, inv_tf)
-        if pulse.shape == GAUSSIAN:
-            half_width = min(half_width, 10.0 * inv_tf + 5.0 * min(spec.kappa, 10.0 * inv_tf))
-        half_width += abs(pulse.delta0)
-    else:
-        feature = inv_tf
-        half_width = abs(pulse.delta0) + 50.0 * inv_tf
-    pad = 25.0 * pulse.tau_f + 25.0 / feature + extra_pad
+        raise ValueError("delta pulse with tabulated spectrum has no closed form "
+                         "(constant spectrum is not integrable on a finite table)")
+    feature = 1.0 / pulse.tau_f
+    half_width = abs(pulse.delta0) + 50.0 * feature
+    pad = 25.0 * pulse.tau_f + 25.0 / feature
     h = min(feature / 40.0, 2.0 * np.pi / (1.3 * (tau_span + pad)))
-    if spec.kind == TABULATED:
-        lo = max(-half_width, spec.table_delta[0])
-        hi = min(half_width, spec.table_delta[-1])
-        if not hi > lo:
-            raise ValueError("tabulated grid does not overlap the pulse spectrum window")
-    else:
-        lo, hi = -half_width, half_width
+    lo = max(-half_width, spec.table_delta[0])
+    hi = min(half_width, spec.table_delta[-1])
+    if not hi > lo:
+        raise ValueError("tabulated grid does not overlap the pulse spectrum window")
     m = int(np.ceil((hi - lo) / h)) + 1
     nodes = np.linspace(lo, hi, m)
     w = np.full(m, nodes[1] - nodes[0])

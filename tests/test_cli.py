@@ -62,6 +62,24 @@ def test_invalid_dt_exits_2_with_field(tmp_path, capsys):
     assert payload["field"] == "grid.dt"
 
 
+@pytest.mark.parametrize("cfg, field", [
+    ({"pulse": {"tau_f": "abc"}}, "pulse.tau_f"),
+    ({"pulse": {"n_bar": "a"}}, "pulse.n_bar"),
+    ({"atom": {"t_d": "x"}}, "atom.t_d"),
+    ({"grid": {"t_max": "a"}}, "grid.t_max"),
+    ([1, 2], "config"),
+    ({"spectrum": {"kappa": True}}, "spectrum.kappa"),
+    ({"sweep": {"kappa": {"num": 2.5}}}, "sweep.kappa.num"),
+])
+def test_mistyped_config_exits_2_with_field(tmp_path, capsys, cfg, field):
+    out = tmp_path / "o"
+    code, _, err = _run(["simulate", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out)], capsys)
+    assert code == 2
+    assert json.loads(err)["field"] == field
+    assert not out.exists()
+
+
 def test_unknown_keys_rejected(tmp_path, capsys):
     code, _, err = _run(["validate", _write_config(tmp_path, {"turbo": True})], capsys)
     assert code == 2

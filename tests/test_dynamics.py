@@ -215,6 +215,17 @@ def test_volterra_redirects_flat_spectrum():
     assert traj.solver_id == "markov"
 
 
+@pytest.mark.parametrize("t_max", [33.0, 40.0])
+def test_volterra_refuses_tabulated_grid_past_alias_horizon(t_max):
+    # node gap h = 0.2: the tabulated kernel repeats after 2*pi/h = 31.4
+    kappa = 10.0
+    d = np.linspace(-500.0, 500.0, 5001)
+    g2 = (1.0 / (2 * np.pi)) / ((d / kappa) ** 2 + 1.0)
+    grid = TimeGrid.from_span(0.0, t_max, 1e-2)
+    with pytest.raises(ValueError, match=r"alias horizon 2\*pi/h = 31\.4159"):
+        solve_volterra(AtomParams(c0=1.0), InteractionSpectrum.tabulated(d, g2), None, grid)
+
+
 def test_volterra_memory_budget():
     atom = AtomParams()
     grid = TimeGrid(0.0, 1e-3, 1_000_001)
@@ -351,6 +362,17 @@ def test_branch_sum_matches_closed_form():
     c1, c2 = branch_decomposition(atom, 10.0, pulse, grid)
     ref = solve_closed_form_lorentzian(atom, 10.0, pulse, grid)
     assert np.abs(c1 + c2 - ref.c).max() < 1e-4
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "decaying_exp", "rising_exp"])
+def test_branch_sum_matches_closed_form_complex_branches(shape):
+    # kappa < 2 gamma: complex-conjugate rates p_j in the cavity filters
+    atom = AtomParams(gamma_p=0.7)
+    grid = TimeGrid.from_span(0.0, 45.0, 2e-3)
+    pulse = PulseSpec(shape, tau_f=1.0, t_a=30.0, delta0=0.4)
+    c1, c2 = branch_decomposition(atom, 0.5, pulse, grid)
+    ref = solve_closed_form_lorentzian(atom, 0.5, pulse, grid)
+    assert np.abs(c1 + c2 - ref.c).max() < 1e-6
 
 
 def test_branch_two_dominates_nothing_weak_coupling():

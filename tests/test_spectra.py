@@ -3,7 +3,7 @@
 The driving-term oracle is the time-domain convolution of the envelope with
 the cavity ring-in response, D(tau) = -1j sqrt(gamma_p) kappa
 int u(s) exp(-kappa (tau - s)) ds, integrated adaptively: a route sharing
-nothing with either the partial-fraction closed forms or the detuning-grid
+nothing with either the closed-form filter `exp_filter` or the detuning-grid
 quadrature.
 """
 
@@ -110,17 +110,20 @@ def test_tabulated_kernel_matches_analytic():
 
 def _drive_oracle(pulse: PulseSpec, gamma_p: float, kappa: float, tau: float) -> complex:
     """Time-domain convolution of the envelope with the cavity ring-in."""
-    lo = {"gaussian": -10.0 * pulse.tau_f, "decaying_exp": 0.0,
-          "rising_exp": -40.0 * pulse.tau_f}[pulse.shape]
-    if tau <= lo:
+    start = {"gaussian": -10.0 * pulse.tau_f, "decaying_exp": 0.0,
+             "rising_exp": -40.0 * pulse.tau_f}[pulse.shape]
+    if tau <= start:
         return 0.0
+    lo = max(start, tau - 40.0 / kappa)  # the ring-in has decayed by e^-40 before
 
     def integrand(s, part):
         u = complex(envelope(pulse, s + pulse.t_a))
         return getattr(u, part) * np.exp(-kappa * (tau - s))
 
-    re, _ = quad(integrand, lo, tau, args=("real",), limit=500)
-    im, _ = quad(integrand, lo, tau, args=("imag",), limit=500)
+    # split at the pulse reference: the rising_exp cut-off is a jump there
+    pts = [0.0] if lo < 0.0 < tau else None
+    re, _ = quad(integrand, lo, tau, args=("real",), limit=500, points=pts)
+    im, _ = quad(integrand, lo, tau, args=("imag",), limit=500, points=pts)
     return -1j * np.sqrt(gamma_p) * kappa * (re + 1j * im)
 
 
@@ -159,15 +162,20 @@ def test_gaussian_drive_quadrature_matches_convolution_oracle():
 
 
 def test_detuned_carrier_drives_match_oracle():
-    # delta0 != 0 exercises the complex pole shift in every closed form and
-    # the off-center window in the quadrature path
-    spec = InteractionSpectrum.lorentzian(5.0, gamma_p=1.0)
-    for shape in ("decaying_exp", "rising_exp", "gaussian"):
-        pulse = PulseSpec(shape, tau_f=0.6, delta0=2.0, t_a=0.0)
-        for tau in (-0.8, 0.3, 1.5):
-            got = driving_term(spec, pulse, tau)
-            want = _drive_oracle(pulse, 1.0, 5.0, tau)
-            assert abs(got - want) < 1e-6, (shape, tau)
+    # delta0 != 0 exercises the complex pole shift in every closed form; the
+    # last time lies in the far tail Re z < -27 of the Gaussian filter, where
+    # erfcx(z) overflows and the reflected form takes over
+    for kappa in (0.1, 5.0, 100.0):
+        spec = InteractionSpectrum.lorentzian(kappa, gamma_p=1.0)
+        for tau_f in (0.01, 0.6, 1.0, 10.0):
+            tail = 2.0 * tau_f * (kappa * tau_f + 28.0)
+            for delta0 in (0.0, 2.0, -5.0):
+                for shape in ("decaying_exp", "rising_exp", "gaussian"):
+                    pulse = PulseSpec(shape, tau_f=tau_f, delta0=delta0, t_a=0.0)
+                    for tau in (-4.0 / 3.0 * tau_f, 0.5 * tau_f, 2.5 * tau_f, tail):
+                        got = driving_term(spec, pulse, tau)
+                        want = _drive_oracle(pulse, 1.0, kappa, tau)
+                        assert abs(got - want) < 1e-6, (kappa, tau_f, delta0, shape, tau)
 
 
 def test_degenerate_pole_decaying_exp():
@@ -217,7 +225,10 @@ def test_markov_limit_of_lorentzian_drive():
 
 
 def test_uniform_and_pointwise_drive_agree():
-    spec = InteractionSpectrum.lorentzian(10.0)
+    # chirp-z on the uniform grid against the direct phase sum on the same nodes
+    kappa = 10.0
+    d = np.linspace(-200.0, 200.0, 4001)
+    spec = InteractionSpectrum.tabulated(d, (1.0 / (2 * np.pi)) / ((d / kappa) ** 2 + 1.0))
     pulse = PulseSpec("gaussian", tau_f=0.5, t_a=2.0)
     n, dt = 201, 0.02
     t = 1.0 + dt * np.arange(n)
