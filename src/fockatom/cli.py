@@ -73,8 +73,14 @@ _DEFAULTS = {
     "output_dir": None,
 }
 
-# numeric fields that default to null; the others are typed by their default
-_NULLABLE_NUMBERS = ("atom.gamma_p", "pulse.t_a", "grid.t_max")
+# fields that may be null, with their type; the others are typed by their default
+_NULLABLE = {"atom.gamma_p": float, "pulse.t_a": float, "grid.t_max": float,
+             "atom.mode_fraction": (str, float), "spectrum.csv": str,
+             "figure_id": str, "output_dir": str}
+
+# Largest time grid a scenario may build, checked before anything is allocated;
+# equal to solve_volterra's own cap, so a grid that passes here fits every solver.
+MAX_GRID_SAMPLES = 1_000_000
 
 
 def _merge_section(name, defaults, given):
@@ -88,12 +94,21 @@ def _merge_section(name, defaults, given):
             raise ConfigError(f"{name}.{key}", "unknown key")
         if isinstance(defaults[key], dict) and defaults[key]:
             out[key] = _merge_section(f"{name}.{key}", defaults[key], val)
-        elif isinstance(defaults[key], (int, float)) or (
-                val is not None and f"{name}.{key}" in _NULLABLE_NUMBERS):
-            out[key] = _number(f"{name}.{key}", val, integer=isinstance(defaults[key], int))
         else:
-            out[key] = val
+            out[key] = _typed(f"{name}.{key}", defaults[key], val)
     return out
+
+
+def _typed(field: str, default, val):
+    """val checked against its field's type: the _NULLABLE entry or the default's."""
+    kind = _NULLABLE.get(field, type(default))
+    if val is None and field in _NULLABLE:
+        return val
+    if isinstance(val, str) and kind in (str, (str, float)):
+        return val
+    if kind is str:
+        raise ConfigError(field, "must be a string")
+    return _number(field, val, integer=kind is int)
 
 
 def _number(field: str, val, integer: bool = False):
@@ -111,7 +126,7 @@ def normalize_config(raw: dict) -> dict:
         if isinstance(default, dict):
             cfg[key] = _merge_section(key, default, raw.get(key))
         else:
-            cfg[key] = raw.get(key, default)
+            cfg[key] = _typed(key, default, raw[key]) if key in raw else default
     for key in raw:
         if key not in _DEFAULTS:
             raise ConfigError(key, "unknown key")
@@ -134,7 +149,7 @@ def normalize_config(raw: dict) -> dict:
                                   f"unknown preset; use one of {sorted(MODE_FRACTION_PRESETS)}")
             ratio = MODE_FRACTION_PRESETS[frac]
         else:
-            ratio = float(_number("atom.mode_fraction", frac))
+            ratio = float(frac)
         atom["gamma_p"] = ratio * atom["gamma"]
     if not 0 < atom["gamma_p"] <= atom["gamma"]:
         raise ConfigError("atom.gamma_p", "need 0 < gamma_p <= gamma")
@@ -178,6 +193,14 @@ def normalize_config(raw: dict) -> dict:
     return cfg
 
 
+def _budgeted(grid: TimeGrid) -> TimeGrid:
+    """The grid itself, refused when it exceeds MAX_GRID_SAMPLES (nothing allocated yet)."""
+    if grid.n > MAX_GRID_SAMPLES:
+        raise ConfigError("grid.dt", f"{grid.n} samples exceed the budget of {MAX_GRID_SAMPLES}; "
+                                     "raise grid.dt or lower grid.t_max")
+    return grid
+
+
 def _build_atom(cfg) -> AtomParams:
     a = cfg["atom"]
     return AtomParams(gamma=a["gamma"], gamma_p=a["gamma_p"], t_d=a["t_d"],
@@ -203,16 +226,14 @@ def _build_pulse_and_grid(cfg, atom: AtomParams):
         t_a = p["t_a"] if p["t_a"] is not None else 1.0 / atom.gamma
         t_max = g["t_max"] if g["t_max"] is not None else t_a + 12.0 / atom.gamma
         pulse = PulseSpec(shape=DELTA, xi0=p["xi0"], t_a=t_a, delta0=p["delta0"])
-        grid = TimeGrid.from_span(g["t0"], t_max, g["dt"])
-        return pulse, grid
+        return pulse, _budgeted(TimeGrid.from_span(g["t0"], t_max, g["dt"]))
     auto_grid, lead = cell_grid(p["shape"], p["tau_f"], min(kappa, 1e6), atom.gamma,
                                 dt=g["dt"])
     t_a = p["t_a"] if p["t_a"] is not None else g["t0"] + lead
     pulse = PulseSpec(shape=p["shape"], tau_f=p["tau_f"], delta0=p["delta0"],
                       t_a=t_a, xi0=p["xi0"])
     t_max = g["t_max"] if g["t_max"] is not None else g["t0"] + auto_grid.t_max
-    grid = TimeGrid.from_span(g["t0"], t_max, g["dt"])
-    return pulse, grid
+    return pulse, _budgeted(TimeGrid.from_span(g["t0"], t_max, g["dt"]))
 
 
 def _run_solver(cfg, atom, spectrum, pulse, grid):
@@ -238,23 +259,28 @@ def run_scenario(cfg: dict) -> list[str]:
     if scenario == "simulate":
         spectrum = _build_spectrum(cfg, atom)
         pulse, grid = _build_pulse_and_grid(cfg, atom)
+        span = (grid.n - 1) * grid.dt
+        if span >= spectrum.alias_horizon:
+            raise ConfigError("grid.t_max", f"grid span {span:g} reaches the tabulated spectrum's "
+                                            f"alias horizon 2*pi/h = {spectrum.alias_horizon:g} "
+                                            "(h = largest node gap)")
         traj = _run_solver(cfg, atom, spectrum, pulse, grid)
         base = os.path.join(out, "trajectory")
         write_trajectory(base, traj, {"config": cfg})
         return [base + ".csv", base + ".json"]
     if scenario == "decay":
         atom_exc = AtomParams(gamma=atom.gamma, gamma_p=atom.gamma_p, t_d=atom.t_d, c0=1.0)
-        grid = TimeGrid.from_span(cfg["grid"]["t0"],
-                                  cfg["grid"]["t_max"] or cfg["grid"]["t0"] + 8.0 / atom.gamma,
-                                  cfg["grid"]["dt"])
+        grid = _budgeted(TimeGrid.from_span(
+            cfg["grid"]["t0"], cfg["grid"]["t_max"] or cfg["grid"]["t0"] + 8.0 / atom.gamma,
+            cfg["grid"]["dt"]))
         traj = spontaneous_decay(atom_exc, cfg["spectrum"]["kappa"], grid)
         base = os.path.join(out, "decay")
         write_trajectory(base, traj, {"config": cfg})
         return [base + ".csv", base + ".json"]
     if scenario == "delta_rise":
-        grid = TimeGrid.from_span(cfg["grid"]["t0"],
-                                  cfg["grid"]["t_max"] or cfg["grid"]["t0"] + 2.0 / atom.gamma,
-                                  cfg["grid"]["dt"])
+        grid = _budgeted(TimeGrid.from_span(
+            cfg["grid"]["t0"], cfg["grid"]["t_max"] or cfg["grid"]["t0"] + 2.0 / atom.gamma,
+            cfg["grid"]["dt"]))
         kappa = cfg["spectrum"]["kappa"]
         c_r, dc_r = delta_pulse_rise(atom, kappa, grid)
         sat = c_r[-1]
@@ -330,6 +356,7 @@ def reproduce_figure(fig_id: str, cfg: dict | None = None) -> list[str]:
         tau_f = {"fig2a": 0.1, "fig2b": 0.05, "fig2c": 0.01, "fig2d": 1.0}[fig_id]
         kappas = (10.0, 1.0) if fig_id == "fig2d" else (10.0,)
         grid, lead = cell_grid("gaussian", tau_f, min(kappas), atom.gamma, dt=dt)
+        grid = _budgeted(grid)
         pulse = PulseSpec(shape="gaussian", tau_f=tau_f, t_a=lead)
         traj_file("markov", solve_markov(atom, pulse, grid))
         for kap in kappas:
@@ -337,7 +364,7 @@ def reproduce_figure(fig_id: str, cfg: dict | None = None) -> list[str]:
                       solve_closed_form_lorentzian(atom, kap, pulse, grid))
     elif fig_id == "fig3":
         kappa = 10.0 * atom.gamma
-        grid = TimeGrid.from_span(0.0, 2.0 / atom.gamma, dt)
+        grid = _budgeted(TimeGrid.from_span(0.0, 2.0 / atom.gamma, dt))
         c_r, dc_r = delta_pulse_rise(atom, kappa, grid)
         c_r_markov = np.ones(grid.n)
         base = os.path.join(out, "delta_rise")
@@ -375,7 +402,7 @@ def reproduce_figure(fig_id: str, cfg: dict | None = None) -> list[str]:
         written.extend([base + ".csv", base + ".json"])
     elif fig_id == "fig6":
         kappas = (1.0, 2.0, 5.0, 10.0, 100.0)
-        grid = TimeGrid.from_span(0.0, 8.0 / atom.gamma, dt)
+        grid = _budgeted(TimeGrid.from_span(0.0, 8.0 / atom.gamma, dt))
         atom_exc = AtomParams(gamma=atom.gamma, gamma_p=atom.gamma_p, c0=1.0)
         cols = [grid.times]
         headers = ["t"]

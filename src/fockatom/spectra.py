@@ -93,6 +93,13 @@ class InteractionSpectrum:
             object.__setattr__(self, "table_delta", d)
             object.__setattr__(self, "table_g2", g2)
 
+    @property
+    def alias_horizon(self) -> float:
+        """Period 2*pi/h of a tabulated kernel (h the largest node gap); inf otherwise."""
+        if self.kind != TABULATED:
+            return np.inf
+        return 2.0 * np.pi / np.diff(self.table_delta).max()
+
     @classmethod
     def lorentzian(cls, kappa: float, gamma_p: float = 1.0, gamma: float = 1.0):
         return cls(kind=LORENTZIAN, gamma_p=gamma_p, gamma=gamma, kappa=kappa)

@@ -70,13 +70,54 @@ def test_invalid_dt_exits_2_with_field(tmp_path, capsys):
     ([1, 2], "config"),
     ({"spectrum": {"kappa": True}}, "spectrum.kappa"),
     ({"sweep": {"kappa": {"num": 2.5}}}, "sweep.kappa.num"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"spectrum": {"kind": "tabulated", "csv": 99}}, "spectrum.csv"),
+    ({"spectrum": {"kind": ["tabulated"]}}, "spectrum.kind"),
+    ({"pulse": {"shape": 3}}, "pulse.shape"),
+    ({"solver": None}, "solver"),
+    ({"figure_id": 4}, "figure_id"),
+    ({"atom": {"mode_fraction": [0.5]}}, "atom.mode_fraction"),
 ])
 def test_mistyped_config_exits_2_with_field(tmp_path, capsys, cfg, field):
     out = tmp_path / "o"
+    argv = ["simulate", "--config", _write_config(tmp_path, cfg)]
+    if "output_dir" not in cfg:  # --out would replace the mistyped value
+        argv += ["--out", str(out)]
+    code, _, err = _run(argv, capsys)
+    assert code == 2
+    assert json.loads(err)["field"] == field
+    assert not out.exists()
+
+
+def test_tabulated_grid_past_alias_horizon_exits_2(tmp_path, capsys):
+    # node gap h = 0.05: the tabulated kernel repeats after 2*pi/h = 125.7
+    d = np.linspace(-50.0, 50.0, 2001)
+    g2 = (1.0 / (2 * np.pi)) / ((d / 10.0) ** 2 + 1.0)
+    csv_path = tmp_path / "spectrum.csv"
+    csv_path.write_text("delta,g2\n" + "\n".join(f"{x},{y}" for x, y in zip(d, g2)) + "\n")
+    out = tmp_path / "o"
+    cfg = {"spectrum": {"kind": "tabulated", "csv": str(csv_path)},
+           "grid": {"t_max": 130.0, "dt": 0.05}}
     code, _, err = _run(["simulate", "--config", _write_config(tmp_path, cfg),
                          "--out", str(out)], capsys)
     assert code == 2
-    assert json.loads(err)["field"] == field
+    payload = json.loads(err)
+    assert payload["field"] == "grid.t_max"
+    assert "125.664" in payload["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["simulate", "--pulse", "delta"],
+                                  ["decay"], ["delta-rise"], ["detector-compare"],
+                                  ["figure", "fig2a"], ["figure", "fig3"],
+                                  ["figure", "fig5b"], ["figure", "fig6"]])
+def test_grid_over_sample_budget_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    code, _, err = _run(argv + ["--dt", "1e-9", "--out", str(out)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["field"] == "grid.dt"
+    assert "budget" in payload["error"]
     assert not out.exists()
 
 

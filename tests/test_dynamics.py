@@ -18,7 +18,13 @@ from fockatom import (
     solve_volterra,
     spontaneous_decay,
 )
-from fockatom.dynamics import MODE_FRACTION_PRESETS
+from fockatom.dynamics import (
+    _TOEPLITZ_BLOCK,
+    MODE_FRACTION_PRESETS,
+    _drive_on_grid,
+    _product_trapezoid_weights,
+)
+from fockatom.spectra import memory_kernel
 
 
 def markov_gaussian_amplitude(t, tau_f=1.0, gamma=1.0, gamma_p=1.0, t_a=0.0):
@@ -142,6 +148,58 @@ def test_ode_rejects_stiff_step():
 # ---------------------------------------------------------------------------
 # Volterra
 # ---------------------------------------------------------------------------
+
+def volterra_step_loop(atom, spectrum, pulse, grid):
+    """Direct-sum oracle: the step-by-step implicit-trapezoid march, O(n^2)."""
+    D = _drive_on_grid(atom, spectrum, pulse, grid)
+    kern = memory_kernel(spectrum)
+    A, B = _product_trapezoid_weights(kern, grid.dt, grid.n)
+    # I_fix(t_i) = A_i C_0 + sum_{m=1}^{i-1} (A_{i-m} + B_{i-m+1}) C_m
+    S = A[:-1] + B[1:]
+    dt = grid.dt
+    n = grid.n
+    C = np.zeros(n, dtype=complex)
+    C[0] = atom.c0
+    f_prev = D[0] + 0j  # memory integral vanishes at t0
+    b1 = B[0]
+    half = 0.5 * dt
+    denom = 1.0 + half * b1
+    for i in range(1, n):
+        i_fix = A[i - 1] * C[0]
+        if i >= 2:
+            i_fix += np.dot(S[:i - 1], C[i - 1:0:-1])
+        ci = (C[i - 1] + half * (f_prev - i_fix + D[i])) / denom
+        C[i] = ci
+        f_prev = D[i] - (i_fix + b1 * ci)
+    return C
+
+
+def _gaussian_tabulated_spectrum():
+    # non-Lorentzian table: node gap 0.1, alias horizon 2*pi/0.1 = 62.8
+    d = np.linspace(-200.0, 200.0, 4001)
+    return InteractionSpectrum.tabulated(d, np.exp(-0.5 * (d / 20.0) ** 2) / (2 * np.pi))
+
+
+@pytest.mark.parametrize("n", [2, 3, _TOEPLITZ_BLOCK - 1, _TOEPLITZ_BLOCK,
+                               _TOEPLITZ_BLOCK + 1, 1000, 4097])
+@pytest.mark.parametrize("kind", ["lorentzian", "tabulated"])
+def test_volterra_matches_step_loop_oracle(kind, n):
+    spec = (InteractionSpectrum.lorentzian(5.0) if kind == "lorentzian"
+            else _gaussian_tabulated_spectrum())
+    atom = AtomParams(c0=0.2 + 0.3j)
+    pulse = PulseSpec("gaussian", tau_f=0.1, t_a=0.2)
+    grid = TimeGrid(0.0, 2e-3, n)
+    fast = solve_volterra(atom, spec, pulse, grid)
+    assert np.abs(fast.c - volterra_step_loop(atom, spec, pulse, grid)).max() <= 1e-12
+
+
+def test_volterra_long_decay_matches_closed_form():
+    atom = AtomParams(c0=1.0)
+    grid = TimeGrid(0.0, 1e-3, 131073)
+    a = solve_volterra(atom, InteractionSpectrum.lorentzian(10.0), None, grid)
+    b = solve_closed_form_lorentzian(atom, 10.0, None, grid)
+    assert np.abs(a.p - b.p).max() < 1e-6
+
 
 def test_volterra_matches_closed_form_short_pulse():
     atom = AtomParams()
