@@ -22,6 +22,7 @@ from .detectors import bloch_response, fock_atom_response, linear_response
 from .dynamics import (
     MODE_FRACTION_PRESETS,
     AtomParams,
+    check_ode_step,
     delta_pulse_rise,
     solve_closed_form_lorentzian,
     solve_markov,
@@ -264,6 +265,11 @@ def run_scenario(cfg: dict) -> list[str]:
             raise ConfigError("grid.t_max", f"grid span {span:g} reaches the tabulated spectrum's "
                                             f"alias horizon 2*pi/h = {spectrum.alias_horizon:g} "
                                             "(h = largest node gap)")
+        if cfg["solver"] == "ode_rk4" and spectrum.kind == "lorentzian":
+            try:
+                check_ode_step(atom.gamma, spectrum.kappa, grid.dt)
+            except ValueError as exc:
+                raise ConfigError("grid.dt", str(exc)) from None
         traj = _run_solver(cfg, atom, spectrum, pulse, grid)
         base = os.path.join(out, "trajectory")
         write_trajectory(base, traj, {"config": cfg})

@@ -10,7 +10,9 @@ is solved three ways that share nothing but the driving term:
   decay rates p_j and weights s_j; the remaining time convolution is a
   cumulative trapezoid evaluated by a stable exponential recursion.
 * `solve_ode_reduction`: the exponential kernel embedded exactly as the
-  auxiliary variable M' = -kappa*M + C, integrated with fixed-step RK4.
+  auxiliary variable M' = -kappa*M + C, integrated with fixed-step RK4. The
+  step is a constant affine 2x2 map of (C, M), applied blockwise: one
+  block-Toeplitz product of its powers per block of steps.
 * `solve_volterra`: generic product-trapezoid discretization of the memory
   integral (piecewise-linear amplitude, exact kernel moments) with an
   implicit-trapezoid step. Works for any evaluable kernel; the march is one
@@ -62,6 +64,7 @@ _PROB_TOL = 1e-6
 _VOLTERRA_MAX_N = 1_000_000
 _VOLTERRA_BYTES_PER_STEP = 240  # peak traced memory of solve_volterra per grid sample
 _TOEPLITZ_BLOCK = 128          # rows per dense solve of the Volterra Toeplitz system
+_RK4_BLOCK = 128               # RK4 steps per block-Toeplitz product of the ODE route
 
 
 @dataclass(frozen=True)
@@ -251,6 +254,15 @@ def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpe
                                      check_bound=pulse is None or pulse.shape != DELTA)
 
 
+def check_ode_step(gamma: float, kappa: float, dt: float) -> None:
+    """Refuse an RK4 step that does not resolve the stiffest rate max(kappa, gamma)."""
+    stiff = max(kappa, gamma)
+    if dt > 0.1 / stiff * (1.0 + 1e-9):
+        raise ValueError(
+            f"step too large for stiffness: dt={dt:g} > 0.1/max(kappa, gamma)={0.1 / stiff:g}"
+        )
+
+
 def solve_ode_reduction(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
                         grid: TimeGrid) -> Trajectory:
     """Exact ODE embedding of the exponential kernel, fixed-step RK4.
@@ -258,24 +270,21 @@ def solve_ode_reduction(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
     Integrates C' = -(gamma kappa/2) M + D(t), M' = -kappa M + C with
     M(t0) = 0, which is identical to the Volterra equation for the
     Lorentzian kernel. The fixed step must resolve the stiffest rate.
+    With constant coefficients one RK4 step is the affine map
+    y_{i+1} = R y_i + A (D(t_i), D(t_i + dt/2), D(t_i + dt)) of y = (C, M);
+    R and A are read off the step itself. Blocks of _RK4_BLOCK steps are
+    evaluated at once: the zero-start response by one product with the
+    block-Toeplitz matrix [R^{k-j}], plus R^k times the block-start state,
+    which R^b carries from block to block. Powers of R stay well defined at
+    the double pole kappa = 2*gamma, where R is not diagonalisable.
     """
-    stiff = max(kappa, atom.gamma)
-    if grid.dt > 0.1 / stiff * (1.0 + 1e-9):
-        raise ValueError(
-            f"step too large for stiffness: dt={grid.dt:g} > 0.1/max(kappa, gamma)={0.1 / stiff:g}"
-        )
+    check_ode_step(atom.gamma, kappa, grid.dt)
     spectrum = _lorentz_spectrum(atom, kappa)
     Dh = _drive_on_grid(atom, spectrum, pulse, grid, half_step=True)
     gk = 0.5 * atom.gamma * kappa
     dt = grid.dt
-    C = np.zeros(grid.n, dtype=complex)
-    c = complex(atom.c0)
-    m = 0.0 + 0j
-    C[0] = c
-    for i in range(grid.n - 1):
-        d0 = Dh[2 * i]
-        dm = Dh[2 * i + 1]
-        d1 = Dh[2 * i + 2]
+
+    def step(c, m, d0, dm, d1):
         k1c = -gk * m + d0
         k1m = c - kappa * m
         c2 = c + 0.5 * dt * k1c
@@ -290,9 +299,34 @@ def solve_ode_reduction(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
         m4 = m + dt * k3m
         k4c = -gk * m4 + d1
         k4m = c4 - kappa * m4
-        c += dt / 6.0 * (k1c + 2.0 * (k2c + k3c) + k4c)
-        m += dt / 6.0 * (k1m + 2.0 * (k2m + k3m) + k4m)
-        C[i + 1] = c
+        return (c + dt / 6.0 * (k1c + 2.0 * (k2c + k3c) + k4c),
+                m + dt / 6.0 * (k1m + 2.0 * (k2m + k3m) + k4m))
+
+    # columns: the step of the unit states (R) and of unit drive samples (A)
+    G = np.array(step(*np.eye(5)))
+    R, A = G[:, :2], G[:, 2:]
+    steps = grid.n - 1
+    b = _RK4_BLOCK
+    nb = -(-steps // b)
+    f = np.zeros((nb * b, 2), dtype=complex)
+    f[:steps] = np.stack((Dh[:-1:2], Dh[1::2], Dh[2::2]), axis=1) @ A.T
+    P = np.empty((b + 1, 2, 2))
+    P[0] = np.eye(2)
+    for k in range(b):
+        P[k + 1] = R @ P[k]
+    lag = np.subtract.outer(np.arange(b), np.arange(b))
+    T = np.where((lag >= 0)[:, :, None, None], P[np.maximum(lag, 0)], 0.0)
+    T = T.transpose(0, 2, 1, 3).reshape(2 * b, 2 * b)
+    # Z[blk, k]: state k + 1 steps into block blk when the block starts from zero
+    Z = (f.reshape(nb, 2 * b) @ T.T).reshape(nb, b, 2)
+    starts = np.empty((nb, 2), dtype=complex)
+    y = np.array([atom.c0, 0.0], dtype=complex)
+    for blk in range(nb):
+        starts[blk] = y
+        y = P[b] @ y + Z[blk, -1]
+    C = np.empty(grid.n, dtype=complex)
+    C[0] = atom.c0
+    C[1:] = (Z[:, :, 0] + starts @ P[1:, 0, :].T).ravel()[:steps]
     params = _param_dict("ode_rk4", atom, grid, pulse, kappa=kappa)
     return Trajectory.from_amplitude(grid, C, "ode_rk4", params,
                                      check_bound=pulse is None or pulse.shape != DELTA)

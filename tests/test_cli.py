@@ -107,6 +107,19 @@ def test_tabulated_grid_past_alias_horizon_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ode_rk4_grid_too_coarse_exits_2(tmp_path, capsys):
+    # RK4 needs dt <= 0.1/max(kappa, gamma) = 1e-4 at kappa = 1000; the default dt is 1e-3
+    out = tmp_path / "o"
+    cfg = {"solver": "ode_rk4", "spectrum": {"kappa": 1000.0}}
+    code, _, err = _run(["simulate", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["field"] == "grid.dt"
+    assert "0.0001" in payload["error"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["simulate"], ["simulate", "--pulse", "delta"],
                                   ["decay"], ["delta-rise"], ["detector-compare"],
                                   ["figure", "fig2a"], ["figure", "fig3"],
@@ -157,6 +170,22 @@ def test_simulate_matches_library(tmp_path, capsys):
     pulse = fockatom.PulseSpec("gaussian", tau_f=0.1, t_a=2.0)
     ref = fockatom.solve_closed_form_lorentzian(fockatom.AtomParams(), 10.0, pulse, grid)
     assert abs(data[:, 3].max() - ref.p.max()) < 1e-4
+
+
+def test_simulate_ode_rk4_matches_closed_form(tmp_path, capsys):
+    cfg = {"spectrum": {"kappa": 5.0}, "pulse": {"shape": "gaussian", "tau_f": 0.5},
+           "grid": {"t_max": 6.0, "dt": 1e-3}}
+    path = _write_config(tmp_path, cfg)
+    p = {}
+    for solver in ("closed_form", "ode_rk4"):
+        code, _, _ = _run(["simulate", "--config", path, "--solver", solver,
+                           "--out", str(tmp_path / solver)], capsys)
+        assert code == 0
+        p[solver] = np.loadtxt(tmp_path / solver / "trajectory.csv", delimiter=",",
+                               skiprows=1)[:, 3]
+    assert np.abs(p["ode_rk4"] - p["closed_form"]).max() < 1e-6
+    meta = json.loads((tmp_path / "ode_rk4" / "trajectory.json").read_text())
+    assert meta["solver_id"] == "ode_rk4"
 
 
 def test_flag_overrides_beat_config(tmp_path, capsys):

@@ -19,6 +19,7 @@ from fockatom import (
     spontaneous_decay,
 )
 from fockatom.dynamics import (
+    _RK4_BLOCK,
     _TOEPLITZ_BLOCK,
     MODE_FRACTION_PRESETS,
     _drive_on_grid,
@@ -143,6 +144,67 @@ def test_ode_rejects_stiff_step():
     grid = TimeGrid.from_span(0.0, 1.0, 1e-3)
     with pytest.raises(ValueError, match="step too large for stiffness"):
         solve_ode_reduction(atom, 1000.0, None, grid)
+
+
+def rk4_step_loop(atom, kappa, pulse, grid):
+    """Step-by-step oracle: the RK4 march of the ODE reduction, one step per iteration."""
+    spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p, gamma=atom.gamma)
+    Dh = _drive_on_grid(atom, spectrum, pulse, grid, half_step=True)
+    gk = 0.5 * atom.gamma * kappa
+    dt = grid.dt
+    C = np.zeros(grid.n, dtype=complex)
+    c = complex(atom.c0)
+    m = 0.0 + 0j
+    C[0] = c
+    for i in range(grid.n - 1):
+        d0 = Dh[2 * i]
+        dm = Dh[2 * i + 1]
+        d1 = Dh[2 * i + 2]
+        k1c = -gk * m + d0
+        k1m = c - kappa * m
+        c2 = c + 0.5 * dt * k1c
+        m2 = m + 0.5 * dt * k1m
+        k2c = -gk * m2 + dm
+        k2m = c2 - kappa * m2
+        c3 = c + 0.5 * dt * k2c
+        m3 = m + 0.5 * dt * k2m
+        k3c = -gk * m3 + dm
+        k3m = c3 - kappa * m3
+        c4 = c + dt * k3c
+        m4 = m + dt * k3m
+        k4c = -gk * m4 + d1
+        k4m = c4 - kappa * m4
+        c += dt / 6.0 * (k1c + 2.0 * (k2c + k3c) + k4c)
+        m += dt / 6.0 * (k1m + 2.0 * (k2m + k3m) + k4m)
+        C[i + 1] = c
+    return C
+
+
+@pytest.mark.parametrize("n", [2, 3, _RK4_BLOCK, _RK4_BLOCK + 1, _RK4_BLOCK + 2,
+                               2 * _RK4_BLOCK + 1, 16001])
+@pytest.mark.parametrize("kappa", [0.5, 2.0, 10.0, 100.0])
+def test_ode_matches_step_loop_oracle(kappa, n):
+    # n - 1 steps: below, at and past one and two blocks; kappa = 2 is the double pole
+    grid = TimeGrid(0.0, 1e-3, n)
+    runs = [(AtomParams(), PulseSpec(shape, tau_f=0.1, t_a=0.06))
+            for shape in ("gaussian", "decaying_exp", "rising_exp")]
+    runs.append((AtomParams(c0=0.2 + 0.3j), None))
+    for atom, pulse in runs:
+        fast = solve_ode_reduction(atom, kappa, pulse, grid)
+        assert np.abs(fast.c - rk4_step_loop(atom, kappa, pulse, grid)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "decaying_exp", "rising_exp"])
+@pytest.mark.parametrize("kappa", [0.5, 2.0])
+def test_ode_converges_at_fourth_order(kappa, shape):
+    # halving h divides the self-convergence error by 2^4 = 16
+    atom = AtomParams(c0=0.1j)
+    pulse = PulseSpec(shape, tau_f=1.0, t_a=4.0)
+    c = [solve_ode_reduction(atom, kappa, pulse, TimeGrid.from_span(0.0, 8.0, h)).c
+         for h in (0.04, 0.02, 0.01)]
+    coarse = np.abs(c[0] - c[1][::2]).max()
+    fine = np.abs(c[1][::2] - c[2][::4]).max()
+    assert 14.0 <= coarse / fine <= 18.0
 
 
 # ---------------------------------------------------------------------------

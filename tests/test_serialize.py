@@ -24,6 +24,16 @@ def test_csv_floats_round_trip_losslessly(tmp_path):
     assert np.array_equal(back, col)
 
 
+def test_csv_bytes_pinned(tmp_path):
+    # 17 significant digits, signed zero, a tiny exponent, 2**53+1 (stored as 2**53), non-finite
+    path = tmp_path / "pin.csv"
+    x = np.array([0.1, -0.0, 1e-300, 1.0 / 3.0, 2**53 + 1, np.nan, np.inf, -np.inf])
+    write_csv(path, ["x", "i"], [x, np.arange(len(x))])
+    assert path.read_bytes() == (b"x,i\n0.10000000000000001,0\n-0,1\n1e-300,2\n"
+                                 b"0.33333333333333331,3\n9007199254740992,4\n"
+                                 b"nan,5\ninf,6\n-inf,7\n")
+
+
 def test_trajectory_bundle(tmp_path):
     grid = TimeGrid.from_span(0.0, 2.0, 1e-2)
     traj = solve_markov(AtomParams(), PulseSpec("gaussian", tau_f=0.3, t_a=1.0), grid)
