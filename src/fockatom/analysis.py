@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .dynamics import (
     AtomParams,
@@ -116,6 +115,22 @@ def _refine_peak(t, y, i):
     return t[i] + shift * dt, y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
 
 
+def _local_maxima(y: np.ndarray, height: float) -> np.ndarray:
+    """Indices of the local maxima of y that reach height, in ascending order.
+
+    A maximum is a rise followed, after any run of equal samples, by a fall;
+    a flat top counts once, at (left + right) // 2 of its run. The first and
+    last samples are never maxima. These are the peaks of
+    scipy.signal.find_peaks(y, height=height).
+    """
+    up = y[1:] > y[:-1]
+    down = y[1:] < y[:-1]
+    steps = np.flatnonzero(~(y[1:] == y[:-1]))  # every change, NaN steps included
+    top = np.flatnonzero(up[steps[:-1]] & down[steps[1:]])
+    peaks = (steps[top] + 1 + steps[top + 1]) // 2
+    return peaks[y[peaks] >= height]
+
+
 def transduction_metrics(traj: Trajectory, kappa: float, gamma: float) -> TransductionMetrics:
     """Rise/fall widths and jitter-window estimate of one trajectory.
 
@@ -138,8 +153,8 @@ def transduction_metrics(traj: Trajectory, kappa: float, gamma: float) -> Transd
     else:
         f10 = np.nan
     fall = f10 - f90
-    peaks, _ = find_peaks(P, height=0.8 * p_max)
-    ambiguous = bool(len([q for q in peaks if q != i_max]) > 0)
+    peaks = _local_maxima(P, 0.8 * p_max)
+    ambiguous = bool(np.any(peaks != i_max))
     return TransductionMetrics(
         p_max=float(p_max),
         t_peak=float(t_peak),
@@ -183,8 +198,10 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
     """max_t P over the (tau_f, kappa) grid for one pulse shape.
 
     Cells are independent; a failing cell is recorded as NaN with its error
-    message in `status` and the sweep continues. The argmax tie-break is
-    toward smaller tau_f, then smaller kappa.
+    message in `status` and the sweep continues. Without a given dt, each
+    cell takes the `cell_grid` step, capped at 0.1/max(kappa, gamma) for
+    the RK4 solver. The argmax tie-break is toward smaller tau_f, then
+    smaller kappa.
     """
     tau_f_grid = np.asarray(tau_f_grid, dtype=float)
     kappa_grid = np.asarray(kappa_grid, dtype=float)
@@ -202,6 +219,10 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
         for j, tau_f in enumerate(tau_f_grid):
             try:
                 grid, t_a = cell_grid(shape, tau_f, kappa, atom.gamma, dt)
+                if dt is None and solver == "ode_rk4":
+                    # a derived RK4 step must also resolve the stiffest rate
+                    stiff_dt = min(grid.dt, 0.1 / max(kappa, atom.gamma))
+                    grid, t_a = cell_grid(shape, tau_f, kappa, atom.gamma, stiff_dt)
                 pulse = PulseSpec(shape=shape, tau_f=tau_f, t_a=t_a)
                 traj = _run_cell(atom, kappa, pulse, grid, solver)
                 tp, pm = _refine_peak(traj.times, traj.p, int(np.argmax(traj.p)))

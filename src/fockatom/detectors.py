@@ -103,34 +103,33 @@ def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
     """
     if pulse.base.delta0 != 0.0:
         raise ValueError("non-resonant carrier is unsupported for the Bloch detector")
-    g = atom.gamma
+    g = float(atom.gamma)
     amp = 2.0 * np.sqrt(atom.gamma_p * pulse.n_bar)
     th = grid.half_step_times()
-    omega = amp * np.asarray(envelope(pulse.base, th - atom.t_d))
-    dt = grid.dt
+    omega = (amp * np.asarray(envelope(pulse.base, th - atom.t_d))).tolist()
+    dt = float(grid.dt)
+
+    def f(re_, rg_, o):
+        dre = -g * re_ + (o.conjugate() * rg_).imag
+        drg = -0.5 * g * rg_ - 0.5j * o * (2.0 * re_ - 1.0)
+        return dre, drg
+
+    # stepped on Python scalars: per-step numpy scalar arithmetic costs more
     ree = 0.0
     rge = 0.0 + 0j
-    pop = np.zeros(grid.n)
-    coh = np.zeros(grid.n, dtype=complex)
+    pop = [ree]
+    coh = [rge]
     for i in range(grid.n - 1):
-        o0 = omega[2 * i]
-        om = omega[2 * i + 1]
-        o1 = omega[2 * i + 2]
-
-        def f(re_, rg_, o):
-            dre = -g * re_ + (np.conj(o) * rg_).imag
-            drg = -0.5 * g * rg_ - 0.5j * o * (2.0 * re_ - 1.0)
-            return dre, drg
-
+        o0, om, o1 = omega[2 * i], omega[2 * i + 1], omega[2 * i + 2]
         k1 = f(ree, rge, o0)
         k2 = f(ree + 0.5 * dt * k1[0], rge + 0.5 * dt * k1[1], om)
         k3 = f(ree + 0.5 * dt * k2[0], rge + 0.5 * dt * k2[1], om)
         k4 = f(ree + dt * k3[0], rge + dt * k3[1], o1)
         ree += dt / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
         rge += dt / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        pop[i + 1] = ree
-        coh[i + 1] = rge
-    return pop, coh
+        pop.append(ree)
+        coh.append(rge)
+    return np.array(pop), np.array(coh, dtype=complex)
 
 
 def bloch_response(atom: AtomParams, pulse: CoherentPulseSpec, grid: TimeGrid) -> DetectorTrace:

@@ -8,7 +8,8 @@ is solved three ways that share nothing but the driving term:
 
 * `solve_closed_form_lorentzian`: the exact two-branch Laplace solution with
   decay rates p_j and weights s_j; the remaining time convolution is a
-  cumulative trapezoid evaluated by a stable exponential recursion.
+  cumulative trapezoid evaluated by a stable exponential recursion, solved
+  as one unit lower-bidiagonal banded system.
 * `solve_ode_reduction`: the exponential kernel embedded exactly as the
   auxiliary variable M' = -kappa*M + C, integrated with fixed-step RK4. The
   step is a constant affine 2x2 map of (C, M), applied blockwise: one
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
-from scipy.signal import lfilter
+from scipy.linalg.lapack import ztbtrs
 
 from .grids import TimeGrid
 from .pulses import DELTA, PulseSpec
@@ -209,17 +210,32 @@ def _drive_on_grid(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     return driving_term_uniform(spectrum, pulse, grid.t0 - atom.t_d, dt, m)
 
 
+def _first_order_recursion(e: complex, b: np.ndarray) -> np.ndarray:
+    """y_k = e y_{k-1} + b_k with y_{-1} = 0, overwriting the complex array b.
+
+    The recursion is the unit lower-bidiagonal system y_k - e y_{k-1} = b_k,
+    solved by one LAPACK banded triangular solve. The band is built in
+    Fortran order so it reaches LAPACK without a copy; its diagonal row is
+    not referenced (diag="U").
+    """
+    n = len(b)
+    band = np.full((2, n), -e, dtype=complex, order="F")
+    y, _ = ztbtrs(band, b.reshape(n, 1), uplo="L", diag="U", overwrite_b=1)
+    return y[:, 0]
+
+
 def _exp_conv_trapezoid(p: complex, D: np.ndarray, dt: float) -> np.ndarray:
     """J_k = int_0^{t_k} e^{-p (t_k - s)} D(s) ds by cumulative trapezoid.
 
     Evaluated through the stable recursion J_k = e^{-p dt}(J_{k-1} +
-    dt/2 D_{k-1}) + dt/2 D_k, identical to trapezoid in exact arithmetic.
+    dt/2 D_{k-1}) + dt/2 D_k, identical to trapezoid in exact arithmetic,
+    as one banded solve (`_first_order_recursion`).
     """
     e = np.exp(-p * dt)
     b = np.empty(len(D), dtype=complex)
     b[0] = 0.0
     b[1:] = 0.5 * dt * (e * D[:-1] + D[1:])
-    return lfilter([1.0], [1.0, -e], b)
+    return _first_order_recursion(e, b)
 
 
 def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
@@ -243,7 +259,7 @@ def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpe
         b = np.empty(grid.n, dtype=complex)
         b[0] = 0.0
         b[1:] = e * (grid.dt * Ja[:-1] + 0.5 * grid.dt**2 * D[:-1])
-        Jb = lfilter([1.0], [1.0, -e], b)
+        Jb = _first_order_recursion(e, b)
         C = (1.0 + g * dtt) * E * atom.c0 + Ja + g * Jb
     else:
         C = np.zeros(grid.n, dtype=complex)

@@ -19,8 +19,7 @@ import numpy as np
 from . import __version__ as _code_version
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_CSV_CHUNK = 1 << 14  # rows formatted by one str.format call
 
 
 def params_digest(params: dict) -> str:
@@ -29,14 +28,15 @@ def params_digest(params: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def atomic_write_text(path, text: str) -> None:
+def _atomic_write(path, chunks) -> None:
+    """Write an iterable of text chunks to a temp file, then rename it to path."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -44,12 +44,24 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    n = len(columns[0])
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(_fmt(float(col[i])) for col in columns))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _csv_chunks(header: list[str], columns: list):
+    """CSV text in chunks of _CSV_CHUNK rows, one str.format call per chunk.
+
+    Numeric columns print with 17 significant digits; a list of strings
+    prints as it is.
+    """
+    yield ",".join(header) + "\n"
+    text = [isinstance(col, list) for col in columns]
+    row = ",".join("{}" if t else "{:.17g}" for t in text) + "\n"
+    for s in range(0, len(columns[0]), _CSV_CHUNK):
+        block = np.column_stack([np.asarray(col[s:s + _CSV_CHUNK], dtype=object if t else float)
+                                 for col, t in zip(columns, text)])
+        yield (row * len(block)).format(*block.ravel().tolist())
+
+
+def write_csv(path, header: list[str], columns: list) -> None:
+    """CSV of equal-length columns: numeric arrays, or lists of strings."""
+    _atomic_write(path, _csv_chunks(header, columns))
 
 
 def write_json(path, payload: dict, timestamp: bool = True) -> None:
@@ -57,7 +69,7 @@ def write_json(path, payload: dict, timestamp: bool = True) -> None:
     doc.setdefault("code_version", _code_version)
     if timestamp:
         doc["created_at"] = datetime.now(timezone.utc).isoformat()
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 
 def write_trajectory(path_base, traj, metadata: dict | None = None) -> None:
@@ -77,17 +89,11 @@ def write_trajectory(path_base, traj, metadata: dict | None = None) -> None:
 
 def write_sweep(path_base, sweep, metadata: dict | None = None) -> None:
     """Long-format sweep CSV (tau_f, kappa, p_max, t_peak, status) + summary JSON."""
-    rows = []
-    for i, kap in enumerate(sweep.kappa_grid):
-        for j, tf in enumerate(sweep.tau_f_grid):
-            pm = sweep.p_max[i, j]
-            tp = sweep.t_peak[i, j]
-            status = sweep.status[i][j].replace(",", ";")
-            rows.append((tf, kap, pm, tp, status))
-    lines = ["tau_f,kappa,p_max,t_peak,status"]
-    for tf, kap, pm, tp, status in rows:
-        lines.append(f"{_fmt(tf)},{_fmt(kap)},{_fmt(pm)},{_fmt(tp)},{status}")
-    atomic_write_text(f"{path_base}.csv", "\n".join(lines) + "\n")
+    nk, nt = sweep.p_max.shape
+    status = [st.replace(",", ";") for row in sweep.status for st in row]
+    write_csv(f"{path_base}.csv", ["tau_f", "kappa", "p_max", "t_peak", "status"],
+              [np.tile(sweep.tau_f_grid, nk), np.repeat(sweep.kappa_grid, nt),
+               sweep.p_max.ravel(), sweep.t_peak.ravel(), status])
     tf_star, kap_star, p_star = sweep.argmax
     meta = {
         "argmax": {"tau_f": tf_star, "kappa": kap_star, "p_max": p_star},

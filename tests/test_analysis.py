@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from fockatom import (
     AtomParams,
@@ -15,7 +16,7 @@ from fockatom import (
     sweep_pmax,
     transduction_metrics,
 )
-from fockatom.analysis import _argmax_with_tiebreak
+from fockatom.analysis import _argmax_with_tiebreak, _local_maxima
 
 LN9 = np.log(9.0)
 
@@ -112,6 +113,24 @@ def test_metrics_flags_oscillatory_trajectory_ambiguous():
                       solver_id="synthetic", params_digest="none")
     m = transduction_metrics(traj, kappa=1.0, gamma=1.0)
     assert m.ambiguous
+
+
+def test_local_maxima_match_find_peaks():
+    # plateaus, maxima on the edges and ties come from few distinct levels;
+    # some arrays also carry a NaN or an inf
+    rng = np.random.default_rng(7)
+    cases = [np.array([]), np.array([1.0]), np.array([2.0, 1.0]), np.array([0.0, 1.0, 1.0]),
+             np.array([1.0, 0.0, 0.0, 1.0]), np.array([0.0, 2.0, 2.0, 2.0, 2.0, 0.0]),
+             np.array([0.0, 1.0, np.nan, 1.0, 0.0]), np.array([0.0, np.inf, np.inf, 0.0])]
+    for trial in range(3000):
+        y = rng.integers(0, 4, size=rng.integers(2, 40)).astype(float)
+        if trial % 5 == 0:
+            y[rng.integers(0, y.size)] = np.nan if trial % 2 else np.inf
+        cases.append(y)
+    for i, y in enumerate(cases):
+        height = float(i % 5) - 1.0
+        want = find_peaks(y, height=height)[0]
+        assert np.array_equal(_local_maxima(y, height), want), (y, height)
 
 
 def test_metrics_reject_zero():

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -355,6 +357,33 @@ def test_fig4_small_sweep_argmax(tmp_path, capsys):
     assert code == 0
     meta = json.loads((tmp_path / "f4" / "fig4d" / "sweep_gaussian.json").read_text())
     assert 0.5 <= meta["argmax"]["tau_f"] <= 2.0
+
+
+def test_sweep_ode_rk4_resolves_stiff_cells(tmp_path, capsys):
+    # the default cell step 4e-3 exceeds RK4's 0.1/kappa = 2e-3 at kappa = 50
+    out = tmp_path / "sw"
+    cfg = {"sweep": {"tau_f": {"start": 1.0, "stop": 2.0, "num": 2, "spacing": "linear"},
+                     "kappa": {"start": 1.0, "stop": 50.0, "num": 2, "spacing": "linear"}}}
+    code, _, _ = _run(["sweep", "--solver", "ode_rk4", "--config", _write_config(tmp_path, cfg),
+                       "--out", str(out)], capsys)
+    assert code == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.endswith(",ok") for row in rows)
+    p_max = np.array([float(row.split(",")[2]) for row in rows])
+    assert np.all((p_max > 0.0) & (p_max <= 1.0 + 1e-6))
+
+
+def test_import_does_not_load_scipy_signal():
+    # importing scipy.signal costs over a second of set-up in every fresh process
+    src = os.path.dirname(os.path.dirname(fockatom.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, fockatom, fockatom.cli; "
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy.signal')); "
+            "assert not loaded, loaded")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_env_var_default_output(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 from scipy.special import erf
 
 from fockatom import (
@@ -23,6 +24,7 @@ from fockatom.dynamics import (
     _TOEPLITZ_BLOCK,
     MODE_FRACTION_PRESETS,
     _drive_on_grid,
+    _first_order_recursion,
     _product_trapezoid_weights,
 )
 from fockatom.spectra import memory_kernel
@@ -84,6 +86,30 @@ def test_branch_degenerate_flag():
 # ---------------------------------------------------------------------------
 # closed form
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 127, 30001])
+def test_first_order_recursion_matches_lfilter(n):
+    # y_k = e y_{k-1} + b_k: real and complex decay factors, then the paired
+    # double-pole recursion of the closed form, whose input is a first solution
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    dt = 1e-3
+    for e in (np.exp(-dt), np.exp(-(0.3 + 2.0j) * dt), np.exp(-(50.0 - 7.0j) * dt)):
+        want = lfilter([1.0], [1.0, -e], b)
+        got = _first_order_recursion(e, b.copy())
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    e = np.exp(-dt)
+
+    def paired(rec):
+        ja = rec(e, b.copy())
+        b2 = np.zeros(n, dtype=complex)
+        b2[1:] = e * (dt * ja[:-1] + 0.5 * dt**2 * b[:-1])
+        return rec(e, b2)
+
+    want = paired(lambda e_, b_: lfilter([1.0], [1.0, -e_], b_))
+    got = paired(_first_order_recursion)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 
 def test_closed_form_recovers_initial_condition():
     atom = AtomParams(c0=1.0)

@@ -4,8 +4,8 @@ import json
 
 import numpy as np
 
-from fockatom import AtomParams, PulseSpec, TimeGrid, solve_markov
-from fockatom.serialize import params_digest, write_csv, write_trajectory
+from fockatom import AtomParams, PulseSpec, SweepResult, TimeGrid, solve_markov
+from fockatom.serialize import _CSV_CHUNK, params_digest, write_csv, write_sweep, write_trajectory
 
 
 def test_params_digest_is_stable_and_order_free():
@@ -32,6 +32,26 @@ def test_csv_bytes_pinned(tmp_path):
     assert path.read_bytes() == (b"x,i\n0.10000000000000001,0\n-0,1\n1e-300,2\n"
                                  b"0.33333333333333331,3\n9007199254740992,4\n"
                                  b"nan,5\ninf,6\n-inf,7\n")
+    # a sweep row: failed cells keep NaN and their status, commas turned into ';'
+    sweep = SweepResult(tau_f_grid=np.array([0.1, 1.0]), kappa_grid=np.array([2**53 + 1]),
+                        p_max=np.array([[np.nan, 1.0 / 3.0]]), t_peak=np.array([[np.nan, -0.0]]),
+                        status=[["error: bad cell, dt=0.1, kappa=2", "ok"]], argmax=(1.0, 2.0, 0.5))
+    write_sweep(tmp_path / "sweep", sweep)
+    assert (tmp_path / "sweep.csv").read_bytes() == (
+        b"tau_f,kappa,p_max,t_peak,status\n"
+        b"0.10000000000000001,9007199254740992,nan,nan,error: bad cell; dt=0.1; kappa=2\n"
+        b"1,9007199254740992,0.33333333333333331,-0,ok\n")
+
+
+def test_csv_chunks_match_per_cell_format(tmp_path):
+    # rows across chunk boundaries print as the per-cell f-string did
+    rng = np.random.default_rng(5)
+    n = 2 * _CSV_CHUNK + 3
+    cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n),
+            np.arange(n), rng.standard_normal(n)]
+    write_csv(tmp_path / "big.csv", ["a", "b", "c"], cols)
+    lines = ["a,b,c"] + [",".join(f"{float(col[i]):.17g}" for col in cols) for i in range(n)]
+    assert (tmp_path / "big.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_trajectory_bundle(tmp_path):

@@ -10,6 +10,7 @@ quadrature.
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import czt
 
 from fockatom import (
     InteractionSpectrum,
@@ -20,7 +21,7 @@ from fockatom import (
     memory_kernel,
     total_spectrum,
 )
-from fockatom.spectra import driving_term_uniform
+from fockatom.spectra import _fft_size, _phase_sum_uniform, driving_term_uniform
 
 
 def test_lorentzian_coupling_at_resonance():
@@ -225,7 +226,7 @@ def test_markov_limit_of_lorentzian_drive():
 
 
 def test_uniform_and_pointwise_drive_agree():
-    # chirp-z on the uniform grid against the direct phase sum on the same nodes
+    # Bluestein chirp-z on the uniform grid against the direct phase sum on the same nodes
     kappa = 10.0
     d = np.linspace(-200.0, 200.0, 4001)
     spec = InteractionSpectrum.tabulated(d, (1.0 / (2 * np.pi)) / ((d / kappa) ** 2 + 1.0))
@@ -235,6 +236,44 @@ def test_uniform_and_pointwise_drive_agree():
     via_czt = driving_term_uniform(spec, pulse, 1.0, dt, n)
     direct = driving_term(spec, pulse, t)
     assert np.abs(via_czt - direct).max() < 1e-7
+
+
+def _phase_sum_czt(vals, nodes, tau0, dtau, n):
+    """sum_j vals_j exp(-1j nodes_j tau_k), tau_k = tau0 + k dtau, by scipy.signal.czt."""
+    h = nodes[1] - nodes[0]
+    out = czt(vals * np.exp(-1j * nodes[0] * tau0), m=n, w=np.exp(-1j * h * dtau),
+              a=np.exp(1j * h * tau0))
+    return out * np.exp(-1j * nodes[0] * (np.arange(n) * dtau))
+
+
+@pytest.mark.parametrize("m, h, tau0, dtau, n", [
+    (2, 0.3, 1.0, 0.1, 1),
+    (5, 0.3, -1.0, 0.1, 3),
+    (4001, 0.05, 1.0, 0.02, 201),        # tabulated drive, tau_f = 0.5
+    (4001, 0.025, -7.0, 0.0025, 8001),   # tabulated drive, tau_f = 1, half steps
+    (4001, 0.025, -7.0, 5e-4, 40001),
+    (20001, 0.05, 0.0, 5e-4, 16001),     # tabulated kernel of the Volterra weights
+])
+def test_bluestein_matches_scipy_czt(m, h, tau0, dtau, n):
+    rng = np.random.default_rng(m + n)
+    nodes = np.linspace(-0.5 * h * (m - 1), 0.5 * h * (m - 1), m) + 0.3
+    vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    want = _phase_sum_czt(vals, nodes, tau0, dtau, n)
+    got = _phase_sum_uniform(vals, nodes, tau0, dtau, n)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_fft_size_is_smallest_5_smooth_length():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for n in range(1, 3000):
+        size = _fft_size(n)
+        assert size >= n and smooth(size)
+        assert not any(smooth(k) for k in range(n, size))
 
 
 def test_tabulated_drive_close_to_analytic_magnitude():
