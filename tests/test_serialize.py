@@ -46,7 +46,7 @@ def test_csv_bytes_pinned(tmp_path):
 def test_csv_chunks_match_per_cell_format(tmp_path):
     # rows across chunk boundaries print as the per-cell f-string did
     rng = np.random.default_rng(5)
-    n = 2 * _CSV_CHUNK + 3
+    n = 2 * _CSV_CHUNK + 1
     cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n),
             np.arange(n), rng.standard_normal(n)]
     write_csv(tmp_path / "big.csv", ["a", "b", "c"], cols)
