@@ -377,7 +377,8 @@ def test_sweep_ode_rk4_resolves_stiff_cells(tmp_path, capsys):
 def test_import_does_not_load_scipy_signal():
     # importing scipy.signal costs over a second of set-up in every fresh process
     src = os.path.dirname(os.path.dirname(fockatom.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     code = ("import sys, fockatom, fockatom.cli; "
             "loaded = sorted(m for m in sys.modules if m.startswith('scipy.signal')); "
             "assert not loaded, loaded")
