@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from .analysis import (
     SweepResult,
     TransductionMetrics,
-    find_optimum,
     probability_density,
+    solve,
     sweep_pmax,
     transduction_metrics,
 )
@@ -72,11 +72,11 @@ __all__ = [
     "delta_pulse_rise",
     "driving_term",
     "envelope",
-    "find_optimum",
     "fock_atom_response",
     "linear_response",
     "memory_kernel",
     "probability_density",
+    "solve",
     "solve_closed_form_lorentzian",
     "solve_markov",
     "solve_ode_reduction",

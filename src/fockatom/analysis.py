@@ -22,7 +22,7 @@ from .dynamics import (
 )
 from .grids import TimeGrid
 from .pulses import DECAYING_EXP, GAUSSIAN, RISING_EXP, PulseSpec
-from .spectra import InteractionSpectrum
+from .spectra import FLAT, TABULATED, InteractionSpectrum
 
 _LN9 = float(np.log(9.0))
 
@@ -49,7 +49,7 @@ class TransductionMetrics:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """max_t P over a (tau_f, kappa) grid; matrices indexed [kappa, tau_f]."""
+    """max_t P over a (tau_f, kappa) grid, indexed [kappa, tau_f]; argmax = (tau_f*, kappa*, p*)."""
 
     tau_f_grid: np.ndarray
     kappa_grid: np.ndarray
@@ -170,9 +170,25 @@ def transduction_metrics(traj: Trajectory, kappa: float, gamma: float) -> Transd
 _SOLVERS = {
     "closed_form": solve_closed_form_lorentzian,
     "ode_rk4": solve_ode_reduction,
-    "volterra": None,  # needs the spectrum object, built per cell below
-    "markov": None,    # kappa-independent reference
+    "volterra": solve_volterra,
+    "markov": solve_markov,
 }
+SOLVERS = tuple(_SOLVERS)
+
+
+def solve(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | None,
+          grid: TimeGrid, solver: str = "closed_form") -> Trajectory:
+    """C(t) for any spectrum: the one place a spectrum and solver name pick a solver.
+
+    A flat spectrum has no memory and goes to `solve_markov`, a tabulated
+    one has only its sampled kernel and goes to `solve_volterra`, and a
+    Lorentzian one goes to the named solver.
+    """
+    if solver not in _SOLVERS:
+        raise ValueError(f"unknown solver tag {solver!r}")
+    name = {FLAT: "markov", TABULATED: "volterra"}.get(spectrum.kind, solver)
+    args = {"markov": (), "volterra": (spectrum,)}.get(name, (spectrum.kappa,))
+    return _SOLVERS[name](atom, *args, pulse, grid)
 
 
 def cell_grid(shape: str, tau_f: float, kappa: float, gamma: float,
@@ -224,7 +240,9 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
                     stiff_dt = min(grid.dt, 0.1 / max(kappa, atom.gamma))
                     grid, t_a = cell_grid(shape, tau_f, kappa, atom.gamma, stiff_dt)
                 pulse = PulseSpec(shape=shape, tau_f=tau_f, t_a=t_a)
-                traj = _run_cell(atom, kappa, pulse, grid, solver)
+                spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p,
+                                                          gamma=atom.gamma)
+                traj = solve(atom, spectrum, pulse, grid, solver)
                 tp, pm = _refine_peak(traj.times, traj.p, int(np.argmax(traj.p)))
                 p_max[i, j] = pm
                 t_peak[i, j] = tp
@@ -233,17 +251,6 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
     argmax = _argmax_with_tiebreak(tau_f_grid, kappa_grid, p_max)
     return SweepResult(tau_f_grid=tau_f_grid, kappa_grid=kappa_grid,
                        p_max=p_max, t_peak=t_peak, status=status, argmax=argmax)
-
-
-def _run_cell(atom: AtomParams, kappa: float, pulse: PulseSpec, grid: TimeGrid,
-              solver: str) -> Trajectory:
-    if solver == "markov":
-        return solve_markov(atom, pulse, grid)
-    if solver == "volterra":
-        spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p,
-                                                  gamma=atom.gamma)
-        return solve_volterra(atom, spectrum, pulse, grid)
-    return _SOLVERS[solver](atom, kappa, pulse, grid)
 
 
 def _argmax_with_tiebreak(tau_f_grid, kappa_grid, p_max):
@@ -256,7 +263,3 @@ def _argmax_with_tiebreak(tau_f_grid, kappa_grid, p_max):
     tf_star, kap_star = order[0]
     return float(tf_star), float(kap_star), float(best)
 
-
-def find_optimum(sweep: SweepResult) -> tuple[float, float, float]:
-    """Global argmax (tau_f*, kappa*, p*) of a completed sweep."""
-    return sweep.argmax

@@ -14,20 +14,19 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import cell_grid, sweep_pmax
-from .detectors import bloch_response, fock_atom_response, linear_response
+from .analysis import SOLVERS, SweepResult, cell_grid, solve, sweep_pmax
+from .detectors import DetectorTrace, bloch_response, fock_atom_response, linear_response
 from .dynamics import (
     MODE_FRACTION_PRESETS,
     AtomParams,
+    Trajectory,
     check_ode_step,
     delta_pulse_rise,
-    solve_closed_form_lorentzian,
-    solve_markov,
-    solve_ode_reduction,
-    solve_volterra,
     spontaneous_decay,
 )
 from .grids import TimeGrid
@@ -42,10 +41,52 @@ from .serialize import (
 from .spectra import InteractionSpectrum
 
 SCENARIOS = ("simulate", "sweep", "decay", "delta_rise", "detector_compare", "figure")
-SOLVERS = ("closed_form", "ode_rk4", "volterra", "markov")
 
-FIGURE_IDS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig3",
-              "fig4d", "fig4e", "fig4f", "fig5a", "fig5b", "fig6")
+
+class _Columns(NamedTuple):
+    """One CSV: the time column, then column attr of each run, headed by its key."""
+
+    attr: str
+    runs: dict
+
+
+def _from(scenario: str, output: str | None = None, **sections) -> tuple[dict, str]:
+    """A figure run: its config overrides and the scenario output it takes."""
+    return {"scenario": scenario, **sections}, output or scenario
+
+
+def _fig2(tau_f: float, kappas, **grid) -> dict:
+    spectra = {f"lorentzian_k{k:g}": {"kind": "lorentzian", "kappa": k} for k in kappas}
+    pulse = {"shape": "gaussian", "tau_f": tau_f}
+    return {name: _from("simulate", "trajectory", pulse=pulse, spectrum=spec, grid=grid)
+            for name, spec in {"markov": {"kind": "flat"}, **spectra}.items()}
+
+
+_FIG5_PULSE = {"shape": "gaussian", "tau_f": 1.0, "n_bar": 1.0}
+
+# Figure presets, gamma = 1 literals: figure id -> {file name: contents}. A
+# file is one run, written as its scenario writes it, or _Columns joining one
+# column of several runs. Config fields a preset does not set keep their
+# configured values.
+FIGURES = {
+    "fig2a": _fig2(0.1, [10.0]),
+    "fig2b": _fig2(0.05, [10.0]),
+    "fig2c": _fig2(0.01, [10.0]),
+    "fig2d": _fig2(1.0, [10.0, 1.0], t_max=25.0),  # all on the kappa = 1 ring-down grid
+    "fig3": {"delta_rise": _from("delta_rise", spectrum={"kappa": 10.0})},
+    "fig4d": {"sweep_gaussian": _from("sweep", pulse={"shape": "gaussian"})},
+    "fig4e": {"sweep_decaying_exp": _from("sweep", pulse={"shape": "decaying_exp"})},
+    "fig4f": {"sweep_rising_exp": _from("sweep", pulse={"shape": "rising_exp"})},
+    "fig5a": {"linear_detector": _Columns("y", {
+        "y_fock": _from("detector_compare", "linear_fock", pulse=_FIG5_PULSE),
+        "y_coherent": _from("detector_compare", "linear_coherent", pulse=_FIG5_PULSE)})},
+    "fig5b": {"nonlinear_detector": _Columns("y", {
+        "y_fock": _from("detector_compare", "atom_fock", pulse=_FIG5_PULSE),
+        "y_coherent": _from("detector_compare", "atom_bloch_coherent", pulse=_FIG5_PULSE)})},
+    "fig6": {"decay_curves": _Columns("p", {f"P_kappa_{k:g}": _from("decay", spectrum={"kappa": k})
+                                            for k in (1.0, 2.0, 5.0, 10.0, 100.0)})},
+}
+FIGURE_IDS = tuple(FIGURES)
 
 
 class ConfigError(ValueError):
@@ -194,8 +235,13 @@ def normalize_config(raw: dict) -> dict:
     return cfg
 
 
-def _budgeted(grid: TimeGrid) -> TimeGrid:
-    """The grid itself, refused when it exceeds MAX_GRID_SAMPLES (nothing allocated yet)."""
+def _grid(cfg, t_max: float) -> TimeGrid:
+    """The configured grid, ending at grid.t_max if set and at t_max otherwise.
+
+    Refused when it exceeds MAX_GRID_SAMPLES, before anything is allocated.
+    """
+    g = cfg["grid"]
+    grid = TimeGrid.from_span(g["t0"], t_max if g["t_max"] is None else g["t_max"], g["dt"])
     if grid.n > MAX_GRID_SAMPLES:
         raise ConfigError("grid.dt", f"{grid.n} samples exceed the budget of {MAX_GRID_SAMPLES}; "
                                      "raise grid.dt or lower grid.t_max")
@@ -215,102 +261,27 @@ def _build_spectrum(cfg, atom: AtomParams) -> InteractionSpectrum:
                                               gamma=atom.gamma)
     if s["kind"] == "flat":
         return InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
-    return InteractionSpectrum.from_csv(s["csv"], gamma_p=atom.gamma_p, gamma=atom.gamma)
+    try:
+        return InteractionSpectrum.from_csv(s["csv"], gamma_p=atom.gamma_p, gamma=atom.gamma)
+    except (ValueError, OSError) as exc:
+        raise ConfigError("spectrum.csv", str(exc)) from None
 
 
 def _build_pulse_and_grid(cfg, atom: AtomParams):
     """Pulse with a contained arrival plus a grid covering ring-down."""
     p = cfg["pulse"]
-    g = cfg["grid"]
+    t0 = cfg["grid"]["t0"]
     kappa = cfg["spectrum"]["kappa"] if cfg["spectrum"]["kind"] == "lorentzian" else np.inf
     if p["shape"] == DELTA:
         t_a = p["t_a"] if p["t_a"] is not None else 1.0 / atom.gamma
-        t_max = g["t_max"] if g["t_max"] is not None else t_a + 12.0 / atom.gamma
         pulse = PulseSpec(shape=DELTA, xi0=p["xi0"], t_a=t_a, delta0=p["delta0"])
-        return pulse, _budgeted(TimeGrid.from_span(g["t0"], t_max, g["dt"]))
+        return pulse, _grid(cfg, t_a + 12.0 / atom.gamma)
     auto_grid, lead = cell_grid(p["shape"], p["tau_f"], min(kappa, 1e6), atom.gamma,
-                                dt=g["dt"])
-    t_a = p["t_a"] if p["t_a"] is not None else g["t0"] + lead
+                                dt=cfg["grid"]["dt"])
+    t_a = p["t_a"] if p["t_a"] is not None else t0 + lead
     pulse = PulseSpec(shape=p["shape"], tau_f=p["tau_f"], delta0=p["delta0"],
                       t_a=t_a, xi0=p["xi0"])
-    t_max = g["t_max"] if g["t_max"] is not None else g["t0"] + auto_grid.t_max
-    return pulse, _budgeted(TimeGrid.from_span(g["t0"], t_max, g["dt"]))
-
-
-def _run_solver(cfg, atom, spectrum, pulse, grid):
-    solver = cfg["solver"]
-    if solver == "markov" or spectrum.kind == "flat":
-        return solve_markov(atom, pulse, grid)
-    if solver == "volterra" or spectrum.kind == "tabulated":
-        return solve_volterra(atom, spectrum, pulse, grid)
-    if solver == "ode_rk4":
-        return solve_ode_reduction(atom, spectrum.kappa, pulse, grid)
-    return solve_closed_form_lorentzian(atom, spectrum.kappa, pulse, grid)
-
-
-# ---------------------------------------------------------------------------
-# scenarios
-# ---------------------------------------------------------------------------
-
-def run_scenario(cfg: dict) -> list[str]:
-    """Execute a normalized config; returns the list of files written."""
-    out = cfg["output_dir"]
-    atom = _build_atom(cfg)
-    scenario = cfg["scenario"]
-    if scenario == "simulate":
-        spectrum = _build_spectrum(cfg, atom)
-        pulse, grid = _build_pulse_and_grid(cfg, atom)
-        span = (grid.n - 1) * grid.dt
-        if span >= spectrum.alias_horizon:
-            raise ConfigError("grid.t_max", f"grid span {span:g} reaches the tabulated spectrum's "
-                                            f"alias horizon 2*pi/h = {spectrum.alias_horizon:g} "
-                                            "(h = largest node gap)")
-        if cfg["solver"] == "ode_rk4" and spectrum.kind == "lorentzian":
-            try:
-                check_ode_step(atom.gamma, spectrum.kappa, grid.dt)
-            except ValueError as exc:
-                raise ConfigError("grid.dt", str(exc)) from None
-        traj = _run_solver(cfg, atom, spectrum, pulse, grid)
-        base = os.path.join(out, "trajectory")
-        write_trajectory(base, traj, {"config": cfg})
-        return [base + ".csv", base + ".json"]
-    if scenario == "decay":
-        atom_exc = AtomParams(gamma=atom.gamma, gamma_p=atom.gamma_p, t_d=atom.t_d, c0=1.0)
-        grid = _budgeted(TimeGrid.from_span(
-            cfg["grid"]["t0"], cfg["grid"]["t_max"] or cfg["grid"]["t0"] + 8.0 / atom.gamma,
-            cfg["grid"]["dt"]))
-        traj = spontaneous_decay(atom_exc, cfg["spectrum"]["kappa"], grid)
-        base = os.path.join(out, "decay")
-        write_trajectory(base, traj, {"config": cfg})
-        return [base + ".csv", base + ".json"]
-    if scenario == "delta_rise":
-        grid = _budgeted(TimeGrid.from_span(
-            cfg["grid"]["t0"], cfg["grid"]["t_max"] or cfg["grid"]["t0"] + 2.0 / atom.gamma,
-            cfg["grid"]["dt"]))
-        kappa = cfg["spectrum"]["kappa"]
-        c_r, dc_r = delta_pulse_rise(atom, kappa, grid)
-        sat = c_r[-1]
-        c_r_markov = np.where(grid.times - grid.t0 >= atom.t_d,
-                              np.exp(0.5 * atom.gamma * atom.t_d), 0.0)
-        base = os.path.join(out, "delta_rise")
-        write_csv(base + ".csv", ["t", "C_R", "dC_R_dt", "C_R_markov"],
-                  [grid.times, c_r, dc_r, c_r_markov])
-        write_json(base + ".json", {"config": cfg, "saturation": float(sat.real)})
-        return [base + ".csv", base + ".json"]
-    if scenario == "sweep":
-        sw = cfg["sweep"]
-        tau_f_grid = _axis(sw["tau_f"])
-        kappa_grid = _axis(sw["kappa"])
-        result = sweep_pmax(atom, cfg["pulse"]["shape"], tau_f_grid, kappa_grid,
-                            solver=cfg["solver"])
-        base = os.path.join(out, "sweep")
-        write_sweep(base, result, {"config": cfg})
-        return [base + ".csv", base + ".json"]
-    if scenario == "detector_compare":
-        return _detector_compare(cfg, atom, out)
-    if scenario == "figure":
-        return reproduce_figure(cfg["figure_id"], cfg)
-    raise ConfigError("scenario", f"unhandled scenario {scenario!r}")
+    return pulse, _grid(cfg, t0 + auto_grid.t_max)
 
 
 def _axis(ax) -> np.ndarray:
@@ -321,106 +292,121 @@ def _axis(ax) -> np.ndarray:
     return np.linspace(ax["start"], ax["stop"], ax["num"])
 
 
-def _detector_compare(cfg, atom, out) -> list[str]:
-    pulse, grid = _build_pulse_and_grid(cfg, atom)
-    n_bar = cfg["pulse"]["n_bar"]
-    flat = InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
-    traces = {
-        "linear_fock": linear_response(atom, pulse, "fock", grid, flat),
-        "linear_coherent": linear_response(atom, pulse, "coherent", grid, flat, n_bar=n_bar),
-        "atom_fock": fock_atom_response(atom, pulse, grid),
-        "atom_bloch_coherent": bloch_response(
-            atom, CoherentPulseSpec(base=pulse, n_bar=n_bar), grid),
-    }
-    written = []
-    for name, trace in sorted(traces.items()):
-        base = os.path.join(out, name)
-        write_detector_trace(base, trace, {"config": cfg})
-        written += [base + ".csv", base + ".json"]
-    return written
+# ---------------------------------------------------------------------------
+# scenarios
+# ---------------------------------------------------------------------------
+
+def _outputs(cfg: dict) -> dict:
+    """Named outputs of a non-figure scenario, each a thunk that computes it.
+
+    Inputs are built and checked here; a caller computes only what it writes.
+    """
+    atom = _build_atom(cfg)
+    scenario = cfg["scenario"]
+    if scenario == "simulate":
+        spectrum = _build_spectrum(cfg, atom)
+        pulse, grid = _build_pulse_and_grid(cfg, atom)
+        span = (grid.n - 1) * grid.dt
+        if span >= spectrum.alias_horizon:
+            raise ConfigError("grid.t_max", f"grid span {span:g} reaches the tabulated spectrum's "
+                                            f"alias horizon 2*pi/h = {spectrum.alias_horizon:g} "
+                                            "(h = node spacing)")
+        if cfg["solver"] == "ode_rk4" and spectrum.kind == "lorentzian":
+            try:
+                check_ode_step(atom.gamma, spectrum.kappa, grid.dt)
+            except ValueError as exc:
+                raise ConfigError("grid.dt", str(exc)) from None
+        return {"trajectory": lambda: solve(atom, spectrum, pulse, grid, cfg["solver"])}
+    kappa = cfg["spectrum"]["kappa"]
+    if scenario == "decay":
+        grid = _grid(cfg, cfg["grid"]["t0"] + 8.0 / atom.gamma)
+        return {"decay": lambda: spontaneous_decay(replace(atom, c0=1.0), kappa, grid)}
+    if scenario == "delta_rise":
+        grid = _grid(cfg, cfg["grid"]["t0"] + 2.0 / atom.gamma)
+
+        def rise():
+            c_r, dc_r = delta_pulse_rise(atom, kappa, grid)
+            c_r_markov = np.where(grid.times - grid.t0 >= atom.t_d,
+                                  np.exp(0.5 * atom.gamma * atom.t_d), 0.0)
+            return (["t", "C_R", "dC_R_dt", "C_R_markov"], [grid.times, c_r, dc_r, c_r_markov],
+                    {"saturation": float(c_r[-1])})
+        return {"delta_rise": rise}
+    if scenario == "sweep":
+        axes = [_axis(cfg["sweep"][name]) for name in ("tau_f", "kappa")]
+        return {"sweep": lambda: sweep_pmax(atom, cfg["pulse"]["shape"], *axes,
+                                            solver=cfg["solver"])}
+    if scenario == "detector_compare":
+        pulse, grid = _build_pulse_and_grid(cfg, atom)
+        n_bar = cfg["pulse"]["n_bar"]
+        flat = InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
+        return {
+            "linear_fock": lambda: linear_response(atom, pulse, "fock", grid, flat),
+            "linear_coherent": lambda: linear_response(atom, pulse, "coherent", grid, flat,
+                                                       n_bar=n_bar),
+            "atom_fock": lambda: fock_atom_response(atom, pulse, grid),
+            "atom_bloch_coherent": lambda: bloch_response(
+                atom, CoherentPulseSpec(base=pulse, n_bar=n_bar), grid),
+        }
+    raise ConfigError("scenario", f"unhandled scenario {scenario!r}")
 
 
-# ---------------------------------------------------------------------------
-# figure presets: frozen parameter sets for the bundled scenarios (gamma = 1)
-# ---------------------------------------------------------------------------
+def _write(base: str, item, meta: dict) -> list[str]:
+    """Write one output as base.{csv,json}; returns both paths.
+
+    An output is a trajectory, sweep or detector trace, or else a table
+    (header, columns, extra sidecar fields).
+    """
+    if isinstance(item, Trajectory):
+        write_trajectory(base, item, meta)
+    elif isinstance(item, SweepResult):
+        write_sweep(base, item, meta)
+    elif isinstance(item, DetectorTrace):
+        write_detector_trace(base, item, meta)
+    else:
+        header, columns, extra = item
+        write_csv(base + ".csv", header, columns)
+        write_json(base + ".json", {**meta, **extra})
+    return [base + ".csv", base + ".json"]
+
+
+def run_scenario(cfg: dict) -> list[str]:
+    """Execute a normalized config; returns the list of files written."""
+    if cfg["scenario"] == "figure":
+        return reproduce_figure(cfg["figure_id"], cfg)
+    items = {name: make() for name, make in sorted(_outputs(cfg).items())}
+    return [path for name, item in items.items()
+            for path in _write(os.path.join(cfg["output_dir"], name), item, {"config": cfg})]
+
 
 def reproduce_figure(fig_id: str, cfg: dict | None = None) -> list[str]:
-    if fig_id not in FIGURE_IDS:
+    """Run a FIGURES preset through the scenario code; returns the files written.
+
+    Every output is computed before the first file is written. Sidecars
+    record the effective config of each run.
+    """
+    if fig_id not in FIGURES:
         raise ConfigError("figure_id", f"unknown figure id {fig_id!r}")
     cfg = cfg or normalize_config({"scenario": "figure", "figure_id": fig_id})
-    out = os.path.join(cfg["output_dir"], fig_id)
-    atom = _build_atom(cfg)
-    dt = cfg["grid"]["dt"]
-    written = []
 
-    def traj_file(name, traj):
-        base = os.path.join(out, name)
-        write_trajectory(base, traj, {"figure": fig_id})
-        written.extend([base + ".csv", base + ".json"])
+    def run(overrides, output):  # overrides replace fields of cfg, section by section
+        run_cfg = {key: {**val, **overrides.get(key, {})} if isinstance(val, dict)
+                   else overrides.get(key, val) for key, val in cfg.items()}
+        return run_cfg, _outputs(run_cfg)[output]()
 
-    if fig_id in ("fig2a", "fig2b", "fig2c", "fig2d"):
-        tau_f = {"fig2a": 0.1, "fig2b": 0.05, "fig2c": 0.01, "fig2d": 1.0}[fig_id]
-        kappas = (10.0, 1.0) if fig_id == "fig2d" else (10.0,)
-        grid, lead = cell_grid("gaussian", tau_f, min(kappas), atom.gamma, dt=dt)
-        grid = _budgeted(grid)
-        pulse = PulseSpec(shape="gaussian", tau_f=tau_f, t_a=lead)
-        traj_file("markov", solve_markov(atom, pulse, grid))
-        for kap in kappas:
-            traj_file(f"lorentzian_k{kap:g}",
-                      solve_closed_form_lorentzian(atom, kap, pulse, grid))
-    elif fig_id == "fig3":
-        kappa = 10.0 * atom.gamma
-        grid = _budgeted(TimeGrid.from_span(0.0, 2.0 / atom.gamma, dt))
-        c_r, dc_r = delta_pulse_rise(atom, kappa, grid)
-        c_r_markov = np.ones(grid.n)
-        base = os.path.join(out, "delta_rise")
-        write_csv(base + ".csv", ["t", "C_R", "dC_R_dt", "C_R_markov"],
-                  [grid.times, c_r, dc_r, c_r_markov])
-        write_json(base + ".json", {"figure": fig_id, "kappa": kappa})
-        written.extend([base + ".csv", base + ".json"])
-    elif fig_id in ("fig4d", "fig4e", "fig4f"):
-        shape = {"fig4d": "gaussian", "fig4e": "decaying_exp", "fig4f": "rising_exp"}[fig_id]
-        sw = cfg["sweep"]
-        result = sweep_pmax(atom, shape, _axis(sw["tau_f"]), _axis(sw["kappa"]),
-                            solver=cfg["solver"] if cfg["solver"] != "markov" else "closed_form")
-        base = os.path.join(out, f"sweep_{shape}")
-        write_sweep(base, result, {"figure": fig_id})
-        written.extend([base + ".csv", base + ".json"])
-    elif fig_id in ("fig5a", "fig5b"):
-        pulse_cfg = {"shape": "gaussian", "tau_f": 1.0 / atom.gamma}
-        sub = dict(cfg)
-        sub["pulse"] = {**cfg["pulse"], **pulse_cfg}
-        pulse, grid = _build_pulse_and_grid(sub, atom)
-        flat = InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
-        if fig_id == "fig5a":
-            fock = linear_response(atom, pulse, "fock", grid, flat)
-            coh = linear_response(atom, pulse, "coherent", grid, flat, n_bar=1.0)
-            base = os.path.join(out, "linear_detector")
-            write_csv(base + ".csv", ["t", "y_fock", "y_coherent"],
-                      [grid.times, fock.y, coh.y])
+    items = {}
+    for name, spec in FIGURES[fig_id].items():
+        meta = {"figure": fig_id}
+        if isinstance(spec, _Columns):
+            runs = {head: run(*r) for head, r in spec.runs.items()}
+            traces = [trace for _, trace in runs.values()]
+            item = (["t", *runs], [traces[0].times] + [getattr(x, spec.attr) for x in traces],
+                    {"config": {head: c for head, (c, _) in runs.items()}})
         else:
-            fock = fock_atom_response(atom, pulse, grid)
-            bloch = bloch_response(atom, CoherentPulseSpec(base=pulse, n_bar=1.0), grid)
-            base = os.path.join(out, "nonlinear_detector")
-            write_csv(base + ".csv", ["t", "y_fock", "y_coherent"],
-                      [grid.times, fock.y, bloch.y])
-        write_json(base + ".json", {"figure": fig_id, "tau_f": pulse.tau_f})
-        written.extend([base + ".csv", base + ".json"])
-    elif fig_id == "fig6":
-        kappas = (1.0, 2.0, 5.0, 10.0, 100.0)
-        grid = _budgeted(TimeGrid.from_span(0.0, 8.0 / atom.gamma, dt))
-        atom_exc = AtomParams(gamma=atom.gamma, gamma_p=atom.gamma_p, c0=1.0)
-        cols = [grid.times]
-        headers = ["t"]
-        for kap in kappas:
-            traj = spontaneous_decay(atom_exc, kap * atom.gamma, grid)
-            cols.append(traj.p)
-            headers.append(f"P_kappa_{kap:g}")
-        base = os.path.join(out, "decay_curves")
-        write_csv(base + ".csv", headers, cols)
-        write_json(base + ".json", {"figure": fig_id, "kappas": list(kappas)})
-        written.extend([base + ".csv", base + ".json"])
-    return written
+            meta["config"], item = run(*spec)
+        items[name] = item, meta
+    out = os.path.join(cfg["output_dir"], fig_id)
+    return [path for name, (item, meta) in items.items()
+            for path in _write(os.path.join(out, name), item, meta)]
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +483,12 @@ def main(argv=None) -> int:
         raw["scenario"] = args.command.replace("-", "_")
         if args.command == "figure":
             raw["figure_id"] = args.figure_id
-        cfg = normalize_config(raw)
-        written = run_scenario(cfg)
-        for path in written:
+        for path in run_scenario(normalize_config(raw)):
             print(path)
         return 0
-    except ConfigError as exc:
-        json.dump({"error": exc.message, "field": exc.field}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except (ValueError, OSError) as exc:
-        json.dump({"error": str(exc), "field": None}, sys.stderr)
+    except (ValueError, OSError) as exc:  # ConfigError included, with its field
+        json.dump({"error": getattr(exc, "message", str(exc)),
+                   "field": getattr(exc, "field", None)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
 

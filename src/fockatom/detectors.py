@@ -15,15 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    AtomParams,
-    solve_closed_form_lorentzian,
-    solve_markov,
-    solve_volterra,
-)
+from .analysis import solve
+from .dynamics import AtomParams, solve_markov
 from .grids import TimeGrid
 from .pulses import DELTA, CoherentPulseSpec, PulseSpec, envelope
-from .spectra import FLAT, LORENTZIAN, InteractionSpectrum
+from .spectra import InteractionSpectrum
 
 LINEAR_OSCILLATOR = "linear_oscillator"
 ATOM_BLOCH = "atom_bloch"
@@ -55,24 +51,20 @@ class DetectorTrace:
 
 def linear_response(atom: AtomParams, pulse: PulseSpec, statistics: str,
                     grid: TimeGrid, spectrum: InteractionSpectrum,
-                    n_bar: float = 1.0) -> DetectorTrace:
+                    n_bar: float = 1.0, solver: str = "closed_form") -> DetectorTrace:
     """Harmonic-oscillator detector: mean excitation of the resonant mode.
 
     The Langevin mean amplitude f solves the same kernel equation as the
     atomic C(t); vacuum noise contributes nothing at zero temperature.
     statistics is "fock" (unit-norm pulse required) or "coherent" (scales
-    with n_bar).
+    with n_bar). The spectrum and solver name pick the solver as in
+    `analysis.solve`.
     """
     if statistics not in (FOCK, COHERENT):
         raise ValueError(f"unknown statistics {statistics!r}")
     if pulse.shape == DELTA and statistics == FOCK:
         raise ValueError("delta pulse is unnormalizable: no Fock-state response")
-    if spectrum.kind == FLAT:
-        traj = solve_markov(atom, pulse, grid)
-    elif spectrum.kind == LORENTZIAN:
-        traj = solve_closed_form_lorentzian(atom, spectrum.kappa, pulse, grid)
-    else:
-        traj = solve_volterra(atom, spectrum, pulse, grid)
+    traj = solve(atom, spectrum, pulse, grid, solver)
     if statistics == FOCK:
         y, nb = traj.p, 1.0
     else:

@@ -31,7 +31,6 @@ responses.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,9 +169,12 @@ class Trajectory:
     def from_amplitude(cls, grid: TimeGrid, c: np.ndarray, solver_id: str,
                        params: dict, check_bound: bool = True) -> "Trajectory":
         p = np.abs(c) ** 2
-        if check_bound and p.max(initial=0.0) > 1.0 + _PROB_TOL:
+        p_max = p.max(initial=0.0)  # NaN if any sample is NaN
+        if not np.isfinite(p_max):
+            raise ValueError(f"non-finite amplitude from {solver_id}: max P = {p_max}")
+        if check_bound and p_max > 1.0 + _PROB_TOL:
             raise ValueError(
-                f"probability bound violated: max P = {p.max():.6g} > 1 + {_PROB_TOL}"
+                f"probability bound violated: max P = {p_max:.6g} > 1 + {_PROB_TOL}"
             )
         return cls(t0=grid.t0, dt=grid.dt, c=np.asarray(c, complex), p=p,
                    solver_id=solver_id, params_digest=params_digest(params))
@@ -425,13 +427,12 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     system in C_1..C_{n-1}, solved in O(n log^2 n) by blocked FFT products
     (Hairer, Lubich & Schlichte 1985); the weights and the discrete
     equations are those of the step-by-step march. A flat spectrum has no
-    memory to integrate and is redirected to `solve_markov`; a tabulated
-    one is refused on grids reaching its kernel's period 2*pi/h.
+    memory to integrate and is refused (`solve_markov` is its solver); a
+    tabulated one is refused on grids reaching its kernel's period 2*pi/h,
+    h the node spacing.
     """
     if spectrum.kind == FLAT:
-        warnings.warn("flat spectrum has a memoryless kernel; redirecting to solve_markov",
-                      stacklevel=2)
-        return solve_markov(atom, pulse, grid)
+        raise ValueError("flat spectrum has a memoryless kernel: use solve_markov")
     if grid.n > _VOLTERRA_MAX_N:
         raise ValueError(f"memory budget exceeded: n={grid.n} > {_VOLTERRA_MAX_N} "
                          f"(~{grid.n * _VOLTERRA_BYTES_PER_STEP / 2**20:.0f} MiB at "
@@ -439,7 +440,7 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     span = (grid.n - 1) * grid.dt
     if span >= spectrum.alias_horizon:
         raise ValueError(f"grid span {span:g} reaches the tabulated kernel's alias horizon "
-                         f"2*pi/h = {spectrum.alias_horizon:g} (h = largest node gap)")
+                         f"2*pi/h = {spectrum.alias_horizon:g} (h = node spacing)")
     if abs(spectrum.gamma - atom.gamma) > 1e-12 * atom.gamma or \
        abs(spectrum.gamma_p - atom.gamma_p) > 1e-12 * atom.gamma:
         raise ValueError("atom rates and spectrum rates disagree")

@@ -16,8 +16,8 @@ Three spectrum variants:
 * flat: the Markov limit. The kernel degenerates to a Dirac mass of weight
   gamma (exposed as a symbolic marker) and the driving term short-circuits
   to sqrt(gamma_p) * u(t - t_a).
-* tabulated: |g_tot|^2 sampled on a user grid (two-column CSV delta, g2),
-  linearly interpolated; kernel and driving are computed numerically. The
+* tabulated: |g_tot|^2 sampled on a uniform user grid (two-column CSV delta,
+  g2), linearly interpolated; kernel and driving are computed numerically. The
   pulse coupling uses the uniform fraction sqrt(gamma_p/gamma * g2) with
   zero phase.
 
@@ -54,6 +54,7 @@ TABULATED = "tabulated"
 # Degenerate-pole guard for the decaying-exp filter: wide enough that the
 # (e^{-a tau} - e^{-r tau})/(r - a) cancellation stays benign.
 _POLE_TOL = 1e-7
+_SPACING_RTOL = 1e-6  # largest table gap departure from the median gap, relative
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,15 @@ class InteractionSpectrum:
             g2 = np.asarray(self.table_g2, dtype=float)
             if d.ndim != 1 or d.shape != g2.shape or d.size < 2:
                 raise ValueError("tabulated spectrum needs matching 1-d delta and g2 arrays")
-            if np.any(np.diff(d) <= 0.0):
+            if not (np.all(np.isfinite(d)) and np.all(np.isfinite(g2))):
+                raise ValueError("tabulated delta and g2 must be finite")
+            gaps = np.diff(d)
+            if np.any(gaps <= 0.0):
                 raise ValueError("tabulated delta grid must be strictly increasing")
+            h = np.median(gaps)
+            if np.abs(gaps - h).max() > _SPACING_RTOL * h:
+                raise ValueError(f"tabulated delta grid must be uniform: gaps span "
+                                 f"[{gaps.min():g}, {gaps.max():g}] around {h:g}")
             if np.any(g2 < 0.0):
                 raise ValueError("tabulated g2 must be non-negative")
             object.__setattr__(self, "table_delta", d)
@@ -95,7 +103,7 @@ class InteractionSpectrum:
 
     @property
     def alias_horizon(self) -> float:
-        """Period 2*pi/h of a tabulated kernel (h the largest node gap); inf otherwise."""
+        """Period 2*pi/h of a tabulated kernel (h the node spacing); inf otherwise."""
         if self.kind != TABULATED:
             return np.inf
         return 2.0 * np.pi / np.diff(self.table_delta).max()
@@ -115,16 +123,27 @@ class InteractionSpectrum:
 
     @classmethod
     def from_csv(cls, path, gamma_p: float = 1.0, gamma: float = 1.0):
-        """Read a tabulated spectrum from two-column CSV (delta, g2) with header."""
+        """Read a tabulated spectrum from two-column CSV (delta, g2) with header.
+
+        A non-empty row without exactly two finite numbers is refused by its
+        row number, the header being row 1.
+        """
         deltas, g2s = [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            next(reader)  # header row
+            next(reader, None)  # header row
             for row in reader:
                 if not row:
                     continue
-                deltas.append(float(row[0]))
-                g2s.append(float(row[1]))
+                try:
+                    delta, g2 = map(float, row)
+                except ValueError:
+                    delta = g2 = np.nan
+                if not (np.isfinite(delta) and np.isfinite(g2)):
+                    raise ValueError(f"row {reader.line_num}: need two finite numbers "
+                                     f"(delta, g2), got {row}")
+                deltas.append(delta)
+                g2s.append(g2)
         return cls.tabulated(deltas, g2s, gamma_p=gamma_p, gamma=gamma)
 
 

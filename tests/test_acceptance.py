@@ -20,7 +20,6 @@ from fockatom import (
     bloch_response,
     branch_params,
     delta_pulse_rise,
-    find_optimum,
     fock_atom_response,
     linear_response,
     solve_closed_form_lorentzian,
@@ -87,7 +86,7 @@ def test_criterion_3_spectral_matching_optimum(shape):
     tau_f_grid = np.logspace(-2, 1, 25)
     kappa_grid = np.logspace(-1, 2, 25)
     sweep = sweep_pmax(AtomParams(), shape, tau_f_grid, kappa_grid)
-    tf_star, kap_star, p_star = find_optimum(sweep)
+    tf_star, kap_star, p_star = sweep.argmax
     elapsed = time.perf_counter() - start
     ok = 0.5 <= tf_star <= 2.0 and elapsed < 300.0
     assert _verdict(3, ok, f"{shape}: argmax tau_f = {tf_star:.3f} in [0.5, 2], "

@@ -10,7 +10,6 @@ from fockatom import (
     TimeGrid,
     Trajectory,
     delta_pulse_rise,
-    find_optimum,
     probability_density,
     solve_markov,
     sweep_pmax,
@@ -202,7 +201,7 @@ def test_sweep_gaussian_optimum_location_and_value():
     tau_f_grid = np.logspace(-2, 1, 13)
     kappa_grid = np.array([1.0, 2.0, 10.0, 100.0])
     sweep = sweep_pmax(atom, "gaussian", tau_f_grid, kappa_grid)
-    tf_star, kap_star, p_star = find_optimum(sweep)
+    tf_star, kap_star, p_star = sweep.argmax
     assert 0.5 <= tf_star <= 2.0
     assert p_star > 0.96
     assert sweep.row(1.0).max() > 0.96
@@ -250,6 +249,6 @@ def test_argmax_tiebreak_prefers_small_tau_then_kappa():
 def test_sweep_single_cell():
     atom = AtomParams()
     sweep = sweep_pmax(atom, "gaussian", np.array([1.0]), np.array([1.0]))
-    tf, kp, p = find_optimum(sweep)
+    tf, kp, p = sweep.argmax
     assert (tf, kp) == (1.0, 1.0)
     assert p > 0.95

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fockatom
+from fockatom import analysis, cli
 from fockatom.cli import main, normalize_config
 
 
@@ -106,6 +107,43 @@ def test_tabulated_grid_past_alias_horizon_exits_2(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["field"] == "grid.t_max"
     assert "125.664" in payload["error"]
+    assert not out.exists()
+
+
+def _lorentzian_table(path, deltas, kappa=5.0):
+    g2 = (1.0 / (2 * np.pi)) / ((np.asarray(deltas) / kappa) ** 2 + 1.0)
+    path.write_text("delta,g2\n" + "\n".join(f"{x},{y}" for x, y in zip(deltas, g2)) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("row", ["2.0", "2.0,abc", "2.0,nan", "inf,0.1"])
+def test_malformed_spectrum_row_exits_2_with_row_number(tmp_path, capsys, row):
+    csv_path = tmp_path / "spectrum.csv"
+    csv_path.write_text(f"delta,g2\n0.0,0.1\n1.0,0.1\n{row}\n3.0,0.1\n")
+    out = tmp_path / "o"
+    cfg = {"spectrum": {"kind": "tabulated", "csv": str(csv_path)}}
+    code, _, err = _run(["simulate", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["field"] == "spectrum.csv"
+    assert "row 4" in payload["error"]
+    assert not out.exists()
+
+
+def test_non_uniform_spectrum_table_exits_2(tmp_path, capsys):
+    # spaced 1 / 0.05 / 1: the kernel's uniform samples would be off by more than its peak
+    d = np.concatenate([np.arange(-100.0, -10.0, 1.0), np.arange(-10.0, 10.0, 0.05),
+                        np.arange(10.0, 100.5, 1.0)])
+    cfg = {"spectrum": {"kind": "tabulated", "csv": _lorentzian_table(tmp_path / "s.csv", d)},
+           "grid": {"t_max": 5.0, "dt": 1e-2}}
+    out = tmp_path / "o"
+    code, _, err = _run(["simulate", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(out)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["field"] == "spectrum.csv"
+    assert "uniform" in payload["error"]
     assert not out.exists()
 
 
@@ -232,6 +270,41 @@ def test_validate_roundtrip_reproduces_run(tmp_path, capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("solver", analysis.SOLVERS)
+@pytest.mark.parametrize("kind", ["flat", "lorentzian", "tabulated"])
+def test_one_route_from_spectrum_kind_and_solver(tmp_path, capsys, monkeypatch, kind, solver):
+    expected = {"flat": "markov", "tabulated": "volterra"}.get(kind, solver)
+    csv_path = _lorentzian_table(tmp_path / "s.csv", np.linspace(-100.0, 100.0, 2001))
+    spectrum = {"flat": fockatom.InteractionSpectrum.flat(),
+                "lorentzian": fockatom.InteractionSpectrum.lorentzian(5.0),
+                "tabulated": fockatom.InteractionSpectrum.from_csv(csv_path)}[kind]
+    atom = fockatom.AtomParams()
+    grid = fockatom.TimeGrid.from_span(0.0, 8.0, 1e-2)
+    pulse = fockatom.PulseSpec("gaussian", tau_f=1.0, t_a=3.0)
+    assert analysis.solve(atom, spectrum, pulse, grid, solver).solver_id == expected
+
+    used = []
+
+    def recorded(fn):
+        def call(*args):
+            traj = fn(*args)
+            used.append(traj.solver_id)
+            return traj
+        return call
+
+    for name, fn in list(analysis._SOLVERS.items()):
+        monkeypatch.setitem(analysis._SOLVERS, name, recorded(fn))
+    fockatom.linear_response(atom, pulse, "fock", grid, spectrum, solver=solver)
+    assert used == [expected]
+
+    cfg = {"spectrum": {"kind": kind, "kappa": 5.0, "csv": csv_path}, "solver": solver,
+           "pulse": {"tau_f": 1.0, "t_a": 3.0}, "grid": {"t_max": 8.0, "dt": 1e-2}}
+    code, _, _ = _run(["simulate", "--config", _write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "o")], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "o" / "trajectory.json").read_text())["solver_id"] == expected
+
+
 def test_decay_scenario(tmp_path, capsys):
     out = str(tmp_path / "d")
     code, _, _ = _run(["decay", "--kappa", "100.0", "--out", out, "--dt", "1e-3",
@@ -342,6 +415,43 @@ def test_fig3_rise_bundle(tmp_path, capsys):
     c_r, dc_r = data[:, 1], data[:, 2]
     assert np.all(np.diff(c_r) >= -1e-15)
     assert dc_r[0] == pytest.approx(10.0)  # kappa at t = 0
+
+
+def test_fig3_is_delta_rise_with_pulse_delay(tmp_path, capsys):
+    # C_R_markov = e^{gamma t_d/2} H(t - t_d): the figure used to write ones from t = 0
+    path = _write_config(tmp_path, {"atom": {"t_d": 0.1}})
+    assert _run(["figure", "fig3", "--config", path, "--out", str(tmp_path / "f")], capsys)[0] == 0
+    assert _run(["delta-rise", "--config", path, "--out", str(tmp_path / "s")], capsys)[0] == 0
+    fig = (tmp_path / "f" / "fig3" / "delta_rise.csv").read_bytes()
+    assert fig == (tmp_path / "s" / "delta_rise.csv").read_bytes()
+    data = np.loadtxt(tmp_path / "f" / "fig3" / "delta_rise.csv", delimiter=",", skiprows=1)
+    t, markov = data[:, 0], data[:, 3]
+    assert np.all(markov[t < 0.1 - 1e-9] == 0.0)
+    assert np.all(markov[t > 0.1 + 1e-9] == np.exp(0.05))
+
+
+def test_figure_sidecar_config_reproduces_its_csv(tmp_path, capsys):
+    code, _, _ = _run(["figure", "fig2a", "--dt", "2e-3", "--out", str(tmp_path / "f")], capsys)
+    assert code == 0
+    meta = json.loads((tmp_path / "f" / "fig2a" / "markov.json").read_text())
+    assert meta["figure"] == "fig2a"
+    cfg = meta["config"]
+    assert (cfg["scenario"], cfg["spectrum"]["kind"], cfg["pulse"]["tau_f"]) == (
+        "simulate", "flat", 0.1)
+    cfg["output_dir"] = str(tmp_path / "replay")
+    code, _, _ = _run(["simulate", "--config", _write_config(tmp_path, cfg)], capsys)
+    assert code == 0
+    assert ((tmp_path / "replay" / "trajectory.csv").read_bytes()
+            == (tmp_path / "f" / "fig2a" / "markov.csv").read_bytes())
+
+
+def test_fig5a_does_not_run_the_bloch_detector(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fig5a needs no Bloch trace")
+
+    monkeypatch.setattr(cli, "bloch_response", refuse)
+    code, _, _ = _run(["figure", "fig5a", "--dt", "2e-3", "--out", str(tmp_path)], capsys)
+    assert code == 0
 
 
 def test_fig4_small_sweep_argmax(tmp_path, capsys):

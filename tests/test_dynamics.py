@@ -10,6 +10,7 @@ from fockatom import (
     InteractionSpectrum,
     PulseSpec,
     TimeGrid,
+    Trajectory,
     branch_decomposition,
     branch_params,
     delta_pulse_rise,
@@ -352,13 +353,13 @@ def test_volterra_tabulated_exponential_pulse_runs_sane():
     assert a.p.max() > 0.3
 
 
-def test_volterra_redirects_flat_spectrum():
+def test_volterra_refuses_flat_spectrum():
+    # routing a flat spectrum to solve_markov is analysis.solve's job alone
     atom = AtomParams()
     grid = TimeGrid.from_span(0.0, 8.0, 1e-3)
     pulse = PulseSpec("gaussian", tau_f=1.0, t_a=4.0)
-    with pytest.warns(UserWarning, match="redirecting"):
-        traj = solve_volterra(atom, InteractionSpectrum.flat(), pulse, grid)
-    assert traj.solver_id == "markov"
+    with pytest.raises(ValueError, match="solve_markov"):
+        solve_volterra(atom, InteractionSpectrum.flat(), pulse, grid)
 
 
 @pytest.mark.parametrize("t_max", [33.0, 40.0])
@@ -575,6 +576,16 @@ def test_probability_bound_across_solvers():
                  solve_markov(atom, pulse, grid)):
         assert traj.p.min() >= 0.0
         assert traj.p.max() <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("check_bound", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_trajectory_refuses_non_finite_amplitude(bad, check_bound):
+    # NaN compares False with the P <= 1 bound, so it needs its own refusal
+    c = np.array([0.0, 0.5, bad, 0.1], dtype=complex)
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        Trajectory.from_amplitude(TimeGrid(0.0, 0.1, 4), c, "markov", {},
+                                  check_bound=check_bound)
 
 
 def test_trajectory_probability_is_modulus_squared():

@@ -304,6 +304,10 @@ def test_spectrum_validation():
         InteractionSpectrum.tabulated([0.0, 1.0], [-0.1, 0.2])
     with pytest.raises(ValueError, match="increasing"):
         InteractionSpectrum.tabulated([0.0, 0.0], [0.1, 0.2])
+    with pytest.raises(ValueError, match="finite"):
+        InteractionSpectrum.tabulated([0.0, 1.0], [0.1, np.nan])
+    with pytest.raises(ValueError, match="uniform"):
+        InteractionSpectrum.tabulated([0.0, 1.0, 1.5, 2.5], [0.1, 0.2, 0.2, 0.1])
 
 
 def test_from_csv_roundtrip(tmp_path):
