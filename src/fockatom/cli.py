@@ -332,6 +332,8 @@ def _outputs(cfg: dict) -> dict:
                     {"saturation": float(c_r[-1])})
         return {"delta_rise": rise}
     if scenario == "sweep":
+        if cfg["grid"] != _DEFAULTS["grid"]:  # a sidecar must not record a grid no cell ran
+            raise ConfigError("grid", "a sweep builds each cell's grid from tau_f and kappa")
         axes = [_axis(cfg["sweep"][name]) for name in ("tau_f", "kappa")]
         return {"sweep": lambda: sweep_pmax(atom, cfg["pulse"]["shape"], *axes,
                                             solver=cfg["solver"])}

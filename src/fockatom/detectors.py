@@ -51,20 +51,20 @@ class DetectorTrace:
 
 def linear_response(atom: AtomParams, pulse: PulseSpec, statistics: str,
                     grid: TimeGrid, spectrum: InteractionSpectrum,
-                    n_bar: float = 1.0, solver: str = "closed_form") -> DetectorTrace:
+                    n_bar: float = 1.0) -> DetectorTrace:
     """Harmonic-oscillator detector: mean excitation of the resonant mode.
 
     The Langevin mean amplitude f solves the same kernel equation as the
     atomic C(t); vacuum noise contributes nothing at zero temperature.
     statistics is "fock" (unit-norm pulse required) or "coherent" (scales
-    with n_bar). The spectrum and solver name pick the solver as in
-    `analysis.solve`.
+    with n_bar). The spectrum picks the solver as in `analysis.solve`, a
+    Lorentzian one taking the closed form.
     """
     if statistics not in (FOCK, COHERENT):
         raise ValueError(f"unknown statistics {statistics!r}")
     if pulse.shape == DELTA and statistics == FOCK:
         raise ValueError("delta pulse is unnormalizable: no Fock-state response")
-    traj = solve(atom, spectrum, pulse, grid, solver)
+    traj = solve(atom, spectrum, pulse, grid)
     if statistics == FOCK:
         y, nb = traj.p, 1.0
     else:

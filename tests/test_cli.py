@@ -294,8 +294,8 @@ def test_one_route_from_spectrum_kind_and_solver(tmp_path, capsys, monkeypatch, 
 
     for name, fn in list(analysis._SOLVERS.items()):
         monkeypatch.setitem(analysis._SOLVERS, name, recorded(fn))
-    fockatom.linear_response(atom, pulse, "fock", grid, spectrum, solver=solver)
-    assert used == [expected]
+    fockatom.linear_response(atom, pulse, "fock", grid, spectrum)
+    assert used == [{"flat": "markov", "tabulated": "volterra"}.get(kind, "closed_form")]
 
     cfg = {"spectrum": {"kind": kind, "kappa": 5.0, "csv": csv_path}, "solver": solver,
            "pulse": {"tau_f": 1.0, "t_a": 3.0}, "grid": {"t_max": 8.0, "dt": 1e-2}}
@@ -482,6 +482,15 @@ def test_sweep_ode_rk4_resolves_stiff_cells(tmp_path, capsys):
     assert all(row.endswith(",ok") for row in rows)
     p_max = np.array([float(row.split(",")[2]) for row in rows])
     assert np.all((p_max > 0.0) & (p_max <= 1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--dt", "1e-2"], ["figure", "fig4d", "--t-max", "5"]])
+def test_sweep_refuses_grid_fields(tmp_path, capsys, argv):
+    # each cell builds its own grid, so a grid field would be recorded but not run
+    code, out, err = _run(argv + ["--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert json.loads(err)["field"] == "grid"
+    assert out == "" and not (tmp_path / "o").exists()
 
 
 def test_import_does_not_load_scipy_signal():
