@@ -20,7 +20,7 @@ from .dynamics import (
     solve_ode_reduction,
     solve_volterra,
 )
-from .grids import TimeGrid
+from .grids import MAX_GRID_SAMPLES, MIN_SCALE, ParameterError, TimeGrid, check_range
 from .pulses import DECAYING_EXP, GAUSSIAN, RISING_EXP, PulseSpec
 from .spectra import FLAT, TABULATED, InteractionSpectrum
 
@@ -185,7 +185,7 @@ def solve(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | No
     Lorentzian one goes to the named solver.
     """
     if solver not in _SOLVERS:
-        raise ValueError(f"unknown solver tag {solver!r}")
+        raise ParameterError("solver", f"unknown solver tag {solver!r}")
     name = {FLAT: "markov", TABULATED: "volterra"}.get(spectrum.kind, solver)
     args = {"markov": (), "volterra": (spectrum,)}.get(name, (spectrum.kappa,))
     return _SOLVERS[name](atom, *args, pulse, grid)
@@ -194,6 +194,8 @@ def solve(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | No
 def cell_grid(shape: str, tau_f: float, kappa: float, gamma: float,
               dt: float | None = None) -> tuple[TimeGrid, float]:
     """Per-cell time grid and pulse arrival covering support plus ring-down."""
+    check_range("tau_f", tau_f, MIN_SCALE)
+    check_range("kappa", kappa, MIN_SCALE)
     trail_decay = 8.0 / gamma + 4.0 / min(kappa, 2.0 * gamma)
     if shape == GAUSSIAN:
         lead, trail = 7.0 * tau_f, 6.0 * tau_f + trail_decay
@@ -202,7 +204,7 @@ def cell_grid(shape: str, tau_f: float, kappa: float, gamma: float,
     elif shape == RISING_EXP:
         lead, trail = 16.0 * tau_f, trail_decay
     else:
-        raise ValueError(f"sweep does not support shape {shape!r}")
+        raise ParameterError("shape", f"sweep does not support shape {shape!r}")
     if dt is None:
         dt = min(4e-3 / gamma, tau_f / 10.0)
     grid = TimeGrid.from_span(0.0, lead + trail, dt)
@@ -222,11 +224,11 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
     tau_f_grid = np.asarray(tau_f_grid, dtype=float)
     kappa_grid = np.asarray(kappa_grid, dtype=float)
     if tau_f_grid.size == 0 or kappa_grid.size == 0:
-        raise ValueError("sweep grids must be nonempty")
-    if np.any(np.diff(tau_f_grid) <= 0) or np.any(np.diff(kappa_grid) <= 0):
-        raise ValueError("sweep grids must be sorted ascending")
+        raise ParameterError("sweep", "sweep grids must be nonempty")
+    if not (np.all(np.diff(tau_f_grid) > 0) and np.all(np.diff(kappa_grid) > 0)):
+        raise ParameterError("sweep", "sweep grids must be sorted ascending")
     if solver not in _SOLVERS:
-        raise ValueError(f"unknown solver tag {solver!r}")
+        raise ParameterError("solver", f"unknown solver tag {solver!r}")
     nk, nt = kappa_grid.size, tau_f_grid.size
     p_max = np.full((nk, nt), np.nan)
     t_peak = np.full((nk, nt), np.nan)
@@ -239,6 +241,9 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
                     # a derived RK4 step must also resolve the stiffest rate
                     stiff_dt = min(grid.dt, 0.1 / max(kappa, atom.gamma))
                     grid, t_a = cell_grid(shape, tau_f, kappa, atom.gamma, stiff_dt)
+                if grid.n > MAX_GRID_SAMPLES:
+                    raise ParameterError("sweep", f"cell grid of {grid.n:.3g} samples exceeds "
+                                                  f"the budget of {MAX_GRID_SAMPLES}")
                 pulse = PulseSpec(shape=shape, tau_f=tau_f, t_a=t_a)
                 spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p,
                                                           gamma=atom.gamma)
@@ -255,7 +260,7 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
 
 def _argmax_with_tiebreak(tau_f_grid, kappa_grid, p_max):
     if np.all(np.isnan(p_max)):
-        raise ValueError("sweep produced no successful cells")
+        raise ParameterError("sweep", "sweep produced no successful cells")
     best = np.nanmax(p_max)
     # ties broken toward smaller tau_f, then smaller kappa
     cand = np.argwhere(np.isclose(p_max, best, rtol=0.0, atol=0.0))

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -25,11 +26,10 @@ from .dynamics import (
     MODE_FRACTION_PRESETS,
     AtomParams,
     Trajectory,
-    check_ode_step,
     delta_pulse_rise,
     spontaneous_decay,
 )
-from .grids import TimeGrid
+from .grids import MAX_GRID_SAMPLES, ParameterError, TimeGrid
 from .pulses import DELTA, PULSE_SHAPES, CoherentPulseSpec, PulseSpec
 from .serialize import (
     write_csv,
@@ -89,15 +89,6 @@ FIGURES = {
 FIGURE_IDS = tuple(FIGURES)
 
 
-class ConfigError(ValueError):
-    """Validation failure with the offending config field path."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
-        self.message = message
-
-
 _DEFAULTS = {
     "scenario": "simulate",
     "figure_id": None,
@@ -120,20 +111,16 @@ _NULLABLE = {"atom.gamma_p": float, "pulse.t_a": float, "grid.t_max": float,
              "atom.mode_fraction": (str, float), "spectrum.csv": str,
              "figure_id": str, "output_dir": str}
 
-# Largest time grid a scenario may build, checked before anything is allocated;
-# equal to solve_volterra's own cap, so a grid that passes here fits every solver.
-MAX_GRID_SAMPLES = 1_000_000
-
 
 def _merge_section(name, defaults, given):
     if given is None:
         return dict(defaults)
     if not isinstance(given, dict):
-        raise ConfigError(name, "must be an object")
+        raise ParameterError(name, "must be an object")
     out = dict(defaults)
     for key, val in given.items():
         if key not in defaults:
-            raise ConfigError(f"{name}.{key}", "unknown key")
+            raise ParameterError(f"{name}.{key}", "unknown key")
         if isinstance(defaults[key], dict) and defaults[key]:
             out[key] = _merge_section(f"{name}.{key}", defaults[key], val)
         else:
@@ -149,20 +136,21 @@ def _typed(field: str, default, val):
     if isinstance(val, str) and kind in (str, (str, float)):
         return val
     if kind is str:
-        raise ConfigError(field, "must be a string")
-    return _number(field, val, integer=kind is int)
-
-
-def _number(field: str, val, integer: bool = False):
+        raise ParameterError(field, "must be a string")
+    integer = kind is int
     if isinstance(val, bool) or not isinstance(val, int if integer else (int, float)):
-        raise ConfigError(field, "must be an integer" if integer else "must be a number")
+        raise ParameterError(field, "must be an integer" if integer else "must be a number")
+    if not abs(val) <= sys.float_info.max:  # NaN, +-Infinity, or an int beyond float range
+        raise ParameterError(field, "must be a finite number within the float range")
     return val
 
 
 def normalize_config(raw: dict) -> dict:
-    """Apply defaults, reject unknown keys, and validate field values."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config", "top level must be a JSON object")
+    """Apply defaults, reject unknown keys, and check types and enumerations.
+
+    Ranges are left to the model constructors, which refuse by parameter
+    name (`main` maps the name to its config field).
+    """
     cfg = {}
     for key, default in _DEFAULTS.items():
         if isinstance(default, dict):
@@ -171,64 +159,48 @@ def normalize_config(raw: dict) -> dict:
             cfg[key] = _typed(key, default, raw[key]) if key in raw else default
     for key in raw:
         if key not in _DEFAULTS:
-            raise ConfigError(key, "unknown key")
+            raise ParameterError(key, "unknown key")
 
     if cfg["scenario"] not in SCENARIOS:
-        raise ConfigError("scenario", f"must be one of {SCENARIOS}")
+        raise ParameterError("scenario", f"must be one of {SCENARIOS}")
     if cfg["solver"] not in SOLVERS:
-        raise ConfigError("solver", f"must be one of {SOLVERS}")
+        raise ParameterError("solver", f"must be one of {SOLVERS}")
 
     atom = cfg["atom"]
-    if atom["gamma"] <= 0:
-        raise ConfigError("atom.gamma", "must be a positive number")
     frac = atom["mode_fraction"]
+    if isinstance(frac, str) and frac not in MODE_FRACTION_PRESETS:
+        raise ParameterError("atom.mode_fraction",
+                             f"unknown preset; use one of {sorted(MODE_FRACTION_PRESETS)}")
     if atom["gamma_p"] is None:
-        if frac is None:
-            ratio = 1.0
-        elif isinstance(frac, str):
-            if frac not in MODE_FRACTION_PRESETS:
-                raise ConfigError("atom.mode_fraction",
-                                  f"unknown preset; use one of {sorted(MODE_FRACTION_PRESETS)}")
-            ratio = MODE_FRACTION_PRESETS[frac]
-        else:
-            ratio = float(frac)
-        atom["gamma_p"] = ratio * atom["gamma"]
-    if not 0 < atom["gamma_p"] <= atom["gamma"]:
-        raise ConfigError("atom.gamma_p", "need 0 < gamma_p <= gamma")
+        ratio = 1.0 if frac is None else MODE_FRACTION_PRESETS.get(frac, frac)
+        atom["gamma_p"] = float(ratio) * atom["gamma"]
 
     spec = cfg["spectrum"]
     if spec["kind"] not in ("lorentzian", "flat", "tabulated"):
-        raise ConfigError("spectrum.kind", "must be lorentzian, flat or tabulated")
-    if spec["kind"] == "lorentzian" and spec["kappa"] <= 0:
-        raise ConfigError("spectrum.kappa", "must be a positive rate")
+        raise ParameterError("spectrum.kind", "must be lorentzian, flat or tabulated")
     if spec["kind"] == "tabulated" and not spec["csv"]:
-        raise ConfigError("spectrum.csv", "tabulated spectrum needs a CSV path")
-
-    pulse = cfg["pulse"]
-    if pulse["shape"] not in PULSE_SHAPES:
-        raise ConfigError("pulse.shape", f"must be one of {PULSE_SHAPES}")
-    if pulse["shape"] != DELTA and pulse["tau_f"] <= 0:
-        raise ConfigError("pulse.tau_f", "must be positive")
-    if pulse["n_bar"] < 0:
-        raise ConfigError("pulse.n_bar", "must be >= 0")
-
-    grid = cfg["grid"]
-    if grid["dt"] <= 0:
-        raise ConfigError("grid.dt", "must be a positive time step")
+        raise ParameterError("spectrum.csv", "tabulated spectrum needs a CSV path")
+    if cfg["pulse"]["shape"] not in PULSE_SHAPES:
+        raise ParameterError("pulse.shape", f"must be one of {PULSE_SHAPES}")
 
     for axis in ("tau_f", "kappa"):
         ax = cfg["sweep"][axis]
         if ax["num"] < 1:
-            raise ConfigError(f"sweep.{axis}.num", "must be >= 1")
+            raise ParameterError(f"sweep.{axis}.num", "must be >= 1")
         if ax["spacing"] not in ("log", "linear"):
-            raise ConfigError(f"sweep.{axis}.spacing", "must be 'log' or 'linear'")
+            raise ParameterError(f"sweep.{axis}.spacing", "must be 'log' or 'linear'")
         if ax["start"] <= 0 and ax["spacing"] == "log":
-            raise ConfigError(f"sweep.{axis}.start", "log spacing needs start > 0")
+            raise ParameterError(f"sweep.{axis}.start", "log spacing needs start > 0")
         if ax["stop"] < ax["start"]:
-            raise ConfigError(f"sweep.{axis}.stop", "must be >= start")
+            raise ParameterError(f"sweep.{axis}.stop", "must be >= start")
+    nums = {axis: cfg["sweep"][axis]["num"] for axis in ("tau_f", "kappa")}
+    if nums["tau_f"] * nums["kappa"] > MAX_GRID_SAMPLES:
+        raise ParameterError(f"sweep.{max(nums, key=nums.get)}.num",
+                             f"{nums['tau_f']} x {nums['kappa']} cells exceed the budget "
+                             f"of {MAX_GRID_SAMPLES}")
 
     if cfg["scenario"] == "figure" and cfg["figure_id"] not in FIGURE_IDS:
-        raise ConfigError("figure_id", f"must be one of {FIGURE_IDS}")
+        raise ParameterError("figure_id", f"must be one of {FIGURE_IDS}")
 
     if cfg["output_dir"] is None:
         cfg["output_dir"] = os.environ.get("FOCKATOM_OUT", "out")
@@ -236,52 +208,42 @@ def normalize_config(raw: dict) -> dict:
 
 
 def _grid(cfg, t_max: float) -> TimeGrid:
-    """The configured grid, ending at grid.t_max if set and at t_max otherwise.
-
-    Refused when it exceeds MAX_GRID_SAMPLES, before anything is allocated.
-    """
+    """The configured grid, ending at grid.t_max if set and at t_max otherwise;
+    refused past MAX_GRID_SAMPLES, before anything is allocated."""
     g = cfg["grid"]
     grid = TimeGrid.from_span(g["t0"], t_max if g["t_max"] is None else g["t_max"], g["dt"])
     if grid.n > MAX_GRID_SAMPLES:
-        raise ConfigError("grid.dt", f"{grid.n} samples exceed the budget of {MAX_GRID_SAMPLES}; "
-                                     "raise grid.dt or lower grid.t_max")
+        raise ParameterError("grid.dt", f"{grid.n:.3g} samples exceed the budget of "
+                                        f"{MAX_GRID_SAMPLES}; raise grid.dt or lower grid.t_max")
     return grid
 
 
-def _build_atom(cfg) -> AtomParams:
-    a = cfg["atom"]
-    return AtomParams(gamma=a["gamma"], gamma_p=a["gamma_p"], t_d=a["t_d"],
-                      c0=complex(a["c0_re"], a["c0_im"]))
-
-
 def _build_spectrum(cfg, atom: AtomParams) -> InteractionSpectrum:
-    s = cfg["spectrum"]
+    s, rates = cfg["spectrum"], {"gamma_p": atom.gamma_p, "gamma": atom.gamma}
     if s["kind"] == "lorentzian":
-        return InteractionSpectrum.lorentzian(s["kappa"], gamma_p=atom.gamma_p,
-                                              gamma=atom.gamma)
+        return InteractionSpectrum.lorentzian(s["kappa"], **rates)
     if s["kind"] == "flat":
-        return InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
+        return InteractionSpectrum.flat(**rates)
     try:
-        return InteractionSpectrum.from_csv(s["csv"], gamma_p=atom.gamma_p, gamma=atom.gamma)
+        return InteractionSpectrum.from_csv(s["csv"], **rates)
     except (ValueError, OSError) as exc:
-        raise ConfigError("spectrum.csv", str(exc)) from None
+        raise ParameterError("spectrum.csv", str(exc)) from None
 
 
-def _build_pulse_and_grid(cfg, atom: AtomParams):
+def _build_pulse_and_grid(cfg, atom: AtomParams, spectrum: InteractionSpectrum):
     """Pulse with a contained arrival plus a grid covering ring-down."""
     p = cfg["pulse"]
     t0 = cfg["grid"]["t0"]
-    kappa = cfg["spectrum"]["kappa"] if cfg["spectrum"]["kind"] == "lorentzian" else np.inf
     if p["shape"] == DELTA:
         t_a = p["t_a"] if p["t_a"] is not None else 1.0 / atom.gamma
         pulse = PulseSpec(shape=DELTA, xi0=p["xi0"], t_a=t_a, delta0=p["delta0"])
         return pulse, _grid(cfg, t_a + 12.0 / atom.gamma)
+    pulse = PulseSpec(shape=p["shape"], tau_f=p["tau_f"], delta0=p["delta0"], xi0=p["xi0"])
+    kappa = spectrum.kappa if spectrum.kind == "lorentzian" else np.inf
     auto_grid, lead = cell_grid(p["shape"], p["tau_f"], min(kappa, 1e6), atom.gamma,
                                 dt=cfg["grid"]["dt"])
-    t_a = p["t_a"] if p["t_a"] is not None else t0 + lead
-    pulse = PulseSpec(shape=p["shape"], tau_f=p["tau_f"], delta0=p["delta0"],
-                      t_a=t_a, xi0=p["xi0"])
-    return pulse, _grid(cfg, t0 + auto_grid.t_max)
+    grid = _grid(cfg, t0 + auto_grid.t_max)
+    return pulse.with_arrival(t0 + lead if p["t_a"] is None else p["t_a"]), grid
 
 
 def _axis(ax) -> np.ndarray:
@@ -299,23 +261,14 @@ def _axis(ax) -> np.ndarray:
 def _outputs(cfg: dict) -> dict:
     """Named outputs of a non-figure scenario, each a thunk that computes it.
 
-    Inputs are built and checked here; a caller computes only what it writes.
+    Inputs are built, and so checked, here; a caller computes what it writes.
     """
-    atom = _build_atom(cfg)
-    scenario = cfg["scenario"]
+    a, scenario = cfg["atom"], cfg["scenario"]
+    atom = AtomParams(gamma=a["gamma"], gamma_p=a["gamma_p"], t_d=a["t_d"],
+                      c0=complex(a["c0_re"], a["c0_im"]))
     if scenario == "simulate":
         spectrum = _build_spectrum(cfg, atom)
-        pulse, grid = _build_pulse_and_grid(cfg, atom)
-        span = (grid.n - 1) * grid.dt
-        if span >= spectrum.alias_horizon:
-            raise ConfigError("grid.t_max", f"grid span {span:g} reaches the tabulated spectrum's "
-                                            f"alias horizon 2*pi/h = {spectrum.alias_horizon:g} "
-                                            "(h = node spacing)")
-        if cfg["solver"] == "ode_rk4" and spectrum.kind == "lorentzian":
-            try:
-                check_ode_step(atom.gamma, spectrum.kappa, grid.dt)
-            except ValueError as exc:
-                raise ConfigError("grid.dt", str(exc)) from None
+        pulse, grid = _build_pulse_and_grid(cfg, atom, spectrum)
         return {"trajectory": lambda: solve(atom, spectrum, pulse, grid, cfg["solver"])}
     kappa = cfg["spectrum"]["kappa"]
     if scenario == "decay":
@@ -333,23 +286,22 @@ def _outputs(cfg: dict) -> dict:
         return {"delta_rise": rise}
     if scenario == "sweep":
         if cfg["grid"] != _DEFAULTS["grid"]:  # a sidecar must not record a grid no cell ran
-            raise ConfigError("grid", "a sweep builds each cell's grid from tau_f and kappa")
+            raise ParameterError("grid", "a sweep builds each cell's grid from tau_f and kappa")
         axes = [_axis(cfg["sweep"][name]) for name in ("tau_f", "kappa")]
         return {"sweep": lambda: sweep_pmax(atom, cfg["pulse"]["shape"], *axes,
                                             solver=cfg["solver"])}
-    if scenario == "detector_compare":
-        pulse, grid = _build_pulse_and_grid(cfg, atom)
-        n_bar = cfg["pulse"]["n_bar"]
+    if scenario == "detector_compare":  # the configured spectrum sets only the grid
+        pulse, grid = _build_pulse_and_grid(cfg, atom, _build_spectrum(cfg, atom))
+        coherent = CoherentPulseSpec(base=pulse, n_bar=cfg["pulse"]["n_bar"])
         flat = InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
         return {
             "linear_fock": lambda: linear_response(atom, pulse, "fock", grid, flat),
             "linear_coherent": lambda: linear_response(atom, pulse, "coherent", grid, flat,
-                                                       n_bar=n_bar),
+                                                       n_bar=coherent.n_bar),
             "atom_fock": lambda: fock_atom_response(atom, pulse, grid),
-            "atom_bloch_coherent": lambda: bloch_response(
-                atom, CoherentPulseSpec(base=pulse, n_bar=n_bar), grid),
+            "atom_bloch_coherent": lambda: bloch_response(atom, coherent, grid),
         }
-    raise ConfigError("scenario", f"unhandled scenario {scenario!r}")
+    raise ParameterError("scenario", f"unhandled scenario {scenario!r}")
 
 
 def _write(base: str, item, meta: dict) -> list[str]:
@@ -371,44 +323,46 @@ def _write(base: str, item, meta: dict) -> list[str]:
     return [base + ".csv", base + ".json"]
 
 
-def run_scenario(cfg: dict) -> list[str]:
-    """Execute a normalized config; returns the list of files written."""
-    if cfg["scenario"] == "figure":
-        return reproduce_figure(cfg["figure_id"], cfg)
-    items = {name: make() for name, make in sorted(_outputs(cfg).items())}
-    return [path for name, item in items.items()
-            for path in _write(os.path.join(cfg["output_dir"], name), item, {"config": cfg})]
+def _plan(cfg: dict) -> dict:
+    """Output path base -> (thunk computing the output, sidecar fields) of a config.
 
-
-def reproduce_figure(fig_id: str, cfg: dict | None = None) -> list[str]:
-    """Run a FIGURES preset through the scenario code; returns the files written.
-
-    Every output is computed before the first file is written. Sidecars
-    record the effective config of each run.
+    A figure runs its FIGURES preset through `_outputs`; its sidecars record
+    the effective config of each run.
     """
-    if fig_id not in FIGURES:
-        raise ConfigError("figure_id", f"unknown figure id {fig_id!r}")
-    cfg = cfg or normalize_config({"scenario": "figure", "figure_id": fig_id})
+    if cfg["scenario"] != "figure":
+        return {os.path.join(cfg["output_dir"], name): (make, {"config": cfg})
+                for name, make in sorted(_outputs(cfg).items())}
+    fig_id = cfg["figure_id"]
 
     def run(overrides, output):  # overrides replace fields of cfg, section by section
         run_cfg = {key: {**val, **overrides.get(key, {})} if isinstance(val, dict)
                    else overrides.get(key, val) for key, val in cfg.items()}
-        return run_cfg, _outputs(run_cfg)[output]()
+        return run_cfg, _outputs(run_cfg)[output]
 
-    items = {}
+    def joined(attr, runs):
+        traces = [make() for _, make in runs.values()]
+        return (["t", *runs], [traces[0].times] + [getattr(x, attr) for x in traces],
+                {"config": {head: c for head, (c, _) in runs.items()}})
+
+    plan = {}
     for name, spec in FIGURES[fig_id].items():
-        meta = {"figure": fig_id}
+        base = os.path.join(cfg["output_dir"], fig_id, name)
         if isinstance(spec, _Columns):
             runs = {head: run(*r) for head, r in spec.runs.items()}
-            traces = [trace for _, trace in runs.values()]
-            item = (["t", *runs], [traces[0].times] + [getattr(x, spec.attr) for x in traces],
-                    {"config": {head: c for head, (c, _) in runs.items()}})
+            plan[base] = partial(joined, spec.attr, runs), {"figure": fig_id}
         else:
-            meta["config"], item = run(*spec)
-        items[name] = item, meta
-    out = os.path.join(cfg["output_dir"], fig_id)
-    return [path for name, (item, meta) in items.items()
-            for path in _write(os.path.join(out, name), item, meta)]
+            run_cfg, make = run(*spec)
+            plan[base] = make, {"figure": fig_id, "config": run_cfg}
+    return plan
+
+
+def run_scenario(cfg: dict) -> list[str]:
+    """Execute a normalized config; returns the list of files written.
+
+    Every output is computed before the first file is written.
+    """
+    items = {base: (make(), meta) for base, (make, meta) in _plan(cfg).items()}
+    return [path for base, (item, meta) in items.items() for path in _write(base, item, meta)]
 
 
 # ---------------------------------------------------------------------------
@@ -421,30 +375,30 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("config", f"file not found: {path}")
+    except OSError as exc:
+        raise ParameterError("config", f"cannot read {path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}")
+        raise ParameterError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(raw, dict):
-        raise ConfigError("config", "top level must be a JSON object")
+        raise ParameterError("config", "top level must be a JSON object")
     return raw
 
 
-def _apply_overrides(raw: dict, args) -> dict:
-    def setdefaulted(section, key, value):
-        if value is not None:
-            raw.setdefault(section, {})[key] = value
+_FLAGS = {"gamma_p_ratio": "atom.mode_fraction", "kappa": "spectrum.kappa", "tau_f": "pulse.tau_f",
+          "pulse": "pulse.shape", "t_max": "grid.t_max", "dt": "grid.dt", "solver": "solver",
+          "out": "output_dir"}
 
-    setdefaulted("atom", "mode_fraction", args.gamma_p_ratio)
-    setdefaulted("spectrum", "kappa", args.kappa)
-    setdefaulted("pulse", "tau_f", args.tau_f)
-    setdefaulted("pulse", "shape", args.pulse)
-    setdefaulted("grid", "t_max", args.t_max)
-    setdefaulted("grid", "dt", args.dt)
-    if args.solver is not None:
-        raw["solver"] = args.solver
-    if args.out is not None:
-        raw["output_dir"] = args.out
+
+def _apply_overrides(raw: dict, args) -> dict:
+    """raw with each given flag set on its _FLAGS field; a non-object section is left as is."""
+    for flag, field in _FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        *section, key = field.split(".")
+        node = raw.setdefault(section[0], {}) if section else raw
+        if isinstance(node, dict):
+            node[key] = value
     return raw
 
 
@@ -473,11 +427,25 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_field(name: str, raw: dict) -> str:
+    """Config path of a field or model parameter name, as set in the raw config."""
+    atom = raw.get("atom") or {}
+    if name == "gamma_p" and atom.get("gamma_p") is None and atom.get("mode_fraction") is not None:
+        return "atom.mode_fraction"  # gamma_p was derived from it
+    if name == "c0":  # the larger part
+        return max(("atom.c0_re", "atom.c0_im"), key=lambda f: abs(atom.get(f[5:], 0)))
+    return next((f"{section}.{name}" for section, keys in _DEFAULTS.items()
+                 if isinstance(keys, dict) and name in keys), name)
+
+
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
+    raw = {}
     try:
         if args.command == "validate":
-            cfg = normalize_config(_load_config(args.config_path))
+            raw = _load_config(args.config_path)
+            cfg = normalize_config(raw)
+            _plan(cfg)  # builds, and so checks, every model input
             json.dump(cfg, sys.stdout, indent=2, sort_keys=True)
             sys.stdout.write("\n")
             return 0
@@ -488,9 +456,10 @@ def main(argv=None) -> int:
         for path in run_scenario(normalize_config(raw)):
             print(path)
         return 0
-    except (ValueError, OSError) as exc:  # ConfigError included, with its field
+    except (ValueError, OSError) as exc:  # reads raise tagged errors; an OSError left is a write
+        field = getattr(exc, "field", "output_dir" if isinstance(exc, OSError) else None)
         json.dump({"error": getattr(exc, "message", str(exc)),
-                   "field": getattr(exc, "field", None)}, sys.stderr)
+                   "field": field and _config_field(field, raw)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
 

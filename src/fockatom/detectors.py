@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import solve
-from .dynamics import AtomParams, solve_markov
-from .grids import TimeGrid
+from .dynamics import _PROB_TOL, AtomParams, solve_markov
+from .grids import ParameterError, TimeGrid
 from .pulses import DELTA, CoherentPulseSpec, PulseSpec, envelope
 from .spectra import InteractionSpectrum
 
@@ -63,13 +63,10 @@ def linear_response(atom: AtomParams, pulse: PulseSpec, statistics: str,
     if statistics not in (FOCK, COHERENT):
         raise ValueError(f"unknown statistics {statistics!r}")
     if pulse.shape == DELTA and statistics == FOCK:
-        raise ValueError("delta pulse is unnormalizable: no Fock-state response")
+        raise ParameterError("shape", "delta pulse is unnormalizable: no Fock-state response")
     traj = solve(atom, spectrum, pulse, grid)
-    if statistics == FOCK:
-        y, nb = traj.p, 1.0
-    else:
-        y, nb = n_bar * traj.p, n_bar
-    return DetectorTrace(t0=grid.t0, dt=grid.dt, y=y, detector=LINEAR_OSCILLATOR,
+    nb = 1.0 if statistics == FOCK else n_bar
+    return DetectorTrace(t0=grid.t0, dt=grid.dt, y=nb * traj.p, detector=LINEAR_OSCILLATOR,
                          statistics=statistics, n_bar=nb)
 
 
@@ -91,10 +88,12 @@ def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
 
     with Omega(t) = 2 sqrt(gamma_p n_bar) u(t - t_a - t_d). The sign of the
     coherence drive is fixed by the weak-drive limit, where rho_ee must
-    approach n_bar |f|^2 of the linear response. Fixed-step RK4 on the grid.
+    approach n_bar |f|^2 of the linear response. Fixed-step RK4 on the grid;
+    a population leaving [0, 1] is refused as a step that does not resolve
+    the Rabi frequency.
     """
     if pulse.base.delta0 != 0.0:
-        raise ValueError("non-resonant carrier is unsupported for the Bloch detector")
+        raise ParameterError("delta0", "non-resonant carrier is unsupported for the Bloch detector")
     g = float(atom.gamma)
     amp = 2.0 * np.sqrt(atom.gamma_p * pulse.n_bar)
     th = grid.half_step_times()
@@ -121,7 +120,11 @@ def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
         rge += dt / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
         pop.append(ree)
         coh.append(rge)
-    return np.array(pop), np.array(coh, dtype=complex)
+    pop = np.array(pop)
+    if not np.all((pop >= -_PROB_TOL) & (pop <= 1.0 + _PROB_TOL)):
+        raise ParameterError("dt", f"Bloch population left [0, 1] (max {pop.max():.6g}): "
+                                   f"dt={dt:g} does not resolve the Rabi frequency")
+    return pop, np.array(coh, dtype=complex)
 
 
 def bloch_response(atom: AtomParams, pulse: CoherentPulseSpec, grid: TimeGrid) -> DetectorTrace:

@@ -31,13 +31,14 @@ responses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
 from scipy.linalg.lapack import ztbtrs
 
-from .grids import TimeGrid
+from .grids import MAX_GRID_SAMPLES, MIN_SCALE, ParameterError, TimeGrid, check_range
 from .pulses import DELTA, PulseSpec
 from .serialize import params_digest
 from .spectra import (
@@ -61,7 +62,6 @@ _DEGENERATE_RTOL = 1e-9   # |kappa - 2 gamma| below this (times gamma) is the do
 # and second-order time quadrature can overshoot it by ~1e-7 at dt = 1e-3,
 # so the guard sits above that; the 1e-9 physics bound is asserted in tests.
 _PROB_TOL = 1e-6
-_VOLTERRA_MAX_N = 1_000_000
 _VOLTERRA_BYTES_PER_STEP = 240  # peak traced memory of solve_volterra per grid sample
 _TOEPLITZ_BLOCK = 128          # rows per dense solve of the Volterra Toeplitz system
 _RK4_BLOCK = 128               # RK4 steps per block-Toeplitz product of the ODE route
@@ -82,14 +82,14 @@ class AtomParams:
     c0: complex = 0.0 + 0j
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        check_range("gamma", self.gamma, MIN_SCALE)
         if not 0.0 < self.gamma_p <= self.gamma:
-            raise ValueError(
-                f"need 0 < gamma_p <= gamma, got gamma_p={self.gamma_p}, gamma={self.gamma}"
-            )
-        if abs(self.c0) > 1.0 + 1e-12:
-            raise ValueError(f"|c0| must be <= 1, got {abs(self.c0)}")
+            raise ParameterError("gamma_p", f"need 0 < gamma_p <= gamma, got "
+                                            f"gamma_p={self.gamma_p}, gamma={self.gamma}")
+        check_range("t_d", self.t_d)
+        c0 = complex(self.c0)
+        if not math.hypot(c0.real, c0.imag) <= 1.0 + 1e-12:
+            raise ParameterError("c0", f"|c0| must be <= 1, got {math.hypot(c0.real, c0.imag)}")
 
     @classmethod
     def with_mode_fraction(cls, preset: str, gamma: float = 1.0, **kw) -> "AtomParams":
@@ -125,8 +125,8 @@ def branch_params(gamma: float, kappa: float) -> LorentzBranches:
     p1 is computed from the product identity p1*p2 = gamma*kappa/2 in the
     real-branch regime to avoid cancellation at kappa >> gamma.
     """
-    if not (gamma > 0.0 and kappa > 0.0):
-        raise ValueError("gamma and kappa must be positive")
+    check_range("gamma", gamma, MIN_SCALE)
+    check_range("kappa", kappa, MIN_SCALE)
     degenerate = abs(kappa - 2.0 * gamma) < _DEGENERATE_RTOL * gamma
     disc = kappa * kappa - 2.0 * kappa * gamma
     if disc >= 0.0:
@@ -168,13 +168,15 @@ class Trajectory:
     @classmethod
     def from_amplitude(cls, grid: TimeGrid, c: np.ndarray, solver_id: str,
                        params: dict, check_bound: bool = True) -> "Trajectory":
+        """Refuses, as a step that does not resolve the dynamics, a non-finite
+        amplitude and (with check_bound) P above 1 + _PROB_TOL."""
         p = np.abs(c) ** 2
         p_max = p.max(initial=0.0)  # NaN if any sample is NaN
         if not np.isfinite(p_max):
-            raise ValueError(f"non-finite amplitude from {solver_id}: max P = {p_max}")
+            raise ParameterError("dt", f"non-finite amplitude from {solver_id}: max P = {p_max}")
         if check_bound and p_max > 1.0 + _PROB_TOL:
-            raise ValueError(
-                f"probability bound violated: max P = {p_max:.6g} > 1 + {_PROB_TOL}"
+            raise ParameterError(
+                "dt", f"probability bound violated: max P = {p_max:.6g} > 1 + {_PROB_TOL}"
             )
         return cls(t0=grid.t0, dt=grid.dt, c=np.asarray(c, complex), p=p,
                    solver_id=solver_id, params_digest=params_digest(params))
@@ -204,11 +206,10 @@ def _lorentz_spectrum(atom: AtomParams, kappa: float) -> InteractionSpectrum:
 def _drive_on_grid(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | None,
                    grid: TimeGrid, half_step: bool = False) -> np.ndarray:
     """D sampled on the grid (or the dt/2 refinement), with t_d folded in."""
+    m = 2 * grid.n - 1 if half_step else grid.n
     if pulse is None:
-        m = 2 * grid.n - 1 if half_step else grid.n
         return np.zeros(m, dtype=complex)
     dt = 0.5 * grid.dt if half_step else grid.dt
-    m = 2 * grid.n - 1 if half_step else grid.n
     return driving_term_uniform(spectrum, pulse, grid.t0 - atom.t_d, dt, m)
 
 
@@ -276,8 +277,8 @@ def check_ode_step(gamma: float, kappa: float, dt: float) -> None:
     """Refuse an RK4 step that does not resolve the stiffest rate max(kappa, gamma)."""
     stiff = max(kappa, gamma)
     if dt > 0.1 / stiff * (1.0 + 1e-9):
-        raise ValueError(
-            f"step too large for stiffness: dt={dt:g} > 0.1/max(kappa, gamma)={0.1 / stiff:g}"
+        raise ParameterError(
+            "dt", f"step too large for stiffness: dt={dt:g} > 0.1/max(kappa, gamma)={0.1 / stiff:g}"
         )
 
 
@@ -433,14 +434,15 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     """
     if spectrum.kind == FLAT:
         raise ValueError("flat spectrum has a memoryless kernel: use solve_markov")
-    if grid.n > _VOLTERRA_MAX_N:
-        raise ValueError(f"memory budget exceeded: n={grid.n} > {_VOLTERRA_MAX_N} "
-                         f"(~{grid.n * _VOLTERRA_BYTES_PER_STEP / 2**20:.0f} MiB at "
-                         f"{_VOLTERRA_BYTES_PER_STEP} B per sample)")
+    if grid.n > MAX_GRID_SAMPLES:
+        raise ParameterError("dt", f"memory budget exceeded: n={grid.n} > {MAX_GRID_SAMPLES} "
+                                   f"(~{grid.n * _VOLTERRA_BYTES_PER_STEP / 2**20:.0f} MiB at "
+                                   f"{_VOLTERRA_BYTES_PER_STEP} B per sample)")
     span = (grid.n - 1) * grid.dt
     if span >= spectrum.alias_horizon:
-        raise ValueError(f"grid span {span:g} reaches the tabulated kernel's alias horizon "
-                         f"2*pi/h = {spectrum.alias_horizon:g} (h = node spacing)")
+        raise ParameterError("t_max", f"grid span {span:g} reaches the tabulated kernel's alias "
+                                      f"horizon 2*pi/h = {spectrum.alias_horizon:g} "
+                                      "(h = node spacing)")
     if abs(spectrum.gamma - atom.gamma) > 1e-12 * atom.gamma or \
        abs(spectrum.gamma_p - atom.gamma_p) > 1e-12 * atom.gamma:
         raise ValueError("atom rates and spectrum rates disagree")
@@ -521,9 +523,13 @@ def delta_pulse_rise(atom: AtomParams, kappa: float, grid: TimeGrid):
     excitation probability; its derivative has 1/e width 1/(kappa - gamma/2).
     Weak coupling (gamma <= kappa) is required for the underlying form.
     """
+    check_range("kappa", kappa, MIN_SCALE)
     if atom.gamma > kappa:
-        raise ValueError("delta-pulse rising edge assumes weak coupling (gamma <= kappa)")
+        raise ParameterError("kappa", "delta-pulse rising edge assumes weak coupling "
+                                      f"(gamma <= kappa), got kappa={kappa}")
     g, td = atom.gamma, atom.t_d
+    if 0.5 * g * td > math.log(np.finfo(float).max / kappa):
+        raise ParameterError("t_d", f"kappa e^(gamma t_d/2) overflows at t_d={td:g}")
     rate = kappa - 0.5 * g
     dtt = grid.dt * np.arange(grid.n)
     rel = np.clip(dtt - td, 0.0, None)

@@ -12,6 +12,31 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class ParameterError(ValueError):
+    """A refused input; `field` is the parameter's name (its config key) or a config path."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field, self.message = field, message
+
+
+# Largest magnitude of a model parameter, and smallest of a positive scale (a
+# rate, duration or step): the squares, ratios and products of a few such
+# numbers that the model forms then stay finite doubles.
+MAGNITUDE_LIMIT = 1e50
+MIN_SCALE = 1.0 / MAGNITUDE_LIMIT
+# Largest time grid a config may build, checked before anything is allocated;
+# it is also solve_volterra's memory cap, so a grid within it fits every solver.
+MAX_GRID_SAMPLES = 1_000_000
+
+
+def check_range(name: str, value: float, low: float = -MAGNITUDE_LIMIT) -> None:
+    """Refuse value outside [low, MAGNITUDE_LIMIT], NaN included; low=MIN_SCALE for a scale."""
+    if not low <= value <= MAGNITUDE_LIMIT:
+        raise ParameterError(name, f"{name} must lie in [{low:g}, {MAGNITUDE_LIMIT:g}], "
+                                   f"got {value}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid t_k = t0 + k*dt, k = 0..n-1."""
@@ -21,18 +46,20 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        check_range("dt", self.dt, MIN_SCALE)
+        check_range("t0", self.t0)
         if self.n < 2:
-            raise ValueError(f"need at least two samples, got n={self.n}")
+            raise ParameterError("t_max", f"need at least two samples, got n={self.n}")
 
     @classmethod
     def from_span(cls, t0: float, t_max: float, dt: float) -> "TimeGrid":
         """Grid covering [t0, t_max]; t_max is rounded up to a whole step."""
+        check_range("dt", dt, MIN_SCALE)
+        check_range("t0", t0)
+        check_range("t_max", t_max)
         if not t_max > t0:
-            raise ValueError(f"t_max={t_max} must exceed t0={t0}")
-        n = int(np.ceil((t_max - t0) / dt - 1e-12)) + 1
-        return cls(t0=t0, dt=dt, n=n)
+            raise ParameterError("t_max", f"t_max={t_max} must exceed t0={t0}")
+        return cls(t0=t0, dt=dt, n=int(np.ceil((t_max - t0) / dt - 1e-12)) + 1)
 
     @property
     def t_max(self) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import FrequencyGrid
+from .grids import MAGNITUDE_LIMIT, MIN_SCALE, FrequencyGrid, ParameterError, check_range
 
 GAUSSIAN = "gaussian"
 DECAYING_EXP = "decaying_exp"
@@ -67,13 +67,12 @@ class PulseSpec:
 
     def __post_init__(self):
         if self.shape not in PULSE_SHAPES:
-            raise ValueError(f"unknown pulse shape {self.shape!r}; expected one of {PULSE_SHAPES}")
-        if self.shape != DELTA and not self.tau_f > 0.0:
-            raise ValueError(f"tau_f must be positive, got {self.tau_f}")
-
-    @property
-    def is_normalizable(self) -> bool:
-        return self.shape != DELTA
+            raise ParameterError("shape", f"unknown pulse shape {self.shape!r}; expected one of "
+                                          f"{PULSE_SHAPES}")
+        if self.shape != DELTA:
+            check_range("tau_f", self.tau_f, MIN_SCALE)
+        for name in ("delta0", "t_a", "xi0"):
+            check_range(name, getattr(self, name))
 
     def with_arrival(self, t_a: float) -> "PulseSpec":
         return replace(self, t_a=t_a)
@@ -87,10 +86,11 @@ class CoherentPulseSpec:
     n_bar: float = 1.0
 
     def __post_init__(self):
-        if self.n_bar < 0.0:
-            raise ValueError(f"mean photon number must be >= 0, got {self.n_bar}")
-        if not self.base.is_normalizable:
-            raise ValueError("coherent pulse needs a normalizable base shape")
+        if not 0.0 <= self.n_bar <= MAGNITUDE_LIMIT:
+            raise ParameterError("n_bar", f"mean photon number must be >= 0 and at most "
+                                          f"{MAGNITUDE_LIMIT:g}, got {self.n_bar}")
+        if self.base.shape == DELTA:
+            raise ParameterError("shape", "coherent pulse needs a normalizable base shape")
 
 
 def spectral_amplitude(spec: PulseSpec, delta) -> np.ndarray | complex:

@@ -77,14 +77,12 @@ def write_trajectory(path_base, traj, metadata: dict | None = None) -> None:
     t = traj.times
     write_csv(f"{path_base}.csv", ["t", "re_C", "im_C", "P"],
               [t, traj.c.real, traj.c.imag, traj.p])
-    meta = {
+    write_json(f"{path_base}.json", {
         "solver_id": traj.solver_id,
         "params_digest": traj.params_digest,
         "grid": {"t0": traj.t0, "dt": traj.dt, "n": len(traj.p)},
-    }
-    if metadata:
-        meta.update(metadata)
-    write_json(f"{path_base}.json", meta)
+        **(metadata or {}),
+    })
 
 
 def write_sweep(path_base, sweep, metadata: dict | None = None) -> None:
@@ -95,24 +93,16 @@ def write_sweep(path_base, sweep, metadata: dict | None = None) -> None:
               [np.tile(sweep.tau_f_grid, nk), np.repeat(sweep.kappa_grid, nt),
                sweep.p_max.ravel(), sweep.t_peak.ravel(), status])
     tf_star, kap_star, p_star = sweep.argmax
-    meta = {
+    write_json(f"{path_base}.json", {
         "argmax": {"tau_f": tf_star, "kappa": kap_star, "p_max": p_star},
         "tau_f_grid": [float(x) for x in sweep.tau_f_grid],
         "kappa_grid": [float(x) for x in sweep.kappa_grid],
-    }
-    if metadata:
-        meta.update(metadata)
-    write_json(f"{path_base}.json", meta)
+        **(metadata or {}),
+    })
 
 
 def write_detector_trace(path_base, trace, metadata: dict | None = None) -> None:
     """Detector trace CSV (t, y) + JSON metadata (detector, statistics, n_bar)."""
     write_csv(f"{path_base}.csv", ["t", "y"], [trace.times, trace.y])
-    meta = {
-        "detector": trace.detector,
-        "statistics": trace.statistics,
-        "n_bar": trace.n_bar,
-    }
-    if metadata:
-        meta.update(metadata)
-    write_json(f"{path_base}.json", meta)
+    write_json(f"{path_base}.json", {"detector": trace.detector, "statistics": trace.statistics,
+                                     "n_bar": trace.n_bar, **(metadata or {})})

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfcx
 
+from .grids import MIN_SCALE, ParameterError, check_range
 from .pulses import (
     DECAYING_EXP,
     DELTA,
@@ -76,12 +77,10 @@ class InteractionSpectrum:
         if self.kind not in (LORENTZIAN, FLAT, TABULATED):
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
         if not 0.0 < self.gamma_p <= self.gamma:
-            raise ValueError(
-                f"need 0 < gamma_p <= gamma, got gamma_p={self.gamma_p}, gamma={self.gamma}"
-            )
+            raise ParameterError("gamma_p", f"need 0 < gamma_p <= gamma, got "
+                                            f"gamma_p={self.gamma_p}, gamma={self.gamma}")
         if self.kind == LORENTZIAN:
-            if self.kappa is None or not self.kappa > 0.0:
-                raise ValueError("lorentzian spectrum needs kappa > 0")
+            check_range("kappa", np.nan if self.kappa is None else self.kappa, MIN_SCALE)
         if self.kind == TABULATED:
             d = np.asarray(self.table_delta, dtype=float)
             g2 = np.asarray(self.table_g2, dtype=float)
@@ -332,8 +331,8 @@ def _driving_quadrature_nodes(spec: InteractionSpectrum, pulse: PulseSpec,
     evaluation span plus the drive's own decay tail.
     """
     if pulse.shape == DELTA:
-        raise ValueError("delta pulse with tabulated spectrum has no closed form "
-                         "(constant spectrum is not integrable on a finite table)")
+        raise ParameterError("shape", "delta pulse with tabulated spectrum has no closed form "
+                                      "(constant spectrum is not integrable on a finite table)")
     feature = 1.0 / pulse.tau_f
     half_width = abs(pulse.delta0) + 50.0 * feature
     pad = 25.0 * pulse.tau_f + 25.0 / feature
@@ -341,7 +340,7 @@ def _driving_quadrature_nodes(spec: InteractionSpectrum, pulse: PulseSpec,
     lo = max(-half_width, spec.table_delta[0])
     hi = min(half_width, spec.table_delta[-1])
     if not hi > lo:
-        raise ValueError("tabulated grid does not overlap the pulse spectrum window")
+        raise ParameterError("csv", "tabulated grid does not overlap the pulse spectrum window")
     m = int(np.ceil((hi - lo) / h)) + 1
     nodes = np.linspace(lo, hi, m)
     w = np.full(m, nodes[1] - nodes[0])
