@@ -15,12 +15,14 @@ import numpy as np
 from .dynamics import (
     AtomParams,
     Trajectory,
+    check_rates_agree,
+    max_ode_step,
     solve_closed_form_lorentzian,
     solve_markov,
     solve_ode_reduction,
     solve_volterra,
 )
-from .grids import MAX_GRID_SAMPLES, MIN_SCALE, ParameterError, TimeGrid, check_range
+from .grids import MIN_SCALE, ParameterError, TimeGrid, check_range
 from .pulses import DECAYING_EXP, GAUSSIAN, RISING_EXP, PulseSpec
 from .spectra import FLAT, TABULATED, InteractionSpectrum
 
@@ -182,18 +184,19 @@ def solve(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | No
 
     A flat spectrum has no memory and goes to `solve_markov`, a tabulated
     one has only its sampled kernel and goes to `solve_volterra`, and a
-    Lorentzian one goes to the named solver.
+    Lorentzian one goes to the named solver. The spectrum's decay rates
+    must be the atom's, which all but `solve_volterra` read.
     """
     if solver not in _SOLVERS:
         raise ParameterError("solver", f"unknown solver tag {solver!r}")
+    check_rates_agree(atom, spectrum)
     name = {FLAT: "markov", TABULATED: "volterra"}.get(spectrum.kind, solver)
     args = {"markov": (), "volterra": (spectrum,)}.get(name, (spectrum.kappa,))
     return _SOLVERS[name](atom, *args, pulse, grid)
 
 
-def cell_grid(shape: str, tau_f: float, kappa: float, gamma: float,
-              dt: float | None = None) -> tuple[TimeGrid, float]:
-    """Per-cell time grid and pulse arrival covering support plus ring-down."""
+def cell_span(shape: str, tau_f: float, kappa: float, gamma: float) -> tuple[float, float]:
+    """Lead (pulse arrival) and trail of a cell: pulse support plus ring-down."""
     check_range("tau_f", tau_f, MIN_SCALE)
     check_range("kappa", kappa, MIN_SCALE)
     trail_decay = 8.0 / gamma + 4.0 / min(kappa, 2.0 * gamma)
@@ -205,10 +208,16 @@ def cell_grid(shape: str, tau_f: float, kappa: float, gamma: float,
         lead, trail = 16.0 * tau_f, trail_decay
     else:
         raise ParameterError("shape", f"sweep does not support shape {shape!r}")
+    return lead, trail
+
+
+def cell_grid(shape: str, tau_f: float, kappa: float, gamma: float,
+              dt: float | None = None) -> tuple[TimeGrid, float]:
+    """Per-cell time grid over the `cell_span`, and the pulse arrival t_a = lead."""
+    lead, trail = cell_span(shape, tau_f, kappa, gamma)
     if dt is None:
         dt = min(4e-3 / gamma, tau_f / 10.0)
-    grid = TimeGrid.from_span(0.0, lead + trail, dt)
-    return grid, lead  # pulse arrival t_a = lead
+    return TimeGrid.from_span(0.0, lead + trail, dt), lead
 
 
 def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
@@ -217,9 +226,9 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
 
     Cells are independent; a failing cell is recorded as NaN with its error
     message in `status` and the sweep continues. Without a given dt, each
-    cell takes the `cell_grid` step, capped at 0.1/max(kappa, gamma) for
-    the RK4 solver. The argmax tie-break is toward smaller tau_f, then
-    smaller kappa.
+    cell takes the `cell_grid` step, capped at `max_ode_step` for the RK4
+    solver; a cell grid over the sample budget fails its cell. The argmax
+    tie-break is toward smaller tau_f, then smaller kappa.
     """
     tau_f_grid = np.asarray(tau_f_grid, dtype=float)
     kappa_grid = np.asarray(kappa_grid, dtype=float)
@@ -239,11 +248,8 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
                 grid, t_a = cell_grid(shape, tau_f, kappa, atom.gamma, dt)
                 if dt is None and solver == "ode_rk4":
                     # a derived RK4 step must also resolve the stiffest rate
-                    stiff_dt = min(grid.dt, 0.1 / max(kappa, atom.gamma))
+                    stiff_dt = min(grid.dt, max_ode_step(atom.gamma, kappa))
                     grid, t_a = cell_grid(shape, tau_f, kappa, atom.gamma, stiff_dt)
-                if grid.n > MAX_GRID_SAMPLES:
-                    raise ParameterError("sweep", f"cell grid of {grid.n:.3g} samples exceeds "
-                                                  f"the budget of {MAX_GRID_SAMPLES}")
                 pulse = PulseSpec(shape=shape, tau_f=tau_f, t_a=t_a)
                 spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p,
                                                           gamma=atom.gamma)

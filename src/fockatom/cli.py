@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import SOLVERS, SweepResult, cell_grid, solve, sweep_pmax
+from .analysis import SOLVERS, SweepResult, cell_grid, cell_span, solve, sweep_pmax
 from .detectors import DetectorTrace, bloch_response, fock_atom_response, linear_response
 from .dynamics import (
     MODE_FRACTION_PRESETS,
@@ -207,15 +207,10 @@ def normalize_config(raw: dict) -> dict:
     return cfg
 
 
-def _grid(cfg, t_max: float) -> TimeGrid:
-    """The configured grid, ending at grid.t_max if set and at t_max otherwise;
-    refused past MAX_GRID_SAMPLES, before anything is allocated."""
+def _grid(cfg, t_max: float | None) -> TimeGrid:
+    """The configured grid, ending at grid.t_max if set and at t_max otherwise."""
     g = cfg["grid"]
-    grid = TimeGrid.from_span(g["t0"], t_max if g["t_max"] is None else g["t_max"], g["dt"])
-    if grid.n > MAX_GRID_SAMPLES:
-        raise ParameterError("grid.dt", f"{grid.n:.3g} samples exceed the budget of "
-                                        f"{MAX_GRID_SAMPLES}; raise grid.dt or lower grid.t_max")
-    return grid
+    return TimeGrid.from_span(g["t0"], t_max if g["t_max"] is None else g["t_max"], g["dt"])
 
 
 def _build_spectrum(cfg, atom: AtomParams) -> InteractionSpectrum:
@@ -231,7 +226,8 @@ def _build_spectrum(cfg, atom: AtomParams) -> InteractionSpectrum:
 
 
 def _build_pulse_and_grid(cfg, atom: AtomParams, spectrum: InteractionSpectrum):
-    """Pulse with a contained arrival plus a grid covering ring-down."""
+    """Pulse with a contained arrival plus a grid covering ring-down: without
+    grid.t_max, the pulse's `cell_grid` shifted to grid.t0."""
     p = cfg["pulse"]
     t0 = cfg["grid"]["t0"]
     if p["shape"] == DELTA:
@@ -240,9 +236,12 @@ def _build_pulse_and_grid(cfg, atom: AtomParams, spectrum: InteractionSpectrum):
         return pulse, _grid(cfg, t_a + 12.0 / atom.gamma)
     pulse = PulseSpec(shape=p["shape"], tau_f=p["tau_f"], delta0=p["delta0"], xi0=p["xi0"])
     kappa = spectrum.kappa if spectrum.kind == "lorentzian" else np.inf
-    auto_grid, lead = cell_grid(p["shape"], p["tau_f"], min(kappa, 1e6), atom.gamma,
-                                dt=cfg["grid"]["dt"])
-    grid = _grid(cfg, t0 + auto_grid.t_max)
+    cell = (p["shape"], p["tau_f"], min(kappa, 1e6), atom.gamma)
+    if cfg["grid"]["t_max"] is None:
+        auto_grid, lead = cell_grid(*cell, dt=cfg["grid"]["dt"])
+        grid = _grid(cfg, t0 + auto_grid.t_max)
+    else:  # the cell grid is not built: at this dt it may exceed the sample budget
+        lead, grid = cell_span(*cell)[0], _grid(cfg, None)
     return pulse.with_arrival(t0 + lead if p["t_a"] is None else p["t_a"]), grid
 
 

@@ -58,7 +58,7 @@ def linear_response(atom: AtomParams, pulse: PulseSpec, statistics: str,
     atomic C(t); vacuum noise contributes nothing at zero temperature.
     statistics is "fock" (unit-norm pulse required) or "coherent" (scales
     with n_bar). The spectrum picks the solver as in `analysis.solve`, a
-    Lorentzian one taking the closed form.
+    Lorentzian one taking the closed form, and must carry the atom's rates.
     """
     if statistics not in (FOCK, COHERENT):
         raise ValueError(f"unknown statistics {statistics!r}")

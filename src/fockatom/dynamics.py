@@ -26,7 +26,8 @@ and the frequency-domain branch decomposition of the absorption amplitude.
 
 All solvers accept an initial amplitude C(t0) = c0 along with the pulse;
 the dynamics is linear, so the result is the superposition of the two
-responses.
+responses. Each returns `Trajectory.from_amplitude(grid, c, solver, atom,
+pulse, **extra)`, which digests those inputs and guards P <= 1.
 """
 
 from __future__ import annotations
@@ -38,16 +39,10 @@ import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
 from scipy.linalg.lapack import ztbtrs
 
-from .grids import MAX_GRID_SAMPLES, MIN_SCALE, ParameterError, TimeGrid, check_range
+from .grids import MIN_SCALE, ParameterError, TimeGrid, check_range, check_rates
 from .pulses import DELTA, PulseSpec
 from .serialize import params_digest
-from .spectra import (
-    FLAT,
-    InteractionSpectrum,
-    driving_term_uniform,
-    exp_filter,
-    memory_kernel,
-)
+from .spectra import InteractionSpectrum, driving_term_uniform, exp_filter, memory_kernel
 
 # Fraction gamma_p/gamma of pulse modes in the total field modes: perfect
 # matching, dipole-aligned 3-d free space, thin 1-d waveguide.
@@ -62,7 +57,6 @@ _DEGENERATE_RTOL = 1e-9   # |kappa - 2 gamma| below this (times gamma) is the do
 # and second-order time quadrature can overshoot it by ~1e-7 at dt = 1e-3,
 # so the guard sits above that; the 1e-9 physics bound is asserted in tests.
 _PROB_TOL = 1e-6
-_VOLTERRA_BYTES_PER_STEP = 240  # peak traced memory of solve_volterra per grid sample
 _TOEPLITZ_BLOCK = 128          # rows per dense solve of the Volterra Toeplitz system
 _RK4_BLOCK = 128               # RK4 steps per block-Toeplitz product of the ODE route
 
@@ -82,10 +76,7 @@ class AtomParams:
     c0: complex = 0.0 + 0j
 
     def __post_init__(self):
-        check_range("gamma", self.gamma, MIN_SCALE)
-        if not 0.0 < self.gamma_p <= self.gamma:
-            raise ParameterError("gamma_p", f"need 0 < gamma_p <= gamma, got "
-                                            f"gamma_p={self.gamma_p}, gamma={self.gamma}")
+        check_rates(self.gamma, self.gamma_p)
         check_range("t_d", self.t_d)
         c0 = complex(self.c0)
         if not math.hypot(c0.real, c0.imag) <= 1.0 + 1e-12:
@@ -95,6 +86,15 @@ class AtomParams:
     def with_mode_fraction(cls, preset: str, gamma: float = 1.0, **kw) -> "AtomParams":
         frac = MODE_FRACTION_PRESETS[preset]
         return cls(gamma=gamma, gamma_p=frac * gamma, **kw)
+
+
+def check_rates_agree(atom: AtomParams, spectrum: InteractionSpectrum) -> None:
+    """Refuse a spectrum whose decay rates are not the atom's (to 1e-12 of gamma)."""
+    for name in ("gamma", "gamma_p"):
+        mine, theirs = getattr(atom, name), getattr(spectrum, name)
+        if abs(theirs - mine) > 1e-12 * atom.gamma:
+            raise ParameterError(name, f"atom and spectrum rates disagree: atom {name}={mine}, "
+                                       f"spectrum {name}={theirs}")
 
 
 @dataclass(frozen=True)
@@ -166,37 +166,31 @@ class Trajectory:
         return TimeGrid(self.t0, self.dt, len(self.p))
 
     @classmethod
-    def from_amplitude(cls, grid: TimeGrid, c: np.ndarray, solver_id: str,
-                       params: dict, check_bound: bool = True) -> "Trajectory":
-        """Refuses, as a step that does not resolve the dynamics, a non-finite
-        amplitude and (with check_bound) P above 1 + _PROB_TOL."""
+    def from_amplitude(cls, grid: TimeGrid, c: np.ndarray, solver: str, atom: AtomParams,
+                       pulse: PulseSpec | None, **extra) -> "Trajectory":
+        """The trajectory a solver computed, its digest over the solver, the
+        atom, the pulse, the grid and the solver's own parameters `extra`.
+
+        Refuses, as a step that does not resolve the dynamics, a non-finite
+        amplitude and, unless the pulse is a delta (an unnormalizable drive),
+        P above 1 + _PROB_TOL.
+        """
         p = np.abs(c) ** 2
         p_max = p.max(initial=0.0)  # NaN if any sample is NaN
         if not np.isfinite(p_max):
-            raise ParameterError("dt", f"non-finite amplitude from {solver_id}: max P = {p_max}")
-        if check_bound and p_max > 1.0 + _PROB_TOL:
+            raise ParameterError("dt", f"non-finite amplitude from {solver}: max P = {p_max}")
+        if (pulse is None or pulse.shape != DELTA) and p_max > 1.0 + _PROB_TOL:
             raise ParameterError(
                 "dt", f"probability bound violated: max P = {p_max:.6g} > 1 + {_PROB_TOL}"
             )
+        params = {"solver": solver, "gamma": atom.gamma, "gamma_p": atom.gamma_p,
+                  "t_d": atom.t_d, "c0": [atom.c0.real, atom.c0.imag],
+                  "grid": {"t0": grid.t0, "dt": grid.dt, "n": grid.n}, **extra}
+        if pulse is not None:
+            params["pulse"] = {"shape": pulse.shape, "tau_f": pulse.tau_f,
+                               "delta0": pulse.delta0, "t_a": pulse.t_a, "xi0": pulse.xi0}
         return cls(t0=grid.t0, dt=grid.dt, c=np.asarray(c, complex), p=p,
-                   solver_id=solver_id, params_digest=params_digest(params))
-
-
-def _param_dict(solver: str, atom: AtomParams, grid: TimeGrid, pulse: PulseSpec | None,
-                **extra) -> dict:
-    d = {
-        "solver": solver,
-        "gamma": atom.gamma,
-        "gamma_p": atom.gamma_p,
-        "t_d": atom.t_d,
-        "c0": [atom.c0.real, atom.c0.imag],
-        "grid": {"t0": grid.t0, "dt": grid.dt, "n": grid.n},
-    }
-    if pulse is not None:
-        d["pulse"] = {"shape": pulse.shape, "tau_f": pulse.tau_f, "delta0": pulse.delta0,
-                      "t_a": pulse.t_a, "xi0": pulse.xi0}
-    d.update(extra)
-    return d
+                   solver_id=solver, params_digest=params_digest(params))
 
 
 def _lorentz_spectrum(atom: AtomParams, kappa: float) -> InteractionSpectrum:
@@ -205,10 +199,17 @@ def _lorentz_spectrum(atom: AtomParams, kappa: float) -> InteractionSpectrum:
 
 def _drive_on_grid(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | None,
                    grid: TimeGrid, half_step: bool = False) -> np.ndarray:
-    """D sampled on the grid (or the dt/2 refinement), with t_d folded in."""
+    """D sampled on the grid (or the dt/2 refinement), with t_d folded in.
+
+    A step with |delta0| dt > pi aliases the carrier of a (non-delta) pulse
+    and is refused.
+    """
     m = 2 * grid.n - 1 if half_step else grid.n
     if pulse is None:
         return np.zeros(m, dtype=complex)
+    if pulse.shape != DELTA and abs(pulse.delta0) * grid.dt > np.pi:
+        raise ParameterError("dt", f"dt={grid.dt:g} aliases the carrier: |delta0| dt = "
+                                   f"{abs(pulse.delta0) * grid.dt:.3g} > pi")
     dt = 0.5 * grid.dt if half_step else grid.dt
     return driving_term_uniform(spectrum, pulse, grid.t0 - atom.t_d, dt, m)
 
@@ -268,17 +269,20 @@ def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpe
         C = np.zeros(grid.n, dtype=complex)
         for p, s in br.pairs:
             C += s * (np.exp(-p * dtt) * atom.c0 + _exp_conv_trapezoid(p, D, grid.dt))
-    params = _param_dict("closed_form", atom, grid, pulse, kappa=kappa)
-    return Trajectory.from_amplitude(grid, C, "closed_form", params,
-                                     check_bound=pulse is None or pulse.shape != DELTA)
+    return Trajectory.from_amplitude(grid, C, "closed_form", atom, pulse, kappa=kappa)
+
+
+def max_ode_step(gamma: float, kappa: float) -> float:
+    """Largest RK4 step that resolves the stiffest rate max(kappa, gamma)."""
+    return 0.1 / max(kappa, gamma)
 
 
 def check_ode_step(gamma: float, kappa: float, dt: float) -> None:
-    """Refuse an RK4 step that does not resolve the stiffest rate max(kappa, gamma)."""
-    stiff = max(kappa, gamma)
-    if dt > 0.1 / stiff * (1.0 + 1e-9):
+    """Refuse an RK4 step above `max_ode_step`."""
+    limit = max_ode_step(gamma, kappa)
+    if dt > limit * (1.0 + 1e-9):
         raise ParameterError(
-            "dt", f"step too large for stiffness: dt={dt:g} > 0.1/max(kappa, gamma)={0.1 / stiff:g}"
+            "dt", f"step too large for stiffness: dt={dt:g} > 0.1/max(kappa, gamma)={limit:g}"
         )
 
 
@@ -346,9 +350,7 @@ def solve_ode_reduction(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
     C = np.empty(grid.n, dtype=complex)
     C[0] = atom.c0
     C[1:] = (Z[:, :, 0] + starts @ P[1:, 0, :].T).ravel()[:steps]
-    params = _param_dict("ode_rk4", atom, grid, pulse, kappa=kappa)
-    return Trajectory.from_amplitude(grid, C, "ode_rk4", params,
-                                     check_bound=pulse is None or pulse.shape != DELTA)
+    return Trajectory.from_amplitude(grid, C, "ode_rk4", atom, pulse, kappa=kappa)
 
 
 def _product_trapezoid_weights(kernel, dt: float, n: int):
@@ -428,26 +430,19 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     system in C_1..C_{n-1}, solved in O(n log^2 n) by blocked FFT products
     (Hairer, Lubich & Schlichte 1985); the weights and the discrete
     equations are those of the step-by-step march. A flat spectrum has no
-    memory to integrate and is refused (`solve_markov` is its solver); a
-    tabulated one is refused on grids reaching its kernel's period 2*pi/h,
-    h the node spacing.
+    memory to integrate and is refused by `memory_kernel` (`solve_markov` is
+    its solver); a tabulated one is refused on grids reaching its kernel's
+    period 2*pi/h, h the node spacing.
     """
-    if spectrum.kind == FLAT:
-        raise ValueError("flat spectrum has a memoryless kernel: use solve_markov")
-    if grid.n > MAX_GRID_SAMPLES:
-        raise ParameterError("dt", f"memory budget exceeded: n={grid.n} > {MAX_GRID_SAMPLES} "
-                                   f"(~{grid.n * _VOLTERRA_BYTES_PER_STEP / 2**20:.0f} MiB at "
-                                   f"{_VOLTERRA_BYTES_PER_STEP} B per sample)")
+    check_rates_agree(atom, spectrum)
+    kernel = memory_kernel(spectrum)
     span = (grid.n - 1) * grid.dt
     if span >= spectrum.alias_horizon:
         raise ParameterError("t_max", f"grid span {span:g} reaches the tabulated kernel's alias "
                                       f"horizon 2*pi/h = {spectrum.alias_horizon:g} "
                                       "(h = node spacing)")
-    if abs(spectrum.gamma - atom.gamma) > 1e-12 * atom.gamma or \
-       abs(spectrum.gamma_p - atom.gamma_p) > 1e-12 * atom.gamma:
-        raise ValueError("atom rates and spectrum rates disagree")
     D = _drive_on_grid(atom, spectrum, pulse, grid)
-    A, B = _product_trapezoid_weights(memory_kernel(spectrum), grid.dt, grid.n)
+    A, B = _product_trapezoid_weights(kernel, grid.dt, grid.n)
     half = 0.5 * grid.dt
     c0 = complex(atom.c0)
     # Memory integral I_i = A_{i-1} C_0 + sum_{m=1}^{i} w_{i-m} C_m with lag weights
@@ -466,10 +461,8 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     C = np.empty(grid.n, dtype=complex)
     C[0] = c0
     C[1:] = _solve_memory_toeplitz(mem, r)
-    params = _param_dict("volterra", atom, grid, pulse, spectrum_kind=spectrum.kind,
-                         kappa=spectrum.kappa)
-    return Trajectory.from_amplitude(grid, C, "volterra", params,
-                                     check_bound=pulse is None or pulse.shape != DELTA)
+    return Trajectory.from_amplitude(grid, C, "volterra", atom, pulse,
+                                     spectrum_kind=spectrum.kind, kappa=spectrum.kappa)
 
 
 def solve_markov(atom: AtomParams, pulse: PulseSpec | None, grid: TimeGrid) -> Trajectory:
@@ -491,13 +484,11 @@ def solve_markov(atom: AtomParams, pulse: PulseSpec | None, grid: TimeGrid) -> T
         spectrum = InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
         D = _drive_on_grid(atom, spectrum, pulse, grid)
         C = C + _exp_conv_trapezoid(g2, D, grid.dt)
-    params = _param_dict("markov", atom, grid, pulse)
-    return Trajectory.from_amplitude(grid, C, "markov", params,
-                                     check_bound=pulse is None or pulse.shape != DELTA)
+    return Trajectory.from_amplitude(grid, C, "markov", atom, pulse)
 
 
 def spontaneous_decay(atom: AtomParams, kappa: float, grid: TimeGrid) -> Trajectory:
-    """Decay of a fully excited atom (C(t0) = 1, no pulse), evaluated exactly.
+    """Decay of a fully excited atom (C(t0) = 1, no pulse): the closed form.
 
     P(t) = |s1 e^{-p1 (t-t0)} + s2 e^{-p2 (t-t0)}|^2; at kappa = 2*gamma the
     degenerate form |(1 + gamma (t-t0)) e^{-gamma (t-t0)}|^2 applies. For
@@ -505,14 +496,7 @@ def spontaneous_decay(atom: AtomParams, kappa: float, grid: TimeGrid) -> Traject
     """
     if atom.c0 != 1.0:
         raise ValueError("spontaneous decay is defined for c0 = 1 (excited atom)")
-    br = branch_params(atom.gamma, kappa)
-    dtt = grid.dt * np.arange(grid.n)
-    if br.degenerate:
-        C = (1.0 + atom.gamma * dtt) * np.exp(-atom.gamma * dtt) + 0j
-    else:
-        C = br.s1 * np.exp(-br.p1 * dtt) + br.s2 * np.exp(-br.p2 * dtt)
-    params = _param_dict("spontaneous_decay", atom, grid, None, kappa=kappa)
-    return Trajectory.from_amplitude(grid, C, "closed_form", params)
+    return solve_closed_form_lorentzian(atom, kappa, None, grid)
 
 
 def delta_pulse_rise(atom: AtomParams, kappa: float, grid: TimeGrid):

@@ -25,8 +25,8 @@ class ParameterError(ValueError):
 # numbers that the model forms then stay finite doubles.
 MAGNITUDE_LIMIT = 1e50
 MIN_SCALE = 1.0 / MAGNITUDE_LIMIT
-# Largest time grid a config may build, checked before anything is allocated;
-# it is also solve_volterra's memory cap, so a grid within it fits every solver.
+# Largest time grid, refused by TimeGrid before any sample is allocated; a grid
+# within it fits the memory of every solver (solve_volterra needs the most).
 MAX_GRID_SAMPLES = 1_000_000
 
 
@@ -37,9 +37,17 @@ def check_range(name: str, value: float, low: float = -MAGNITUDE_LIMIT) -> None:
                                    f"got {value}")
 
 
+def check_rates(gamma: float, gamma_p: float) -> None:
+    """Refuse decay rates outside 0 < gamma_p <= gamma, gamma a scale."""
+    check_range("gamma", gamma, MIN_SCALE)
+    if not 0.0 < gamma_p <= gamma:
+        raise ParameterError("gamma_p", f"need 0 < gamma_p <= gamma, got "
+                                        f"gamma_p={gamma_p}, gamma={gamma}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid t_k = t0 + k*dt, k = 0..n-1."""
+    """Uniform time grid t_k = t0 + k*dt, k = 0..n-1, at most MAX_GRID_SAMPLES long."""
 
     t0: float
     dt: float
@@ -50,6 +58,9 @@ class TimeGrid:
         check_range("t0", self.t0)
         if self.n < 2:
             raise ParameterError("t_max", f"need at least two samples, got n={self.n}")
+        if self.n > MAX_GRID_SAMPLES:
+            raise ParameterError("dt", f"{self.n:.3g} samples exceed the budget of "
+                                       f"{MAX_GRID_SAMPLES}; raise dt or shorten the span")
 
     @classmethod
     def from_span(cls, t0: float, t_max: float, dt: float) -> "TimeGrid":

@@ -14,8 +14,8 @@ Three spectrum variants:
   coupling keeps the complex cavity phase, g = sqrt(gamma_p/2pi)/(delta/kappa + i),
   and the kernel is exactly (gamma*kappa/2) exp(-kappa|t|).
 * flat: the Markov limit. The kernel degenerates to a Dirac mass of weight
-  gamma (exposed as a symbolic marker) and the driving term short-circuits
-  to sqrt(gamma_p) * u(t - t_a).
+  gamma, which `memory_kernel` refuses (the Markov solver needs no kernel),
+  and the driving term short-circuits to sqrt(gamma_p) * u(t - t_a).
 * tabulated: |g_tot|^2 sampled on a uniform user grid (two-column CSV delta,
   g2), linearly interpolated; kernel and driving are computed numerically. The
   pulse coupling uses the uniform fraction sqrt(gamma_p/gamma * g2) with
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfcx
 
-from .grids import MIN_SCALE, ParameterError, check_range
+from .grids import MIN_SCALE, ParameterError, check_range, check_rates
 from .pulses import (
     DECAYING_EXP,
     DELTA,
@@ -76,9 +76,7 @@ class InteractionSpectrum:
     def __post_init__(self):
         if self.kind not in (LORENTZIAN, FLAT, TABULATED):
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
-        if not 0.0 < self.gamma_p <= self.gamma:
-            raise ParameterError("gamma_p", f"need 0 < gamma_p <= gamma, got "
-                                            f"gamma_p={self.gamma_p}, gamma={self.gamma}")
+        check_rates(self.gamma, self.gamma_p)
         if self.kind == LORENTZIAN:
             check_range("kappa", np.nan if self.kappa is None else self.kappa, MIN_SCALE)
         if self.kind == TABULATED:
@@ -184,26 +182,17 @@ def coupling_amplitude(spec: InteractionSpectrum, delta) -> np.ndarray | complex
 class MemoryKernel:
     """Memory kernel G(t) of the amplitude equation.
 
-    For the flat spectrum the kernel is a Dirac mass of weight gamma
-    (`is_markov` marker); calling it pointwise is then an error. Lorentzian
-    kernels are analytic exponentials, tabulated ones are Fourier transforms
-    of the sampled spectrum.
+    Lorentzian kernels are analytic exponentials, tabulated ones are Fourier
+    transforms of the sampled spectrum.
     """
 
     gamma: float
     analytic: bool
-    is_markov: bool = False
-    markov_weight: float | None = None
     kappa: float | None = None
     _nodes: np.ndarray | None = field(default=None, repr=False)
     _weights: np.ndarray | None = field(default=None, repr=False)
 
     def __call__(self, t) -> np.ndarray | complex:
-        if self.is_markov:
-            raise ValueError(
-                "memoryless (Markov) kernel: weight gamma concentrated at t=0; "
-                "use markov_weight instead of pointwise evaluation"
-            )
         t = np.asarray(t, dtype=float)
         if self.analytic:
             out = 0.5 * self.gamma * self.kappa * np.exp(-self.kappa * np.abs(t)) + 0j
@@ -213,25 +202,23 @@ class MemoryKernel:
 
     def uniform(self, t0: float, dt: float, n: int) -> np.ndarray:
         """G on the uniform grid t0 + k*dt (fast path for solver weights)."""
-        if self.is_markov:
-            raise ValueError("memoryless (Markov) kernel has no uniform samples")
         if self.analytic:
-            t = t0 + dt * np.arange(n)
-            return 0.5 * self.gamma * self.kappa * np.exp(-self.kappa * np.abs(t)) + 0j
+            return self(t0 + dt * np.arange(n))
         return _phase_sum_uniform(self._weights, self._nodes, t0, dt, n)
 
 
 def memory_kernel(spec: InteractionSpectrum) -> MemoryKernel:
     """Memory kernel of the given spectrum: G(t) = FT of |g_tot|^2.
 
-    Lorentzian: exact (gamma*kappa/2) exp(-kappa|t|). Flat: symbolic Markov
-    marker of weight gamma. Tabulated: numeric transform on the user grid.
+    Lorentzian: exact (gamma*kappa/2) exp(-kappa|t|). Tabulated: numeric
+    transform on the user grid. Flat: refused, as its kernel is a Dirac mass
+    of weight gamma with no memory to sample (`solve_markov` is its solver).
     """
     if spec.kind == LORENTZIAN:
         return MemoryKernel(gamma=spec.gamma, analytic=True, kappa=spec.kappa)
     if spec.kind == FLAT:
-        return MemoryKernel(gamma=spec.gamma, analytic=False, is_markov=True,
-                            markov_weight=spec.gamma)
+        raise ParameterError("kind", "flat spectrum has a memoryless kernel (a Dirac mass of "
+                                     "weight gamma): use solve_markov")
     d = spec.table_delta
     w = np.empty_like(d)
     w[0] = 0.5 * (d[1] - d[0])

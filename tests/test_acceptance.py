@@ -101,8 +101,8 @@ def test_criterion_4_rise_time_bound():
     for kap in kappas:
         grid = TimeGrid.from_span(0.0, 4.0, 1e-4)
         c_r, _ = delta_pulse_rise(AtomParams(), kap, grid)
-        traj = Trajectory.from_amplitude(grid, c_r.astype(complex), "rise_edge",
-                                         {"kappa": kap}, check_bound=False)
+        traj = Trajectory(t0=grid.t0, dt=grid.dt, c=c_r.astype(complex), p=c_r**2,
+                          solver_id="rise_edge", params_digest="")  # P is not bounded by 1
         rises.append(transduction_metrics(traj, kap, GAMMA).rise_10_90)
     rises = np.array(rises)
     a = np.sum(rises / kappas) / np.sum(1.0 / kappas**2)

@@ -6,16 +6,22 @@ from scipy.signal import find_peaks
 
 from fockatom import (
     AtomParams,
+    InteractionSpectrum,
     PulseSpec,
     TimeGrid,
     Trajectory,
     delta_pulse_rise,
+    linear_response,
     probability_density,
+    solve,
     solve_markov,
     sweep_pmax,
     transduction_metrics,
 )
-from fockatom.analysis import _argmax_with_tiebreak, _local_maxima
+from fockatom import analysis
+from fockatom.analysis import SOLVERS, _argmax_with_tiebreak, _local_maxima
+from fockatom.dynamics import check_ode_step
+from fockatom.grids import ParameterError
 
 LN9 = np.log(9.0)
 
@@ -27,11 +33,11 @@ def _markov_delta_traj(gamma=1.0, t_arr=1.0, dt=1e-3, t_max=15.0):
 
 
 def _rise_edge_traj(gamma, kappa, dt=2e-4, t_max=4.0):
-    """Trajectory whose P is the squared delta-pulse rising edge."""
+    """Trajectory whose P is the squared delta-pulse rising edge (not bounded by 1)."""
     grid = TimeGrid.from_span(0.0, t_max, dt)
     c_r, _ = delta_pulse_rise(AtomParams(gamma=gamma, gamma_p=gamma), kappa, grid)
-    return Trajectory.from_amplitude(grid, c_r.astype(complex), "rise_edge",
-                                     {"kappa": kappa}, check_bound=False)
+    return Trajectory(t0=grid.t0, dt=grid.dt, c=c_r.astype(complex), p=c_r**2,
+                      solver_id="rise_edge", params_digest="")
 
 
 # ---------------------------------------------------------------------------
@@ -252,3 +258,51 @@ def test_sweep_single_cell():
     tf, kp, p = sweep.argmax
     assert (tf, kp) == (1.0, 1.0)
     assert p > 0.95
+
+
+def _half_rate_spectrum(kind):
+    """A spectrum of each kind whose gamma_p = 0.5 is not AtomParams()' gamma_p = 1."""
+    if kind == "tabulated":
+        d = np.linspace(-200.0, 200.0, 4001)
+        return InteractionSpectrum.tabulated(d, (1.0 / (2 * np.pi)) / ((d / 5.0) ** 2 + 1.0),
+                                             gamma_p=0.5)
+    if kind == "flat":
+        return InteractionSpectrum.flat(gamma_p=0.5)
+    return InteractionSpectrum.lorentzian(1.0, gamma_p=0.5)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("kind", ["lorentzian", "flat", "tabulated"])
+def test_solve_refuses_spectrum_rates_that_are_not_the_atom(kind, solver):
+    # each solver but volterra reads the atom's rates, so a mismatch would run silently
+    grid = TimeGrid.from_span(0.0, 8.0, 1e-2)
+    pulse = PulseSpec("gaussian", tau_f=1.0, t_a=4.0)
+    with pytest.raises(ParameterError, match="rates disagree") as err:
+        solve(AtomParams(), _half_rate_spectrum(kind), pulse, grid, solver)
+    assert err.value.field == "gamma_p"
+
+
+def test_linear_response_refuses_spectrum_rates_that_are_not_the_atom():
+    grid = TimeGrid.from_span(0.0, 8.0, 1e-2)
+    pulse = PulseSpec("gaussian", tau_f=1.0, t_a=4.0)
+    with pytest.raises(ParameterError, match="rates disagree"):
+        linear_response(AtomParams(), pulse, "fock", grid, _half_rate_spectrum("flat"))
+    spectrum = InteractionSpectrum.flat(gamma_p=1.0, gamma=2.0)
+    with pytest.raises(ParameterError, match="rates disagree") as err:
+        linear_response(AtomParams(), pulse, "fock", grid, spectrum)
+    assert err.value.field == "gamma"
+
+
+def test_derived_sweep_rk4_step_resolves_the_stiffest_rate(monkeypatch):
+    steps = []
+
+    def spy(atom, spectrum, pulse, grid, solver):
+        steps.append((spectrum.kappa, grid.dt))
+        return solve(atom, spectrum, pulse, grid, solver)
+
+    monkeypatch.setattr(analysis, "solve", spy)
+    sweep = sweep_pmax(AtomParams(), "gaussian", [1.0], [1.0, 50.0, 100.0], solver="ode_rk4")
+    assert [row[0] for row in sweep.status] == ["ok"] * 3
+    assert [kappa for kappa, _ in steps] == [1.0, 50.0, 100.0]
+    for kappa, dt in steps:
+        check_ode_step(1.0, kappa, dt)

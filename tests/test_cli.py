@@ -160,6 +160,35 @@ def test_ode_rk4_grid_too_coarse_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_step_aliasing_the_carrier_exits_2(tmp_path, capsys):
+    # |delta0| dt = 10 > pi: the sampled drive aliased silently to max P 6.04e-5
+    cfg = {"pulse": {"delta0": 1000.0, "tau_f": 0.01}, "spectrum": {"kappa": 1000.0},
+           "grid": {"t_max": 2.0}}
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    code, _, err = _run(["simulate", "--config", path, "--dt", "0.01", "--out", str(out)], capsys)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["field"] == "grid.dt"
+    assert "aliases the carrier" in payload["error"]
+    assert not out.exists()
+    code, _, _ = _run(["simulate", "--config", path, "--dt", "1e-4", "--out", str(out)], capsys)
+    assert code == 0
+    p = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 3]
+    assert p.max() == pytest.approx(2.03e-5, rel=1e-2)
+
+
+def test_set_t_max_runs_where_the_cell_grid_exceeds_the_budget(tmp_path, capsys):
+    # at tau_f = 10 the pulse's own cell grid spans 138 (1.4e6 samples at dt = 1e-4);
+    # with grid.t_max = 5 only 50001 samples are built
+    cfg = {"pulse": {"tau_f": 10.0, "t_a": 2.0}, "grid": {"t_max": 5.0, "dt": 1e-4}}
+    code, _, err = _run(["simulate", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")], capsys)
+    assert code == 0, err
+    meta = json.loads((tmp_path / "o" / "trajectory.json").read_text())
+    assert meta["grid"]["n"] == 50001
+
+
 @pytest.mark.parametrize("argv", [["simulate"], ["simulate", "--pulse", "delta"],
                                   ["decay"], ["delta-rise"], ["detector-compare"],
                                   ["figure", "fig2a"], ["figure", "fig3"],

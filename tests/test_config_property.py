@@ -186,5 +186,5 @@ def test_unwritable_output_dir_names_output_dir(tmp_path, capsys):
 def test_sweep_cell_over_the_grid_budget_fails_alone():
     # tau_f = 1e-5 derives dt = 1e-6: a 1e7-sample cell grid, refused before any allocation
     sweep = analysis.sweep_pmax(AtomParams(), "gaussian", [1e-5, 1.0], [10.0])
-    assert "exceeds the budget" in sweep.status[0][0]
+    assert "exceed the budget" in sweep.status[0][0]
     assert sweep.status[0][1] == "ok"

@@ -28,6 +28,8 @@ from fockatom.dynamics import (
     _first_order_recursion,
     _product_trapezoid_weights,
 )
+from fockatom.grids import ParameterError
+from fockatom.serialize import write_trajectory
 from fockatom.spectra import memory_kernel
 
 
@@ -374,10 +376,11 @@ def test_volterra_refuses_tabulated_grid_past_alias_horizon(t_max):
 
 
 def test_volterra_memory_budget():
-    atom = AtomParams()
-    grid = TimeGrid(0.0, 1e-3, 1_000_001)
-    with pytest.raises(ValueError, match="memory budget exceeded"):
-        solve_volterra(atom, InteractionSpectrum.lorentzian(1.0), None, grid)
+    # a grid past the sample budget, which every solver fits, cannot be built
+    with pytest.raises(ParameterError, match="1e\\+06 samples exceed the budget") as err:
+        solve_volterra(AtomParams(), InteractionSpectrum.lorentzian(1.0), None,
+                       TimeGrid(0.0, 1e-3, 1_000_001))
+    assert err.value.field == "dt"
 
 
 # ---------------------------------------------------------------------------
@@ -578,14 +581,15 @@ def test_probability_bound_across_solvers():
         assert traj.p.max() <= 1.0 + 1e-9
 
 
-@pytest.mark.parametrize("check_bound", [True, False])
+@pytest.mark.parametrize("delta", [True, False])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-def test_trajectory_refuses_non_finite_amplitude(bad, check_bound):
-    # NaN compares False with the P <= 1 bound, so it needs its own refusal
+def test_trajectory_refuses_non_finite_amplitude(bad, delta):
+    # NaN compares False with the P <= 1 bound, so it needs its own refusal,
+    # which also holds for a delta pulse, where the bound is not checked
     c = np.array([0.0, 0.5, bad, 0.1], dtype=complex)
+    pulse = PulseSpec("delta", xi0=0.1, t_a=0.1) if delta else None
     with pytest.raises(ValueError, match="non-finite amplitude"):
-        Trajectory.from_amplitude(TimeGrid(0.0, 0.1, 4), c, "markov", {},
-                                  check_bound=check_bound)
+        Trajectory.from_amplitude(TimeGrid(0.0, 0.1, 4), c, "markov", AtomParams(), pulse)
 
 
 def test_trajectory_probability_is_modulus_squared():
@@ -648,3 +652,40 @@ def test_triple_solver_agreement_spot(kappa, shape, tau_f):
     assert np.abs(a.p - b.p).max() < 1e-4
     assert np.abs(a.p - c.p).max() < 1e-4
     assert np.abs(b.p - c.p).max() < 1e-4
+
+
+def _branch_sum_decay(atom, kappa, grid):
+    """Excited-atom decay summed branch by branch, s1 e^{-p1 t} + s2 e^{-p2 t}
+    (the double-pole form at kappa = 2 gamma), without the closed form's recursion."""
+    br = branch_params(atom.gamma, kappa)
+    dtt = grid.dt * np.arange(grid.n)
+    if br.degenerate:
+        return (1.0 + atom.gamma * dtt) * np.exp(-atom.gamma * dtt) + 0j
+    return br.s1 * np.exp(-br.p1 * dtt) + br.s2 * np.exp(-br.p2 * dtt)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.7])
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 2.0, 5.0, 10.0, 37.0, 100.0])
+def test_spontaneous_decay_csv_is_the_branch_sum(tmp_path, gamma, kappa):
+    atom = AtomParams(gamma=gamma, gamma_p=0.6 * gamma, t_d=0.3, c0=1.0)
+    grid = TimeGrid.from_span(0.5, 8.5, 1e-3)
+    c = _branch_sum_decay(atom, kappa, grid)
+    oracle = Trajectory(t0=grid.t0, dt=grid.dt, c=c, p=np.abs(c) ** 2,
+                        solver_id="closed_form", params_digest="")
+    write_trajectory(tmp_path / "oracle", oracle)
+    write_trajectory(tmp_path / "decay", spontaneous_decay(atom, kappa, grid))
+    assert (tmp_path / "decay.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_drive_refuses_a_step_that_aliases_the_carrier():
+    atom, spec = AtomParams(), InteractionSpectrum.lorentzian(1000.0)
+    pulse = PulseSpec("gaussian", tau_f=0.01, delta0=1000.0, t_a=0.5)
+    with pytest.raises(ParameterError, match="aliases the carrier") as err:
+        _drive_on_grid(atom, spec, pulse, TimeGrid.from_span(0.0, 2.0, 0.01))
+    assert err.value.field == "dt"
+    # |delta0| dt = pi is the last step that resolves it, whatever the solver samples
+    for half_step in (False, True):
+        _drive_on_grid(atom, spec, pulse, TimeGrid(0.0, np.pi / 1000.0, 8), half_step)
+    # a delta pulse has no carrier to sample
+    delta = PulseSpec("delta", xi0=0.1, delta0=1000.0, t_a=0.5)
+    _drive_on_grid(atom, spec, delta, TimeGrid.from_span(0.0, 2.0, 0.01))

@@ -1,9 +1,12 @@
 """Time and detuning grid helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fockatom import FrequencyGrid, TimeGrid
+from fockatom.grids import MAX_GRID_SAMPLES, ParameterError
 
 
 def test_time_grid_span_covers_endpoint():
@@ -35,3 +38,22 @@ def test_frequency_grid_weights_sum_to_span():
     assert win.deltas[0] == -5.0 and win.deltas[-1] == 5.0
     with pytest.raises(ValueError):
         FrequencyGrid(-1.0, 11)
+
+
+def test_time_grid_sample_budget():
+    assert TimeGrid(0.0, 1e-3, MAX_GRID_SAMPLES).n == 1_000_000
+    with pytest.raises(ParameterError, match=r"^1e\+06 samples exceed the budget of 1000000") as err:
+        TimeGrid(0.0, 1e-3, MAX_GRID_SAMPLES + 1)
+    assert err.value.field == "dt"
+
+
+def test_from_span_refuses_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=r"^1e\+43 samples exceed the budget") as err:
+            TimeGrid.from_span(0.0, 1e40, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.field == "dt"
+    assert peak < 1 << 20

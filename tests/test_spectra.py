@@ -21,6 +21,7 @@ from fockatom import (
     memory_kernel,
     total_spectrum,
 )
+from fockatom.grids import ParameterError
 from fockatom.spectra import _fft_size, _phase_sum_uniform, driving_term_uniform
 
 
@@ -64,12 +65,19 @@ def test_lorentzian_kernel_values():
     assert kern(-0.3) == pytest.approx(np.conj(kern(0.3)), abs=1e-14)
 
 
-def test_flat_kernel_is_markov_marker():
-    kern = memory_kernel(InteractionSpectrum.flat(gamma=1.0))
-    assert kern.is_markov
-    assert kern.markov_weight == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="Markov"):
-        kern(0.0)
+@pytest.mark.parametrize("gamma", [np.nan, 0.0, 1e-60, 1e60])
+def test_spectrum_range_checks_gamma(gamma):
+    # the rates rule 0 < gamma_p <= gamma alone would pass gamma = gamma_p = 1e-60
+    with pytest.raises(ParameterError) as err:
+        InteractionSpectrum.flat(gamma_p=min(gamma, 1.0), gamma=gamma)
+    assert err.value.field == "gamma"
+
+
+def test_flat_kernel_is_refused():
+    # the Markov kernel is a Dirac mass with no memory to sample
+    with pytest.raises(ParameterError, match="solve_markov") as err:
+        memory_kernel(InteractionSpectrum.flat(gamma=1.0))
+    assert err.value.field == "kind"
 
 
 def test_kernel_spectrum_duality():
