@@ -23,7 +23,7 @@ from .dynamics import (
     solve_volterra,
 )
 from .grids import MIN_SCALE, ParameterError, TimeGrid, check_range
-from .pulses import DECAYING_EXP, GAUSSIAN, RISING_EXP, PulseSpec
+from .pulses import DECAYING_EXP, DELTA, GAUSSIAN, NORMALIZABLE_SHAPES, RISING_EXP, PulseSpec
 from .spectra import FLAT, TABULATED, InteractionSpectrum
 
 _LN9 = float(np.log(9.0))
@@ -196,19 +196,20 @@ def solve(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | No
 
 
 def cell_span(shape: str, tau_f: float, kappa: float, gamma: float) -> tuple[float, float]:
-    """Lead (pulse arrival) and trail of a cell: pulse support plus ring-down."""
-    check_range("tau_f", tau_f, MIN_SCALE)
+    """Lead (grid start to arrival t_a) and trail (t_a to grid end) of a pulse: its support
+    plus ring-down, 1/gamma and 12/gamma for a delta, whose tau_f goes unchecked."""
     check_range("kappa", kappa, MIN_SCALE)
+    if shape == DELTA:
+        return 1.0 / gamma, 12.0 / gamma
+    check_range("tau_f", tau_f, MIN_SCALE)
     trail_decay = 8.0 / gamma + 4.0 / min(kappa, 2.0 * gamma)
     if shape == GAUSSIAN:
-        lead, trail = 7.0 * tau_f, 6.0 * tau_f + trail_decay
-    elif shape == DECAYING_EXP:
-        lead, trail = 1.0 / gamma, 14.0 * tau_f + trail_decay
-    elif shape == RISING_EXP:
-        lead, trail = 16.0 * tau_f, trail_decay
-    else:
-        raise ParameterError("shape", f"sweep does not support shape {shape!r}")
-    return lead, trail
+        return 7.0 * tau_f, 6.0 * tau_f + trail_decay
+    if shape == DECAYING_EXP:
+        return 1.0 / gamma, 14.0 * tau_f + trail_decay
+    if shape == RISING_EXP:
+        return 16.0 * tau_f, trail_decay
+    raise ParameterError("shape", f"unknown pulse shape {shape!r}")
 
 
 def cell_grid(shape: str, tau_f: float, kappa: float, gamma: float,
@@ -221,17 +222,19 @@ def cell_grid(shape: str, tau_f: float, kappa: float, gamma: float,
 
 
 def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
-               solver: str = "closed_form", dt: float | None = None) -> SweepResult:
-    """max_t P over the (tau_f, kappa) grid for one pulse shape.
+               solver: str = "closed_form") -> SweepResult:
+    """max_t P over the (tau_f, kappa) grid for one normalizable pulse shape.
 
     Cells are independent; a failing cell is recorded as NaN with its error
-    message in `status` and the sweep continues. Without a given dt, each
-    cell takes the `cell_grid` step, capped at `max_ode_step` for the RK4
-    solver; a cell grid over the sample budget fails its cell. The argmax
-    tie-break is toward smaller tau_f, then smaller kappa.
+    message in `status` and the sweep continues. Each cell takes the
+    `cell_grid` step, capped at `max_ode_step` for the RK4 solver; a cell
+    grid over the sample budget fails its cell. The argmax tie-break is
+    toward smaller tau_f, then smaller kappa.
     """
     tau_f_grid = np.asarray(tau_f_grid, dtype=float)
     kappa_grid = np.asarray(kappa_grid, dtype=float)
+    if shape not in NORMALIZABLE_SHAPES:
+        raise ParameterError("shape", f"a sweep needs a normalizable pulse, got {shape!r}")
     if tau_f_grid.size == 0 or kappa_grid.size == 0:
         raise ParameterError("sweep", "sweep grids must be nonempty")
     if not (np.all(np.diff(tau_f_grid) > 0) and np.all(np.diff(kappa_grid) > 0)):
@@ -245,9 +248,9 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
     for i, kappa in enumerate(kappa_grid):
         for j, tau_f in enumerate(tau_f_grid):
             try:
-                grid, t_a = cell_grid(shape, tau_f, kappa, atom.gamma, dt)
-                if dt is None and solver == "ode_rk4":
-                    # a derived RK4 step must also resolve the stiffest rate
+                grid, t_a = cell_grid(shape, tau_f, kappa, atom.gamma)
+                if solver == "ode_rk4":
+                    # the RK4 step must also resolve the stiffest rate
                     stiff_dt = min(grid.dt, max_ode_step(atom.gamma, kappa))
                     grid, t_a = cell_grid(shape, tau_f, kappa, atom.gamma, stiff_dt)
                 pulse = PulseSpec(shape=shape, tau_f=tau_f, t_a=t_a)

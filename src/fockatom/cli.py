@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import SOLVERS, SweepResult, cell_grid, cell_span, solve, sweep_pmax
+from .analysis import SOLVERS, SweepResult, cell_span, solve, sweep_pmax
 from .detectors import DetectorTrace, bloch_response, fock_atom_response, linear_response
 from .dynamics import (
     MODE_FRACTION_PRESETS,
@@ -30,7 +30,7 @@ from .dynamics import (
     spontaneous_decay,
 )
 from .grids import MAX_GRID_SAMPLES, ParameterError, TimeGrid
-from .pulses import DELTA, PULSE_SHAPES, CoherentPulseSpec, PulseSpec
+from .pulses import PULSE_SHAPES, CoherentPulseSpec, PulseSpec
 from .serialize import (
     write_csv,
     write_detector_trace,
@@ -226,23 +226,18 @@ def _build_spectrum(cfg, atom: AtomParams) -> InteractionSpectrum:
 
 
 def _build_pulse_and_grid(cfg, atom: AtomParams, spectrum: InteractionSpectrum):
-    """Pulse with a contained arrival plus a grid covering ring-down: without
-    grid.t_max, the pulse's `cell_grid` shifted to grid.t0."""
+    """Pulse arriving at pulse.t_a, else at grid.t0 + the `cell_span` lead, and a grid from
+    grid.t0 to grid.t_max, else to the arrival plus the trail, rounded once. The configured
+    pulse is checked before the grid and the grid before the arrival, so a refusal names
+    the field the user set."""
     p = cfg["pulse"]
-    t0 = cfg["grid"]["t0"]
-    if p["shape"] == DELTA:
-        t_a = p["t_a"] if p["t_a"] is not None else 1.0 / atom.gamma
-        pulse = PulseSpec(shape=DELTA, xi0=p["xi0"], t_a=t_a, delta0=p["delta0"])
-        return pulse, _grid(cfg, t_a + 12.0 / atom.gamma)
-    pulse = PulseSpec(shape=p["shape"], tau_f=p["tau_f"], delta0=p["delta0"], xi0=p["xi0"])
+    pulse = PulseSpec(shape=p["shape"], tau_f=p["tau_f"], delta0=p["delta0"], xi0=p["xi0"],
+                      t_a=p["t_a"] or 0.0)
     kappa = spectrum.kappa if spectrum.kind == "lorentzian" else np.inf
-    cell = (p["shape"], p["tau_f"], min(kappa, 1e6), atom.gamma)
-    if cfg["grid"]["t_max"] is None:
-        auto_grid, lead = cell_grid(*cell, dt=cfg["grid"]["dt"])
-        grid = _grid(cfg, t0 + auto_grid.t_max)
-    else:  # the cell grid is not built: at this dt it may exceed the sample budget
-        lead, grid = cell_span(*cell)[0], _grid(cfg, None)
-    return pulse.with_arrival(t0 + lead if p["t_a"] is None else p["t_a"]), grid
+    lead, trail = cell_span(p["shape"], p["tau_f"], min(kappa, 1e6), atom.gamma)
+    t_a = cfg["grid"]["t0"] + lead if p["t_a"] is None else p["t_a"]
+    grid = _grid(cfg, t_a + trail)
+    return pulse.with_arrival(t_a), grid
 
 
 def _axis(ax) -> np.ndarray:

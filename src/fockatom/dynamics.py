@@ -468,18 +468,16 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
 def solve_markov(atom: AtomParams, pulse: PulseSpec | None, grid: TimeGrid) -> Trajectory:
     """Flat-spectrum (Wigner-Weisskopf) reference dynamics.
 
-    C' = -(gamma/2) C + sqrt(gamma_p) u(t - t_d - t_a); the delta pulse is
-    handled analytically, C jumping to xi0*sqrt(gamma_p) on arrival and
-    decaying at gamma/2 afterwards.
+    C' = -(gamma/2) C + sqrt(gamma_p) u(t - t_d - t_a). A delta pulse's u is
+    the Dirac mass of `exp_filter`: C jumps by sqrt(2 pi gamma_p) xi0 on arrival
+    and decays at gamma/2, the kappa -> inf limit of the Lorentzian response.
     """
     g2 = 0.5 * atom.gamma
     dtt = grid.dt * np.arange(grid.n)
     C = np.exp(-g2 * dtt) * atom.c0
     if pulse is not None and pulse.shape == DELTA:
-        t_arr = pulse.t_a + atom.t_d
-        rel = grid.times - t_arr
-        amp = pulse.xi0 * np.sqrt(atom.gamma_p)
-        C = C + np.where(rel >= 0.0, amp * np.exp(-g2 * np.clip(rel, 0.0, None)), 0.0)
+        rel = grid.times - pulse.t_a - atom.t_d
+        C = C + np.sqrt(atom.gamma_p) * exp_filter(g2, pulse, rel)
     elif pulse is not None:
         spectrum = InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
         D = _drive_on_grid(atom, spectrum, pulse, grid)

@@ -55,8 +55,8 @@ class PulseSpec:
         rising-exp cut-off.
     xi0 : float
         Constant spectral amplitude of the delta shape. The delta pulse is
-        unnormalizable; outputs driven by it scale as xi0**2 with an
-        arbitrary overall prefactor.
+        unnormalizable; its envelope, the transform of xi0 in the convention
+        of the other shapes, is the Dirac mass sqrt(2 pi) xi0 delta(t - t_a).
     """
 
     shape: str

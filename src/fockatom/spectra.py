@@ -383,9 +383,8 @@ def _phase_sum_uniform(vals: np.ndarray, nodes: np.ndarray,
     h = nodes[1] - nodes[0]
     x = vals * np.exp(-1j * nodes[0] * tau0)
     k = np.arange(max(m, n), dtype=float)
-    # w**e as exp(e log w): numpy's complex power computes the same, at several times the cost
-    wk2 = np.exp((0.5 * k * k) * np.log(np.exp(-1j * h * dtau)))
-    ak = np.exp(-k[:m] * np.log(np.exp(1j * h * tau0)))
+    wk2 = np.exp(-0.5j * h * dtau * (k * k))
+    ak = np.exp(-1j * h * tau0 * k[:m])
     size = _fft_size(m + n - 1)
     chirp = np.fft.fft(1.0 / np.concatenate((wk2[m - 1:0:-1], wk2[:n])), size)
     u = np.fft.fft(x * ak * wk2[:m], size)

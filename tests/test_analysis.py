@@ -105,7 +105,8 @@ def test_metrics_window_and_bound():
     m = transduction_metrics(traj, kappa=10.0, gamma=1.0)
     assert m.analytic_bound == pytest.approx(1.1)
     assert m.window == pytest.approx((m.rise_10_90 + m.fall_90_10) / LN9)
-    assert m.p_max == pytest.approx(0.01, rel=1e-3)
+    # the jump sqrt(2 pi gamma_p) xi0 of the Dirac drive: P = 2 pi xi0^2
+    assert m.p_max == pytest.approx(2 * np.pi * 0.01, rel=1e-3)
     assert not m.ambiguous
 
 
@@ -224,13 +225,23 @@ def test_sweep_rising_exp_strong_coupling_depresses():
 
 
 def test_sweep_records_cell_errors_and_continues():
+    # at kappa = 1e5 the RK4 step 0.1/kappa puts the 23-long cell over the sample budget
     atom = AtomParams()
-    sweep = sweep_pmax(atom, "gaussian", np.array([1.0]), np.array([1.0, 1000.0]),
-                       solver="ode_rk4", dt=1e-3)
+    sweep = sweep_pmax(atom, "gaussian", np.array([1.0]), np.array([1.0, 1e5]),
+                       solver="ode_rk4")
     assert sweep.status[0][0] == "ok"
-    assert sweep.status[1][0].startswith("error: step too large")
+    assert sweep.status[1][0].startswith("error: 2.3e+07 samples exceed the budget")
     assert np.isnan(sweep.p_max[1, 0])
     assert np.isfinite(sweep.p_max[0, 0])
+
+
+def test_sweep_refuses_a_delta_pulse_before_any_cell(monkeypatch):
+    cells = []
+    monkeypatch.setattr(analysis, "cell_grid", lambda *args, **kw: cells.append(args))
+    with pytest.raises(ParameterError) as exc:
+        sweep_pmax(AtomParams(), "delta", np.array([0.5, 1.0]), np.array([1.0, 10.0]))
+    assert exc.value.field == "shape"
+    assert cells == []
 
 
 def test_sweep_input_validation():

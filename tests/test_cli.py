@@ -11,6 +11,7 @@ import pytest
 import fockatom
 from fockatom import analysis, cli
 from fockatom.cli import main, normalize_config
+from fockatom.pulses import PULSE_SHAPES
 
 
 def _run(args, capsys):
@@ -187,6 +188,52 @@ def test_set_t_max_runs_where_the_cell_grid_exceeds_the_budget(tmp_path, capsys)
     assert code == 0, err
     meta = json.loads((tmp_path / "o" / "trajectory.json").read_text())
     assert meta["grid"]["n"] == 50001
+
+
+# ---------------------------------------------------------------------------
+# pulse window: the arrival at pulse.t_a or grid.t0 + lead, the grid to it plus the trail
+# ---------------------------------------------------------------------------
+
+def _max_p(tmp_path, capsys, name, cfg):
+    out = tmp_path / name
+    code, _, err = _run(["simulate", "--config", _write_config(tmp_path, cfg, name + ".json"),
+                         "--out", str(out)], capsys)
+    assert code == 0, err
+    return np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 3].max()
+
+
+def test_delta_pulse_arrives_inside_a_shifted_grid(tmp_path, capsys):
+    # the arrival is grid.t0 + 1/gamma, inside a grid that starts at t0 = 5
+    shifted = _max_p(tmp_path, capsys, "shifted", {"pulse": {"shape": "delta"},
+                                                   "grid": {"t0": 5.0}})
+    assert shifted == pytest.approx(0.0503057, abs=1e-7)
+    assert shifted == _max_p(tmp_path, capsys, "origin", {"pulse": {"shape": "delta"}})
+
+
+def test_set_arrival_moves_the_grid_end(tmp_path, capsys):
+    # a set arrival moves the grid end to t_a + trail
+    late = _max_p(tmp_path, capsys, "late", {"pulse": {"t_a": 30.0}})
+    assert late == pytest.approx(_max_p(tmp_path, capsys, "default", {}), abs=1e-6)
+    assert late == pytest.approx(0.8006558, abs=1e-6)
+
+
+def test_simulate_grid_is_the_cell_grid():
+    # one rounding of [0, lead + trail]; rounding the cell grid's whole-step end a
+    # second time, as the CLI did, adds a sample in some of these draws
+    rng = np.random.default_rng(9)
+    atom, second_rounding_differs = fockatom.AtomParams(), 0
+    for _ in range(2000):
+        shape = PULSE_SHAPES[rng.integers(4)]
+        tau_f, kappa = 10.0 ** rng.uniform(-2, 1), 10.0 ** rng.uniform(-1, 3)
+        lead, trail = analysis.cell_span(shape, tau_f, kappa, 1.0)
+        dt = (lead + trail) / 10.0 ** rng.uniform(1, 5.9)
+        cfg = normalize_config({"pulse": {"shape": shape, "tau_f": tau_f},
+                                "spectrum": {"kappa": kappa}, "grid": {"dt": dt}})
+        _, grid = cli._build_pulse_and_grid(cfg, atom, cli._build_spectrum(cfg, atom))
+        cell = analysis.cell_grid(shape, tau_f, kappa, 1.0, dt)[0]
+        assert grid.n == cell.n, (shape, tau_f, kappa, dt)
+        second_rounding_differs += fockatom.TimeGrid.from_span(0.0, cell.t_max, dt).n != cell.n
+    assert second_rounding_differs > 0
 
 
 @pytest.mark.parametrize("argv", [["simulate"], ["simulate", "--pulse", "delta"],

@@ -136,10 +136,10 @@ def test_every_config_runs_finite_or_exits_2_with_a_field(work, capsys, data):
     ("simulate", {"atom": {"mode_fraction": 2}}, "atom.mode_fraction"),
     ("validate", {"atom": {"mode_fraction": 2}}, "atom.mode_fraction"),
     ("simulate", {"atom": {"gamma_p": 2}}, "atom.gamma_p"),
-    # sweeps: bounded before anything is allocated, and a sweep with no cell left
+    # sweeps: bounded before anything is allocated, and a delta sweep before any cell runs
     ("sweep", {"sweep": {"tau_f": {"num": 1001}, "kappa": {"num": 1000}}}, "sweep.tau_f.num"),
     ("sweep", {"pulse": {"shape": "delta"}, "sweep": {"tau_f": {"num": 1}, "kappa": {"num": 1}}},
-     "sweep"),
+     "pulse.shape"),
     # validate builds every model input, so it reads the spectrum table
     ("validate", {"spectrum": {"kind": "tabulated", "csv": "missing.csv"}}, "spectrum.csv"),
     ("validate", {"scenario": "detector_compare", "pulse": {"n_bar": -1}}, "pulse.n_bar"),

@@ -393,8 +393,19 @@ def test_markov_delta_pulse_instantaneous_decay():
     pulse = PulseSpec("delta", xi0=0.1, t_a=1.0)
     traj = solve_markov(atom, pulse, grid)
     t = grid.times
-    expected = np.where(t >= 1.5, 0.1 * np.sqrt(0.8) * np.exp(-0.5 * (t - 1.5)), 0.0)
+    # the Dirac drive sqrt(2 pi) xi0 delta makes C jump by sqrt(2 pi gamma_p) xi0
+    expected = np.where(t >= 1.5, 0.1 * np.sqrt(2 * np.pi * 0.8) * np.exp(-0.5 * (t - 1.5)), 0.0)
     assert np.abs(traj.c - expected).max() < 1e-14
+
+
+def test_markov_delta_is_the_wide_lorentzian_limit():
+    # both routes drive with the same Dirac mass sqrt(2 pi) xi0 delta
+    atom = AtomParams()
+    grid = TimeGrid.from_span(0.0, 2.0, 1e-5)
+    pulse = PulseSpec("delta", xi0=0.1, t_a=1.0)
+    lorentzian = solve_closed_form_lorentzian(atom, 1e3, pulse, grid).p[-1]
+    markov = solve_markov(atom, pulse, grid).p[-1]
+    assert lorentzian / markov == pytest.approx(1.0, abs=0.02)
 
 
 def test_markov_gaussian_matches_erf_oracle():

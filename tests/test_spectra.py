@@ -22,7 +22,7 @@ from fockatom import (
     total_spectrum,
 )
 from fockatom.grids import ParameterError
-from fockatom.spectra import _fft_size, _phase_sum_uniform, driving_term_uniform
+from fockatom.spectra import _fft_size, _phase_sum, _phase_sum_uniform, driving_term_uniform
 
 
 def test_lorentzian_coupling_at_resonance():
@@ -263,12 +263,45 @@ def _phase_sum_czt(vals, nodes, tau0, dtau, n):
     (20001, 0.05, 0.0, 5e-4, 16001),     # tabulated kernel of the Volterra weights
 ])
 def test_bluestein_matches_scipy_czt(m, h, tau0, dtau, n):
+    # the oracle is the direct sum over the uniform nodes nodes_0 + j h that both
+    # transforms assume; scipy raises the rounded w = exp(-1j h dtau) to k^2/2 and
+    # drifts from it by up to 3.4e-9 here, so it bounds the error only from above
     rng = np.random.default_rng(m + n)
     nodes = np.linspace(-0.5 * h * (m - 1), 0.5 * h * (m - 1), m) + 0.3
     vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    want = _phase_sum_czt(vals, nodes, tau0, dtau, n)
-    got = _phase_sum_uniform(vals, nodes, tau0, dtau, n)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    k = np.unique(np.r_[np.arange(0, n, max(1, n // 500)), n - 1])
+    want = _phase_sum(vals, nodes[0] + (nodes[1] - nodes[0]) * np.arange(m), tau0 + dtau * k)
+    got = _phase_sum_uniform(vals, nodes, tau0, dtau, n)[k]
+    scipy_err = np.abs(_phase_sum_czt(vals, nodes, tau0, dtau, n)[k] - want).max()
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= min(1e-12 * scale, scipy_err + 1e-15 * scale)
+
+
+def _lorentzian_table(kappa=10.0):
+    d = np.linspace(-500.0, 500.0, 20001)
+    return InteractionSpectrum.tabulated(d, (1.0 / (2 * np.pi)) / ((d / kappa) ** 2 + 1.0))
+
+
+def test_tabulated_drive_takes_the_chirp_exactly():
+    # 4001 detuning nodes, 20001 times: a chirp exp((k^2/2) log w), w rounded off the
+    # unit circle, drifts past the bound
+    spec = _lorentzian_table()
+    pulse = PulseSpec("gaussian", tau_f=1.0, t_a=7.0)
+    n, dt = 20001, 2e-3
+    k = np.r_[np.arange(0, n, 50), n - 1]
+    fast = driving_term_uniform(spec, pulse, 0.0, dt, n)[k]
+    direct = driving_term(spec, pulse, dt * k)
+    assert np.abs(fast - direct).max() <= 1e-11 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("n", [16001, 64001])
+def test_tabulated_kernel_takes_the_chirp_exactly(n):
+    # the half-step kernel of an n = 8k or 32k Volterra run
+    kernel = memory_kernel(_lorentzian_table())
+    k = np.r_[np.arange(0, n, 100), n - 1]
+    fast = kernel.uniform(0.0, 5e-4, n)[k]
+    direct = kernel(5e-4 * k)
+    assert np.abs(fast - direct).max() <= 1e-11 * np.abs(direct).max()
 
 
 def test_fft_size_is_smallest_5_smooth_length():
