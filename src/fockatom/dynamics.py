@@ -249,6 +249,7 @@ def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpe
     C(t) = sum_j s_j e^{-p_j (t-t0)} [C(t0) + int_0^{t-t0} e^{p_j s} D(t0+s) ds];
     at the double pole kappa = 2*gamma the impulse response degenerates to
     (1 + gamma t) e^{-gamma t} and the corresponding form is used instead.
+    The free decay of C(t0) is formed only when C(t0) = c0 is nonzero.
     """
     spectrum = _lorentz_spectrum(atom, kappa)
     D = _drive_on_grid(atom, spectrum, pulse, grid)
@@ -256,7 +257,6 @@ def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpe
     dtt = grid.dt * np.arange(grid.n)
     if br.degenerate:
         g = atom.gamma
-        E = np.exp(-g * dtt)
         Ja = _exp_conv_trapezoid(g, D, grid.dt)
         # J_b = int (t-s) e^{-g(t-s)} D ds via the paired recursion
         e = np.exp(-g * grid.dt)
@@ -264,11 +264,17 @@ def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpe
         b[0] = 0.0
         b[1:] = e * (grid.dt * Ja[:-1] + 0.5 * grid.dt**2 * D[:-1])
         Jb = _first_order_recursion(e, b)
-        C = (1.0 + g * dtt) * E * atom.c0 + Ja + g * Jb
+        if atom.c0 == 0:
+            C = Ja + g * Jb
+        else:
+            C = (1.0 + g * dtt) * np.exp(-g * dtt) * atom.c0 + Ja + g * Jb
     else:
         C = np.zeros(grid.n, dtype=complex)
         for p, s in br.pairs:
-            C += s * (np.exp(-p * dtt) * atom.c0 + _exp_conv_trapezoid(p, D, grid.dt))
+            branch = _exp_conv_trapezoid(p, D, grid.dt)
+            if atom.c0 != 0:
+                branch = np.exp(-p * dtt) * atom.c0 + branch
+            C += s * branch
     return Trajectory.from_amplitude(grid, C, "closed_form", atom, pulse, kappa=kappa)
 
 

@@ -64,13 +64,19 @@ class TimeGrid:
 
     @classmethod
     def from_span(cls, t0: float, t_max: float, dt: float) -> "TimeGrid":
-        """Grid covering [t0, t_max]; t_max is rounded up to a whole step."""
+        """Grid covering [t0, t_max]; t_max is rounded up to a whole step.
+
+        A span within 1e-12 of a whole number of steps, relative to that
+        number, counts as whole: the rounding error of t_max - t0 grows with
+        the span, and t0 + span - t0 need not give back the span exactly.
+        """
         check_range("dt", dt, MIN_SCALE)
         check_range("t0", t0)
         check_range("t_max", t_max)
         if not t_max > t0:
             raise ParameterError("t_max", f"t_max={t_max} must exceed t0={t0}")
-        return cls(t0=t0, dt=dt, n=int(np.ceil((t_max - t0) / dt - 1e-12)) + 1)
+        q = (t_max - t0) / dt
+        return cls(t0=t0, dt=dt, n=int(np.ceil(q - 1e-12 * max(q, 1.0))) + 1)
 
     @property
     def t_max(self) -> float:

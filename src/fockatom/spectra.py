@@ -272,6 +272,12 @@ def _driving_eval(spec: InteractionSpectrum, pulse: PulseSpec, tau: np.ndarray) 
     return _phase_sum(vals, nodes, tau)
 
 
+def _real_if_exact(x: complex) -> complex | float:
+    """x as a float when its imaginary part is exactly zero, else as a complex."""
+    x = complex(x)
+    return x.real if x.imag == 0.0 else x
+
+
 def exp_filter(rate: complex, pulse: PulseSpec, tau) -> np.ndarray:
     """F_r[u](tau) = int_{-inf}^tau exp(-r (tau - s)) u(s) ds in closed form, Re r > 0.
 
@@ -279,29 +285,36 @@ def exp_filter(rate: complex, pulse: PulseSpec, tau) -> np.ndarray:
     sqrt(2 pi) xi0 times a Dirac mass at 0. The Gaussian form uses erfcx(z),
     z = (r - 1j delta0) tau_f - tau/(2 tau_f), and where Re z < 0 would make
     it overflow, the reflection erfcx(z) = 2 exp(z^2) - erfcx(-z).
+
+    A rate with an exactly zero imaginary part (kappa, a real branch pole)
+    and the carrier 1j delta0 at delta0 = 0 are carried as floats, so with
+    both real, exp and erfcx run in real arithmetic; the returned array is
+    complex always.
     """
     tau = np.asarray(tau, dtype=float)
+    rate = _real_if_exact(rate)
     after = tau >= 0.0
     tpos = np.clip(tau, 0.0, None)
     if pulse.shape == DELTA:
         return np.where(after, pulse.xi0 * np.sqrt(2.0 * np.pi) * np.exp(-rate * tpos), 0.0 + 0j)
-    tf, d0 = pulse.tau_f, pulse.delta0
+    tf, carrier = pulse.tau_f, _real_if_exact(1j * pulse.delta0)
     if pulse.shape == DECAYING_EXP:
-        a = 0.5 / tf + 1j * d0
+        a = 0.5 / tf + carrier
         if abs(rate - a) < _POLE_TOL * abs(rate):
             body = tpos * np.exp(-rate * tpos)
         else:
             body = (np.exp(-a * tpos) - np.exp(-rate * tpos)) / (rate - a)
         return np.where(after, body / np.sqrt(tf), 0.0 + 0j)
     if pulse.shape == RISING_EXP:
-        b = 0.5 / tf - 1j * d0  # the pulse tail before cut-off grows as e^{b tau}
+        b = 0.5 / tf - carrier  # the pulse tail before cut-off grows as e^{b tau}
         before = np.exp(b * np.clip(tau, None, 0.0))
-        return np.where(after, np.exp(-rate * tpos), before) / ((rate + b) * np.sqrt(tf))
+        return np.asarray(np.where(after, np.exp(-rate * tpos), before)
+                          / ((rate + b) * np.sqrt(tf)), dtype=complex)
     # gaussian
     amp = (2.0 * np.pi * tf**2) ** -0.25 * tf * np.sqrt(np.pi)
-    q = (rate - 1j * d0) * tf
+    q = (rate - carrier) * tf
     z = np.asarray(q - tau / (2.0 * tf))
-    gauss = np.exp(-1j * d0 * tau - tau**2 / (4.0 * tf**2))
+    gauss = np.exp(-carrier * tau - tau**2 / (4.0 * tf**2))
     out = np.empty(tau.shape, dtype=complex)
     head, tail = z.real >= 0.0, z.real < 0.0
     out[head] = amp * gauss[head] * erfcx(z[head])

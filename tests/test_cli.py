@@ -219,7 +219,7 @@ def test_set_arrival_moves_the_grid_end(tmp_path, capsys):
 
 def test_simulate_grid_is_the_cell_grid():
     # one rounding of [0, lead + trail]; rounding the cell grid's whole-step end a
-    # second time, as the CLI did, adds a sample in some of these draws
+    # second time gives the same grid
     rng = np.random.default_rng(9)
     atom, second_rounding_differs = fockatom.AtomParams(), 0
     for _ in range(2000):
@@ -233,7 +233,16 @@ def test_simulate_grid_is_the_cell_grid():
         cell = analysis.cell_grid(shape, tau_f, kappa, 1.0, dt)[0]
         assert grid.n == cell.n, (shape, tau_f, kappa, dt)
         second_rounding_differs += fockatom.TimeGrid.from_span(0.0, cell.t_max, dt).n != cell.n
-    assert second_rounding_differs > 0
+    assert second_rounding_differs == 0
+
+
+def test_simulate_grid_length_does_not_depend_on_t0():
+    # [t0, t0 + 23] at dt = 1e-3 is 23000 whole steps; t0 + 23 - t0 is not exactly 23
+    atom = fockatom.AtomParams()
+    for i in range(1, 1001):
+        cfg = normalize_config({"grid": {"t0": 0.01 * i}})
+        _, grid = cli._build_pulse_and_grid(cfg, atom, cli._build_spectrum(cfg, atom))
+        assert grid.n == 23001, grid.t0
 
 
 @pytest.mark.parametrize("argv", [["simulate"], ["simulate", "--pulse", "delta"],

@@ -25,6 +25,7 @@ from fockatom.dynamics import (
     _TOEPLITZ_BLOCK,
     MODE_FRACTION_PRESETS,
     _drive_on_grid,
+    _exp_conv_trapezoid,
     _first_order_recursion,
     _product_trapezoid_weights,
 )
@@ -119,6 +120,31 @@ def test_closed_form_recovers_initial_condition():
     grid = TimeGrid.from_span(0.0, 1.0, 1e-3)
     traj = solve_closed_form_lorentzian(atom, 10.0, PulseSpec("gaussian", t_a=0.5), grid)
     assert traj.c[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def _closed_form_with_c0_term(atom, kappa, pulse, grid):
+    """The closed-form amplitude with its free decay s_j e^{-p_j t} c0 always formed."""
+    D = _drive_on_grid(atom, InteractionSpectrum.lorentzian(kappa), pulse, grid)
+    br = branch_params(atom.gamma, kappa)
+    dtt = grid.dt * np.arange(grid.n)
+    if br.degenerate:
+        g, e = atom.gamma, np.exp(-atom.gamma * grid.dt)
+        Ja = _exp_conv_trapezoid(g, D, grid.dt)
+        b = np.zeros(grid.n, dtype=complex)
+        b[1:] = e * (grid.dt * Ja[:-1] + 0.5 * grid.dt**2 * D[:-1])
+        return (1.0 + g * dtt) * np.exp(-g * dtt) * atom.c0 + Ja + g * _first_order_recursion(e, b)
+    return sum(s * (np.exp(-p * dtt) * atom.c0 + _exp_conv_trapezoid(p, D, grid.dt))
+               for p, s in br.pairs)
+
+
+@pytest.mark.parametrize("kappa", [10.0, 2.0, 0.5], ids=["real", "double_pole", "complex"])
+@pytest.mark.parametrize("shape", ["gaussian", "decaying_exp", "rising_exp", "delta"])
+def test_closed_form_skips_a_zero_c0_term(kappa, shape):
+    atom = AtomParams()
+    grid = TimeGrid.from_span(0.0, 20.0, 2e-3)
+    pulse = PulseSpec(shape, tau_f=1.0, t_a=8.0, xi0=0.1)
+    got = solve_closed_form_lorentzian(atom, kappa, pulse, grid).c
+    assert np.abs(got - _closed_form_with_c0_term(atom, kappa, pulse, grid)).max() <= 1e-15
 
 
 def test_closed_form_decay_weak_coupling_is_exponential():

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.signal import czt
+from scipy.special import erfcx
 
 from fockatom import (
     InteractionSpectrum,
     PulseSpec,
+    branch_params,
     coupling_amplitude,
     driving_term,
     envelope,
@@ -22,7 +24,13 @@ from fockatom import (
     total_spectrum,
 )
 from fockatom.grids import ParameterError
-from fockatom.spectra import _fft_size, _phase_sum, _phase_sum_uniform, driving_term_uniform
+from fockatom.spectra import (
+    _fft_size,
+    _phase_sum,
+    _phase_sum_uniform,
+    driving_term_uniform,
+    exp_filter,
+)
 
 
 def test_lorentzian_coupling_at_resonance():
@@ -196,6 +204,51 @@ def test_degenerate_pole_decaying_exp():
         want = _drive_oracle(pulse, 1.0, 0.5, tau)
         assert np.isfinite(got.real) and np.isfinite(got.imag)
         assert abs(got - want) < 1e-6
+
+
+def _exp_filter_complex(rate, pulse, tau):
+    """The cavity filter F_r[u](tau) with every constant and transcendental complex."""
+    rate = complex(rate)
+    tau = np.asarray(tau, dtype=float)
+    after = tau >= 0.0
+    tpos = np.clip(tau, 0.0, None)
+    if pulse.shape == "delta":
+        return np.where(after, pulse.xi0 * np.sqrt(2.0 * np.pi) * np.exp(-rate * tpos), 0.0 + 0j)
+    tf, d0 = pulse.tau_f, pulse.delta0
+    if pulse.shape == "decaying_exp":
+        a = 0.5 / tf + 1j * d0
+        if abs(rate - a) < 1e-7 * abs(rate):
+            body = tpos * np.exp(-rate * tpos)
+        else:
+            body = (np.exp(-a * tpos) - np.exp(-rate * tpos)) / (rate - a)
+        return np.where(after, body / np.sqrt(tf), 0.0 + 0j)
+    if pulse.shape == "rising_exp":
+        b = 0.5 / tf - 1j * d0
+        before = np.exp(b * np.clip(tau, None, 0.0))
+        return np.where(after, np.exp(-rate * tpos), before) / ((rate + b) * np.sqrt(tf))
+    amp = (2.0 * np.pi * tf**2) ** -0.25 * tf * np.sqrt(np.pi)
+    q = (rate - 1j * d0) * tf
+    z = np.asarray(q - tau / (2.0 * tf))
+    gauss = np.exp(-1j * d0 * tau - tau**2 / (4.0 * tf**2))
+    out = np.empty(tau.shape, dtype=complex)
+    head, tail = z.real >= 0.0, z.real < 0.0
+    out[head] = amp * gauss[head] * erfcx(z[head])
+    out[tail] = amp * (2.0 * np.exp(q * q - rate * tau[tail]) - gauss[tail] * erfcx(-z[tail]))
+    return out
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "decaying_exp", "rising_exp", "delta"])
+@pytest.mark.parametrize("delta0", [0.0, 0.4])
+@pytest.mark.parametrize("rate", [10.0, branch_params(1.0, 10.0).p1, branch_params(1.0, 0.5).p1],
+                         ids=["kappa", "real_pole", "complex_pole"])
+def test_exp_filter_matches_all_complex_oracle(shape, delta0, rate):
+    # real rates and detunings run in real arithmetic; the values stay those of complex
+    pulse = PulseSpec(shape, tau_f=0.7, delta0=delta0, xi0=0.1)
+    tau = np.linspace(-12.0, 30.0, 4201)
+    got = exp_filter(rate, pulse, tau)
+    want = _exp_filter_complex(rate, pulse, tau)
+    assert got.dtype == complex
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_delta_drive_closed_form():
