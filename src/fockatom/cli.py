@@ -279,8 +279,15 @@ def _outputs(cfg: dict) -> dict:
                     {"saturation": float(c_r[-1])})
         return {"delta_rise": rise}
     if scenario == "sweep":
-        if cfg["grid"] != _DEFAULTS["grid"]:  # a sidecar must not record a grid no cell ran
+        # a sidecar must not record a field no cell ran: each cell takes its grid, its
+        # Lorentzian and its pulse from the axes and the pulse shape alone
+        if cfg["grid"] != _DEFAULTS["grid"]:
             raise ParameterError("grid", "a sweep builds each cell's grid from tau_f and kappa")
+        for section in ("pulse", "spectrum"):
+            for key, default in _DEFAULTS[section].items():
+                if cfg[section][key] != default and (section, key) != ("pulse", "shape"):
+                    raise ParameterError(f"{section}.{key}", "a sweep's cells take only "
+                                         "pulse.shape; tau_f and kappa come from the sweep axes")
         axes = [_axis(cfg["sweep"][name]) for name in ("tau_f", "kappa")]
         return {"sweep": lambda: sweep_pmax(atom, cfg["pulse"]["shape"], *axes,
                                             solver=cfg["solver"])}

@@ -9,7 +9,10 @@ is solved three ways that share nothing but the driving term:
 * `solve_closed_form_lorentzian`: the exact two-branch Laplace solution with
   decay rates p_j and weights s_j; the remaining time convolution is a
   cumulative trapezoid evaluated by a stable exponential recursion, solved
-  as one unit lower-bidiagonal banded system.
+  as one unit lower-bidiagonal banded system. The convolution is linear in
+  the drive, so the real and imaginary parts of D run as real sequences:
+  float64 recursions for real poles, and one complex recursion standing for
+  both branches of a complex-conjugate pair.
 * `solve_ode_reduction`: the exponential kernel embedded exactly as the
   auxiliary variable M' = -kappa*M + C, integrated with fixed-step RK4. The
   step is a constant affine 2x2 map of (C, M), applied blockwise: one
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
-from scipy.linalg.lapack import ztbtrs
+from scipy.linalg.lapack import dtbtrs, ztbtrs
 
 from .grids import MIN_SCALE, ParameterError, TimeGrid, check_range, check_rates
 from .pulses import DELTA, PulseSpec
@@ -214,32 +217,63 @@ def _drive_on_grid(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     return driving_term_uniform(spectrum, pulse, grid.t0 - atom.t_d, dt, m)
 
 
-def _first_order_recursion(e: complex, b: np.ndarray) -> np.ndarray:
-    """y_k = e y_{k-1} + b_k with y_{-1} = 0, overwriting the complex array b.
+def _first_order_recursion(e, b: np.ndarray) -> np.ndarray:
+    """y_k = e y_{k-1} + b_k with y_{-1} = 0, overwriting the array b.
 
     The recursion is the unit lower-bidiagonal system y_k - e y_{k-1} = b_k,
-    solved by one LAPACK banded triangular solve. The band is built in
-    Fortran order so it reaches LAPACK without a copy; its diagonal row is
-    not referenced (diag="U").
+    solved by one LAPACK banded triangular solve: `dtbtrs` when e and b are
+    both real, `ztbtrs` otherwise. The band is built in Fortran order so it
+    reaches LAPACK without a copy; only its sub-diagonal row is filled, as
+    the diagonal row is not referenced (diag="U").
     """
     n = len(b)
-    band = np.full((2, n), -e, dtype=complex, order="F")
-    y, _ = ztbtrs(band, b.reshape(n, 1), uplo="L", diag="U", overwrite_b=1)
+    dtype = np.result_type(e, b)
+    tbtrs = dtbtrs if dtype == np.float64 else ztbtrs
+    band = np.empty((2, n), dtype=dtype, order="F")
+    band[1] = -e
+    y, _ = tbtrs(band, b.reshape(n, 1), uplo="L", diag="U", overwrite_b=1)
     return y[:, 0]
 
 
-def _exp_conv_trapezoid(p: complex, D: np.ndarray, dt: float) -> np.ndarray:
+def _exp_conv_trapezoid(p, D: np.ndarray, dt: float) -> np.ndarray:
     """J_k = int_0^{t_k} e^{-p (t_k - s)} D(s) ds by cumulative trapezoid.
 
     Evaluated through the stable recursion J_k = e^{-p dt}(J_{k-1} +
     dt/2 D_{k-1}) + dt/2 D_k, identical to trapezoid in exact arithmetic,
-    as one banded solve (`_first_order_recursion`).
+    as one banded solve (`_first_order_recursion`). A real p and a real D
+    give a real J, computed in float64.
     """
     e = np.exp(-p * dt)
-    b = np.empty(len(D), dtype=complex)
+    b = np.empty(len(D), dtype=np.result_type(e, D))
     b[0] = 0.0
-    b[1:] = 0.5 * dt * (e * D[:-1] + D[1:])
+    rest = b[1:]  # dt/2 (e D_{k-1} + D_k), formed in place
+    np.multiply(e, D[:-1], out=rest)
+    rest += D[1:]
+    np.multiply(0.5 * dt, rest, out=rest)
     return _first_order_recursion(e, b)
+
+
+def _branch_sum(br: LorentzBranches, D: np.ndarray, dt: float) -> np.ndarray:
+    """sum_j s_j J_{p_j}[D], the two-branch response to the drive D.
+
+    J is linear, so the real and imaginary parts of D are convolved as
+    separate real sequences, and a part that is identically zero is skipped
+    (J[0] = 0). For real poles the weights are real too and each branch is a
+    float64 recursion. For a complex pair p2 = conj(p1) and s2 = conj(s1)
+    exactly, so s2 J_{p2}[x] = conj(s1 J_{p1}[x]) for real x and the sum is
+    2 Re(s1 J_{p1}[x]): one complex recursion for both branches.
+    """
+    (p1, s1), (p2, s2) = br.pairs
+    C = np.zeros(len(D), dtype=complex)
+    for x, out in ((D.real, C.real), (D.imag, C.imag)):
+        if not x.any():
+            continue
+        if p1.imag == 0.0:
+            out[:] = (s1.real * _exp_conv_trapezoid(p1.real, x, dt)
+                      + s2.real * _exp_conv_trapezoid(p2.real, x, dt))
+        else:
+            out[:] = 2.0 * (s1 * _exp_conv_trapezoid(p1, x, dt)).real
+    return C
 
 
 def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
@@ -249,12 +283,15 @@ def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpe
     C(t) = sum_j s_j e^{-p_j (t-t0)} [C(t0) + int_0^{t-t0} e^{p_j s} D(t0+s) ds];
     at the double pole kappa = 2*gamma the impulse response degenerates to
     (1 + gamma t) e^{-gamma t} and the corresponding form is used instead.
-    The free decay of C(t0) is formed only when C(t0) = c0 is nonzero.
+    Away from it the drive term is `_branch_sum`: the real and imaginary
+    parts of D run as real sequences, float64 recursions for real poles and
+    one complex recursion for a conjugate pair, and a part that is zero (the
+    real part at delta0 = 0) is skipped. The free decay of C(t0) is formed
+    only when C(t0) = c0 is nonzero.
     """
     spectrum = _lorentz_spectrum(atom, kappa)
     D = _drive_on_grid(atom, spectrum, pulse, grid)
     br = branch_params(atom.gamma, kappa)
-    dtt = grid.dt * np.arange(grid.n)
     if br.degenerate:
         g = atom.gamma
         Ja = _exp_conv_trapezoid(g, D, grid.dt)
@@ -267,14 +304,14 @@ def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpe
         if atom.c0 == 0:
             C = Ja + g * Jb
         else:
+            dtt = grid.dt * np.arange(grid.n)
             C = (1.0 + g * dtt) * np.exp(-g * dtt) * atom.c0 + Ja + g * Jb
     else:
-        C = np.zeros(grid.n, dtype=complex)
-        for p, s in br.pairs:
-            branch = _exp_conv_trapezoid(p, D, grid.dt)
-            if atom.c0 != 0:
-                branch = np.exp(-p * dtt) * atom.c0 + branch
-            C += s * branch
+        C = _branch_sum(br, D, grid.dt)
+        if atom.c0 != 0:
+            dtt = grid.dt * np.arange(grid.n)
+            for p, s in br.pairs:
+                C += s * (np.exp(-p * dtt) * atom.c0)
     return Trajectory.from_amplitude(grid, C, "closed_form", atom, pulse, kappa=kappa)
 
 

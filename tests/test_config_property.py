@@ -143,6 +143,14 @@ def test_every_config_runs_finite_or_exits_2_with_a_field(work, capsys, data):
     # validate builds every model input, so it reads the spectrum table
     ("validate", {"spectrum": {"kind": "tabulated", "csv": "missing.csv"}}, "spectrum.csv"),
     ("validate", {"scenario": "detector_compare", "pulse": {"n_bar": -1}}, "pulse.n_bar"),
+    # a sweep's cells take only the pulse shape: other pulse and spectrum fields would be
+    # recorded in the sidecar but not run
+    ("sweep", {"pulse": {"delta0": 0.5}}, "pulse.delta0"),
+    ("sweep", {"pulse": {"tau_f": 2.0}}, "pulse.tau_f"),
+    ("sweep", {"pulse": {"shape": "rising_exp", "xi0": 0.2}}, "pulse.xi0"),
+    ("sweep", {"spectrum": {"kind": "flat"}}, "spectrum.kind"),
+    ("sweep", {"spectrum": {"kappa": 5.0}}, "spectrum.kappa"),
+    ("figure fig4e", {"pulse": {"delta0": 0.5}}, "pulse.delta0"),
 ])
 def test_refusal_names_the_config_field(tmp_path, capsys, work, command, cfg, field):
     if cfg.get("spectrum", {}).get("kind") == "tabulated":

@@ -24,6 +24,7 @@ from fockatom.dynamics import (
     _RK4_BLOCK,
     _TOEPLITZ_BLOCK,
     MODE_FRACTION_PRESETS,
+    _branch_sum,
     _drive_on_grid,
     _exp_conv_trapezoid,
     _first_order_recursion,
@@ -93,14 +94,19 @@ def test_branch_degenerate_flag():
 
 @pytest.mark.parametrize("n", [1, 2, 127, 30001])
 def test_first_order_recursion_matches_lfilter(n):
-    # y_k = e y_{k-1} + b_k: real and complex decay factors, then the paired
-    # double-pole recursion of the closed form, whose input is a first solution
+    # y_k = e y_{k-1} + b_k: real and complex decay factors, a real factor on a real
+    # input (the float64 solve), then the paired double-pole recursion of the closed
+    # form, whose input is a first solution
     rng = np.random.default_rng(n)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     dt = 1e-3
-    for e in (np.exp(-dt), np.exp(-(0.3 + 2.0j) * dt), np.exp(-(50.0 - 7.0j) * dt)):
-        want = lfilter([1.0], [1.0, -e], b)
-        got = _first_order_recursion(e, b.copy())
+    cases = [(e, b) for e in (np.exp(-dt), np.exp(-(0.3 + 2.0j) * dt),
+                              np.exp(-(50.0 - 7.0j) * dt))]
+    cases += [(np.exp(-dt), b.real.copy()), (np.exp(-50.0 * dt), b.imag.copy())]
+    for e, x in cases:
+        want = lfilter([1.0], [1.0, -e], x)
+        got = _first_order_recursion(e, x.copy())
+        assert got.dtype == want.dtype
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     e = np.exp(-dt)
 
@@ -122,8 +128,9 @@ def test_closed_form_recovers_initial_condition():
     assert traj.c[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def _closed_form_with_c0_term(atom, kappa, pulse, grid):
-    """The closed-form amplitude with its free decay s_j e^{-p_j t} c0 always formed."""
+def _closed_form_two_recursions(atom, kappa, pulse, grid):
+    """The closed form summed branch by branch: one complex recursion on the complex
+    drive per branch, s_j (e^{-p_j t} c0 + J_{p_j}[D]), the free decay always formed."""
     D = _drive_on_grid(atom, InteractionSpectrum.lorentzian(kappa), pulse, grid)
     br = branch_params(atom.gamma, kappa)
     dtt = grid.dt * np.arange(grid.n)
@@ -137,6 +144,19 @@ def _closed_form_with_c0_term(atom, kappa, pulse, grid):
                for p, s in br.pairs)
 
 
+def _closed_form_with_c0_term(atom, kappa, pulse, grid):
+    """The closed-form amplitude with its free decay s_j e^{-p_j t} c0 always formed."""
+    br = branch_params(atom.gamma, kappa)
+    if br.degenerate:
+        return _closed_form_two_recursions(atom, kappa, pulse, grid)
+    D = _drive_on_grid(atom, InteractionSpectrum.lorentzian(kappa), pulse, grid)
+    dtt = grid.dt * np.arange(grid.n)
+    C = _branch_sum(br, D, grid.dt)
+    for p, s in br.pairs:
+        C += s * (np.exp(-p * dtt) * atom.c0)
+    return C
+
+
 @pytest.mark.parametrize("kappa", [10.0, 2.0, 0.5], ids=["real", "double_pole", "complex"])
 @pytest.mark.parametrize("shape", ["gaussian", "decaying_exp", "rising_exp", "delta"])
 def test_closed_form_skips_a_zero_c0_term(kappa, shape):
@@ -145,6 +165,53 @@ def test_closed_form_skips_a_zero_c0_term(kappa, shape):
     pulse = PulseSpec(shape, tau_f=1.0, t_a=8.0, xi0=0.1)
     got = solve_closed_form_lorentzian(atom, kappa, pulse, grid).c
     assert np.abs(got - _closed_form_with_c0_term(atom, kappa, pulse, grid)).max() <= 1e-15
+
+
+def _closed_form_longdouble(atom, kappa, pulse, grid):
+    """The branch-by-branch trapezoid recursion in extended precision: p_j and s_j from
+    the `branch_params` formulas in longdouble, run on the float64 drive by `lfilter`
+    in clongdouble. Its distance from a float64 route is that route's rounding drift."""
+    D = _drive_on_grid(atom, InteractionSpectrum.lorentzian(kappa), pulse, grid)
+    ld, cld = np.longdouble, np.clongdouble
+    g, k, dt = ld(atom.gamma), ld(kappa), ld(grid.dt)
+    disc = k * k - 2 * k * g
+    if disc >= 0:
+        p2 = cld((k + np.sqrt(disc)) / 2)
+        r = 1 / np.sqrt(1 - 2 * g / k)
+        pairs = ((g * k / 2 / p2, cld((1 + r) / 2)), (p2, cld((1 - r) / 2)))
+    else:
+        w, v = np.sqrt(-disc) / 2, 1 / (2 * np.sqrt(2 * g / k - 1))
+        p1, s1 = cld(k / 2) - cld(1j) * w, cld(0.5) - cld(1j) * v
+        pairs = ((p1, s1), (np.conj(p1), np.conj(s1)))
+    Dl = D.astype(cld)
+    dtt = dt * np.arange(grid.n, dtype=ld)
+    C = np.zeros(grid.n, dtype=cld)
+    for p, s in pairs:
+        e = np.exp(-p * dt)
+        b = np.zeros(grid.n, dtype=cld)
+        b[1:] = dt / 2 * (e * Dl[:-1] + Dl[1:])
+        J = lfilter(np.ones(1, dtype=cld), np.array([1, -e], dtype=cld), b)
+        C += s * (np.exp(-p * dtt) * cld(atom.c0) + J)
+    return C
+
+
+# kappa straddles the double pole 2 gamma (a conjugate pair below, real poles above);
+# delta0 = 0.4 makes both parts of the drive nonzero
+_CF_KAPPAS = [0.3, 1.0, 1.9, 2.1, 5.0, 9.0, 10.0, 11.0, 30.0, 100.0]
+
+
+@pytest.mark.parametrize("c0", [0j, 0.3 + 0.2j], ids=["c0_zero", "c0_set"])
+@pytest.mark.parametrize("delta0", [0.0, 0.4])
+@pytest.mark.parametrize("shape", ["gaussian", "decaying_exp", "rising_exp"])
+@pytest.mark.parametrize("kappa", _CF_KAPPAS)
+def test_closed_form_real_parts_match_two_complex_recursions(kappa, shape, delta0, c0):
+    atom = AtomParams(c0=c0)
+    grid = TimeGrid.from_span(0.0, 20.0, 2e-3)
+    pulse = PulseSpec(shape, tau_f=1.0, delta0=delta0, t_a=8.0)
+    got = solve_closed_form_lorentzian(atom, kappa, pulse, grid).c
+    assert np.abs(got - _closed_form_two_recursions(atom, kappa, pulse, grid)).max() <= 1e-14
+    exact = _closed_form_longdouble(atom, kappa, pulse, grid)
+    assert np.abs(got - exact).max() <= 1e-13
 
 
 def test_closed_form_decay_weak_coupling_is_exponential():
