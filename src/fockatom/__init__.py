@@ -32,20 +32,17 @@ from .dynamics import (
     solve_volterra,
     spontaneous_decay,
 )
-from .grids import FrequencyGrid, TimeGrid
+from .grids import TimeGrid
 from .pulses import (
     CoherentPulseSpec,
     PulseSpec,
-    coherent_amplitude,
     envelope,
     spectral_amplitude,
-    validate_normalization,
 )
 from .spectra import (
     InteractionSpectrum,
     MemoryKernel,
     coupling_amplitude,
-    driving_term,
     memory_kernel,
     total_spectrum,
 )
@@ -54,7 +51,6 @@ __all__ = [
     "AtomParams",
     "CoherentPulseSpec",
     "DetectorTrace",
-    "FrequencyGrid",
     "InteractionSpectrum",
     "LorentzBranches",
     "MemoryKernel",
@@ -67,10 +63,8 @@ __all__ = [
     "bloch_response",
     "branch_decomposition",
     "branch_params",
-    "coherent_amplitude",
     "coupling_amplitude",
     "delta_pulse_rise",
-    "driving_term",
     "envelope",
     "fock_atom_response",
     "linear_response",
@@ -86,5 +80,4 @@ __all__ = [
     "sweep_pmax",
     "total_spectrum",
     "transduction_metrics",
-    "validate_normalization",
 ]

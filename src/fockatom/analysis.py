@@ -60,10 +60,6 @@ class SweepResult:
     status: list
     argmax: tuple
 
-    def row(self, kappa: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.kappa_grid - kappa)))
-        return self.p_max[i]
-
 
 def probability_density(traj: Trajectory) -> np.ndarray:
     """Excitation probability density: P normalized to unit time integral."""

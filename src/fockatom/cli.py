@@ -29,7 +29,7 @@ from .dynamics import (
     delta_pulse_rise,
     spontaneous_decay,
 )
-from .grids import MAX_GRID_SAMPLES, ParameterError, TimeGrid
+from .grids import MAX_GRID_SAMPLES, MIN_SCALE, ParameterError, TimeGrid, check_range
 from .pulses import PULSE_SHAPES, CoherentPulseSpec, PulseSpec
 from .serialize import (
     write_csv,
@@ -105,6 +105,13 @@ _DEFAULTS = {
     "solver": "closed_form",
     "output_dir": None,
 }
+
+# The pulse and spectrum fields a scenario reads, for the scenarios that read only some:
+# a sidecar records the config, so any other field of those sections set away from its
+# default is refused rather than recorded and not run. A sweep cell's tau_f and kappa
+# come from the sweep axes.
+_READS = {"sweep": ("pulse.shape",), "decay": ("spectrum.kappa",),
+          "delta_rise": ("spectrum.kappa",)}
 
 # fields that may be null, with their type; the others are typed by their default
 _NULLABLE = {"atom.gamma_p": float, "pulse.t_a": float, "grid.t_max": float,
@@ -265,6 +272,16 @@ def _outputs(cfg: dict) -> dict:
         pulse, grid = _build_pulse_and_grid(cfg, atom, spectrum)
         return {"trajectory": lambda: solve(atom, spectrum, pulse, grid, cfg["solver"])}
     kappa = cfg["spectrum"]["kappa"]
+    if scenario == "sweep" and cfg["grid"] != _DEFAULTS["grid"]:
+        raise ParameterError("grid", "a sweep builds each cell's grid from tau_f and kappa")
+    reads = _READS.get(scenario, ())
+    if "spectrum.kappa" in reads:
+        check_range("kappa", kappa, MIN_SCALE)  # a field read is checked before those refused
+    for section in ("pulse", "spectrum") if reads else ():
+        for key, default in _DEFAULTS[section].items():
+            if cfg[section][key] != default and f"{section}.{key}" not in reads:
+                raise ParameterError(f"{section}.{key}", f"{scenario} reads only "
+                                     f"{', '.join(reads)} of the pulse and spectrum sections")
     if scenario == "decay":
         grid = _grid(cfg, cfg["grid"]["t0"] + 8.0 / atom.gamma)
         return {"decay": lambda: spontaneous_decay(replace(atom, c0=1.0), kappa, grid)}
@@ -279,15 +296,6 @@ def _outputs(cfg: dict) -> dict:
                     {"saturation": float(c_r[-1])})
         return {"delta_rise": rise}
     if scenario == "sweep":
-        # a sidecar must not record a field no cell ran: each cell takes its grid, its
-        # Lorentzian and its pulse from the axes and the pulse shape alone
-        if cfg["grid"] != _DEFAULTS["grid"]:
-            raise ParameterError("grid", "a sweep builds each cell's grid from tau_f and kappa")
-        for section in ("pulse", "spectrum"):
-            for key, default in _DEFAULTS[section].items():
-                if cfg[section][key] != default and (section, key) != ("pulse", "shape"):
-                    raise ParameterError(f"{section}.{key}", "a sweep's cells take only "
-                                         "pulse.shape; tau_f and kappa come from the sweep axes")
         axes = [_axis(cfg["sweep"][name]) for name in ("tau_f", "kappa")]
         return {"sweep": lambda: sweep_pmax(atom, cfg["pulse"]["shape"], *axes,
                                             solver=cfg["solver"])}

@@ -85,11 +85,6 @@ class AtomParams:
         if not math.hypot(c0.real, c0.imag) <= 1.0 + 1e-12:
             raise ParameterError("c0", f"|c0| must be <= 1, got {math.hypot(c0.real, c0.imag)}")
 
-    @classmethod
-    def with_mode_fraction(cls, preset: str, gamma: float = 1.0, **kw) -> "AtomParams":
-        frac = MODE_FRACTION_PRESETS[preset]
-        return cls(gamma=gamma, gamma_p=frac * gamma, **kw)
-
 
 def check_rates_agree(atom: AtomParams, spectrum: InteractionSpectrum) -> None:
     """Refuse a spectrum whose decay rates are not the atom's (to 1e-12 of gamma)."""
@@ -163,10 +158,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self.p))
-
-    @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid(self.t0, self.dt, len(self.p))
 
     @classmethod
     def from_amplitude(cls, grid: TimeGrid, c: np.ndarray, solver: str, atom: AtomParams,

@@ -1,4 +1,4 @@
-"""Uniform time and detuning grids shared by solvers and quadratures.
+"""The uniform time grid every solver runs on, and the parameter range rules.
 
 All rates are in units of the Markov spontaneous decay rate gamma and all
 times in 1/gamma. Frequencies are detunings from the atomic transition
@@ -89,31 +89,3 @@ class TimeGrid:
     def half_step_times(self) -> np.ndarray:
         """All nodes and midpoints: 2n-1 samples at dt/2 spacing (RK4 stages)."""
         return self.t0 + 0.5 * self.dt * np.arange(2 * self.n - 1)
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Uniform detuning window [-half_width, half_width] with n points."""
-
-    half_width: float
-    n: int
-
-    def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise ValueError("half_width must be positive")
-        if self.n < 3:
-            raise ValueError("need at least three quadrature nodes")
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.n)
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / (self.n - 1)
-
-    def trapezoid_weights(self) -> np.ndarray:
-        w = np.full(self.n, self.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w

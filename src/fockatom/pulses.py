@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import MAGNITUDE_LIMIT, MIN_SCALE, FrequencyGrid, ParameterError, check_range
+from .grids import MAGNITUDE_LIMIT, MIN_SCALE, ParameterError, check_range
 
 GAUSSIAN = "gaussian"
 DECAYING_EXP = "decaying_exp"
@@ -131,35 +131,3 @@ def envelope(spec: PulseSpec, t) -> np.ndarray | complex:
         mag = np.where(x <= 0.0, np.sqrt(1.0 / tf) * np.exp(-np.abs(x) / (2.0 * tf)), 0.0)
     out = mag * np.exp(-1j * spec.delta0 * x) if spec.delta0 != 0.0 else mag + 0j
     return out if out.ndim else complex(out)
-
-
-def coherent_amplitude(spec: CoherentPulseSpec, delta) -> np.ndarray | complex:
-    """Coherent-state spectral amplitude: sqrt(n_bar) * base amplitude."""
-    return np.sqrt(spec.n_bar) * spectral_amplitude(spec.base, delta)
-
-
-def default_window(spec: PulseSpec, n: int = 20001) -> FrequencyGrid:
-    """Detuning window wide enough for norm checks: delta0 +- 50/tau_f."""
-    if spec.shape == DELTA:
-        raise ValueError("delta pulse has no finite normalization window")
-    return FrequencyGrid(half_width=abs(spec.delta0) + 50.0 / spec.tau_f, n=n)
-
-
-def validate_normalization(spec: PulseSpec, window: FrequencyGrid) -> float:
-    """Residual |integral of |xi|^2 - 1| over the window.
-
-    The window must reach at least 40/tau_f beyond the carrier on each side;
-    a narrower window raises with the required width. The delta shape is
-    rejected as unnormalizable.
-    """
-    if spec.shape == DELTA:
-        raise ValueError("delta pulse is unnormalizable by definition")
-    required = abs(spec.delta0) + 40.0 / spec.tau_f
-    if window.half_width < required:
-        raise ValueError(
-            f"window half-width {window.half_width:g} too narrow; "
-            f"need at least {required:g} (= |delta0| + 40/tau_f)"
-        )
-    xi = spectral_amplitude(spec, window.deltas)
-    total = float(np.sum(window.trapezoid_weights() * np.abs(xi) ** 2))
-    return abs(total - 1.0)

@@ -21,13 +21,15 @@ Three spectrum variants:
   pulse coupling uses the uniform fraction sqrt(gamma_p/gamma * g2) with
   zero phase.
 
-Driving-term evaluation: the lorentzian pulse coupling is a causal
-first-order cavity filter, D(tau) = -1j sqrt(gamma_p) kappa F_kappa[u](tau)
-with F_r[u](tau) = int_{-inf}^tau exp(-r (tau - s)) u(s) ds, and `exp_filter`
-evaluates F_r in closed form for every pulse shape. Tabulated spectra use
-composite-trapezoid quadrature on a uniform detuning grid, evaluated for all
-requested times at once as a chirp-z transform by Bluestein's algorithm on
-numpy's FFT.
+Every solver samples D and G on a uniform time grid, and each has one
+evaluator there: `driving_term_uniform` and `MemoryKernel.uniform`. The
+lorentzian pulse coupling is a causal first-order cavity filter,
+D(tau) = -1j sqrt(gamma_p) kappa F_kappa[u](tau) with
+F_r[u](tau) = int_{-inf}^tau exp(-r (tau - s)) u(s) ds, and `exp_filter`
+evaluates F_r in closed form for every pulse shape. Tabulated drives and
+kernels are composite-trapezoid quadratures on a uniform detuning grid,
+evaluated for all grid times at once as a chirp-z transform by Bluestein's
+algorithm on numpy's FFT.
 """
 
 from __future__ import annotations
@@ -180,10 +182,11 @@ def coupling_amplitude(spec: InteractionSpectrum, delta) -> np.ndarray | complex
 
 @dataclass(frozen=True)
 class MemoryKernel:
-    """Memory kernel G(t) of the amplitude equation.
+    """Memory kernel G(t) of the amplitude equation, evaluated by `uniform` alone.
 
     Lorentzian kernels are analytic exponentials, tabulated ones are Fourier
-    transforms of the sampled spectrum.
+    transforms of the sampled spectrum, summed by the Bluestein chirp-z
+    transform.
     """
 
     gamma: float
@@ -192,18 +195,11 @@ class MemoryKernel:
     _nodes: np.ndarray | None = field(default=None, repr=False)
     _weights: np.ndarray | None = field(default=None, repr=False)
 
-    def __call__(self, t) -> np.ndarray | complex:
-        t = np.asarray(t, dtype=float)
-        if self.analytic:
-            out = 0.5 * self.gamma * self.kappa * np.exp(-self.kappa * np.abs(t)) + 0j
-        else:
-            out = _phase_sum(self._weights, self._nodes, t)
-        return out if out.ndim else complex(out)
-
     def uniform(self, t0: float, dt: float, n: int) -> np.ndarray:
-        """G on the uniform grid t0 + k*dt (fast path for solver weights)."""
+        """G on the uniform grid t0 + k*dt, the samples every solver weight is built from."""
         if self.analytic:
-            return self(t0 + dt * np.arange(n))
+            t = t0 + dt * np.arange(n)
+            return 0.5 * self.gamma * self.kappa * np.exp(-self.kappa * np.abs(t)) + 0j
         return _phase_sum_uniform(self._weights, self._nodes, t0, dt, n)
 
 
@@ -232,31 +228,20 @@ def memory_kernel(spec: InteractionSpectrum) -> MemoryKernel:
 # driving term
 # ---------------------------------------------------------------------------
 
-def driving_term(spec: InteractionSpectrum, pulse: PulseSpec, t) -> np.ndarray | complex:
-    """Driving term D(t) of the amplitude equation at time(s) t.
-
-    Times are absolute; the pulse reference enters through t - t_a.
-    Lorentzian drives are the closed-form cavity filter (`exp_filter`);
-    tabulated drives use composite-trapezoid quadrature over the detuning
-    window.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    out = _driving_eval(spec, pulse, np.atleast_1d(t_arr) - pulse.t_a)
-    return complex(out[0]) if scalar else out
-
-
 def driving_term_uniform(spec: InteractionSpectrum, pulse: PulseSpec,
                          t0: float, dt: float, n: int) -> np.ndarray:
-    """D on the uniform grid t0 + k*dt; tabulated spectra take the Bluestein chirp-z path."""
+    """Driving term D(t) of the amplitude equation on the uniform grid t0 + k*dt.
+
+    Times are absolute; the pulse reference enters through t - t_a. Flat
+    drives are the envelope, Lorentzian drives the closed-form cavity filter
+    (`exp_filter`), and tabulated drives the trapezoid quadrature over the
+    detuning window, summed by the Bluestein chirp-z transform.
+    """
     tau0 = t0 - pulse.t_a
-    if spec.kind != TABULATED:
-        return _driving_eval(spec, pulse, tau0 + dt * np.arange(n))
-    nodes, vals = _driving_quadrature_nodes(spec, pulse, tau_span=(n - 1) * dt)
-    return _phase_sum_uniform(vals, nodes, tau0, dt, n)
-
-
-def _driving_eval(spec: InteractionSpectrum, pulse: PulseSpec, tau: np.ndarray) -> np.ndarray:
+    if spec.kind == TABULATED:
+        nodes, vals = _driving_quadrature_nodes(spec, pulse, tau_span=(n - 1) * dt)
+        return _phase_sum_uniform(vals, nodes, tau0, dt, n)
+    tau = tau0 + dt * np.arange(n)
     if spec.kind == FLAT:
         if pulse.shape == DELTA:
             raise ValueError(
@@ -265,11 +250,7 @@ def _driving_eval(spec: InteractionSpectrum, pulse: PulseSpec, tau: np.ndarray) 
             )
         # Markov short-circuit: D = sqrt(gamma_p) * u(t - t_a)
         return np.sqrt(spec.gamma_p) * np.asarray(envelope(pulse, tau + pulse.t_a))
-    if spec.kind == LORENTZIAN:
-        return -1j * np.sqrt(spec.gamma_p) * spec.kappa * exp_filter(spec.kappa, pulse, tau)
-    nodes, vals = _driving_quadrature_nodes(spec, pulse,
-                                            tau_span=float(np.ptp(tau)) if tau.size else 0.0)
-    return _phase_sum(vals, nodes, tau)
+    return -1j * np.sqrt(spec.gamma_p) * spec.kappa * exp_filter(spec.kappa, pulse, tau)
 
 
 def _real_if_exact(x: complex) -> complex | float:
@@ -349,20 +330,6 @@ def _driving_quadrature_nodes(spec: InteractionSpectrum, pulse: PulseSpec,
     vals = w * np.asarray(coupling_amplitude(spec, nodes)) * np.asarray(
         spectral_amplitude(pulse, nodes))
     return nodes, vals
-
-
-def _phase_sum(vals: np.ndarray, nodes: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """sum_j vals_j * exp(-1j*nodes_j*tau_k) for arbitrary tau, blocked.
-
-    Block size is capped so the outer-product phase matrix stays ~64 MB.
-    """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    block = max(1, (1 << 22) // max(nodes.size, 1))
-    out = np.empty(tau.shape, dtype=complex)
-    for s in range(0, tau.size, block):
-        chunk = tau[s:s + block]
-        out[s:s + block] = np.exp(-1j * np.outer(chunk, nodes)) @ vals
-    return out
 
 
 def _fft_size(n: int) -> int:

@@ -211,9 +211,9 @@ def test_sweep_gaussian_optimum_location_and_value():
     tf_star, kap_star, p_star = sweep.argmax
     assert 0.5 <= tf_star <= 2.0
     assert p_star > 0.96
-    assert sweep.row(1.0).max() > 0.96
+    assert sweep.p_max[0].max() > 0.96
     # kappa = gamma row beats the weak-coupling row for the Gaussian pulse
-    assert sweep.row(1.0).max() > sweep.row(100.0).max()
+    assert sweep.p_max[0].max() > sweep.p_max[3].max()
 
 
 def test_sweep_rising_exp_strong_coupling_depresses():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fockatom import analysis, cli
 from fockatom.dynamics import MODE_FRACTION_PRESETS, AtomParams
 from fockatom.pulses import PULSE_SHAPES
+from fockatom.spectra import InteractionSpectrum, memory_kernel
 
 
 def _leaves(section, prefix=""):
@@ -105,6 +106,67 @@ def test_every_config_runs_finite_or_exits_2_with_a_field(work, capsys, data):
         assert all(_all_finite(path) for path in csvs), (command, cfg)
 
 
+TABLE_SPAN, TABLE_DT = 4.0, 0.02  # the grid every drawn table runs on
+
+
+@st.composite
+def _tables(draw):
+    """A Lorentzian table, uniform at a random spacing, with up to two faults drawn into it.
+
+    Returns the CSV text and whether no fault was drawn.
+    """
+    h = draw(st.floats(0.02, 3.0))  # alias horizon 2*pi/h, above TABLE_SPAN up to h = 1.57
+    d = draw(st.floats(-150.0, 20.0)) + h * np.arange(draw(st.integers(0, 300)))
+    g2 = (1.0 / (2 * np.pi)) / ((d / draw(st.floats(1.0, 10.0))) ** 2 + 1.0)
+    rows = [[repr(x), repr(y)] for x, y in zip(d.tolist(), g2.tolist())]
+    faults = draw(st.lists(st.sampled_from(["gap", "short", "negative", "nan", "inf", "-inf"]),
+                           max_size=2)) if rows else []
+    for fault in faults:
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "gap":  # widen the gap before row i
+            wider = draw(st.sampled_from([1e-4, 0.01, 0.5])) * h
+            for row in rows[i:]:
+                row[0] = repr(float(row[0]) + wider)
+        elif fault == "short":
+            rows[i] = rows[i][:1]
+        elif fault == "negative":
+            rows[i][-1] = "-1e-3"
+        else:  # a non-finite delta or g2
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = fault
+    text = "delta,g2\n" + "".join(",".join(row) + "\n" for row in rows)
+    return text, not faults and len(rows) >= 2
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables())
+def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table):
+    text, clean = table
+    path = os.path.join(work, "table.csv")
+    with open(path, "w") as fh:
+        fh.write(text)
+    # tau_f = 0.25: the drive's detuning window [-200, 200] overlaps every drawn table
+    cfg = {"spectrum": {"kind": "tabulated", "csv": path}, "pulse": {"tau_f": 0.25},
+           "grid": {"t_max": TABLE_SPAN, "dt": TABLE_DT}}
+    code, csvs = _run(work, "simulate", cfg)
+    err = capsys.readouterr().err
+    if code == 2:
+        field = json.loads(err)["field"]
+        if field == "grid.t_max":
+            assert InteractionSpectrum.from_csv(path).alias_horizon <= TABLE_SPAN
+        else:
+            assert field == "spectrum.csv" and not clean, (text, err)
+        return
+    assert code == 0 and all(_all_finite(p) for p in csvs), (text, err)
+    # the half-step kernel of the Volterra weights against the direct phase sum
+    kernel = memory_kernel(InteractionSpectrum.from_csv(path))
+    n = round(2 * TABLE_SPAN / TABLE_DT) + 1
+    tau = 0.5 * TABLE_DT * np.arange(n)
+    want = np.exp(-1j * np.outer(tau, kernel._nodes)) @ kernel._weights
+    got = kernel.uniform(0.0, 0.5 * TABLE_DT, n)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), text
+
+
 @pytest.mark.parametrize("command, cfg, field", [
     # NaN and Infinity are JSON literals that Python's json accepts
     ("detector-compare", {"pulse": {"n_bar": math.nan}}, "pulse.n_bar"),
@@ -151,6 +213,10 @@ def test_every_config_runs_finite_or_exits_2_with_a_field(work, capsys, data):
     ("sweep", {"spectrum": {"kind": "flat"}}, "spectrum.kind"),
     ("sweep", {"spectrum": {"kappa": 5.0}}, "spectrum.kappa"),
     ("figure fig4e", {"pulse": {"delta0": 0.5}}, "pulse.delta0"),
+    # decay and delta-rise read only spectrum.kappa of the two sections; fig6 runs decay
+    ("decay", {"pulse": {"shape": "delta"}}, "pulse.shape"),
+    ("delta-rise", {"spectrum": {"kind": "flat"}}, "spectrum.kind"),
+    ("figure fig6", {"pulse": {"tau_f": 2.0}}, "pulse.tau_f"),
 ])
 def test_refusal_names_the_config_field(tmp_path, capsys, work, command, cfg, field):
     if cfg.get("spectrum", {}).get("kind") == "tabulated":
@@ -159,6 +225,14 @@ def test_refusal_names_the_config_field(tmp_path, capsys, work, command, cfg, fi
     payload = json.loads(capsys.readouterr().err)
     assert (code, payload["field"]) == (2, field), payload
     assert csvs == []
+
+
+def test_fig3_and_fig6_accept_atom_fields(tmp_path, capsys):
+    # fig3 reads atom.t_d and not atom.mode_fraction, fig6's decay runs read neither
+    for fig in ("fig3", "fig6"):
+        code, csvs = _run(str(tmp_path), f"figure {fig}",
+                          {"atom": {"mode_fraction": 0.7, "t_d": 0.1}})
+        assert code == 0 and csvs, (fig, capsys.readouterr().err)
 
 
 def test_sample_budget_message_is_short(tmp_path, capsys):

@@ -730,7 +730,7 @@ def test_atom_params_validation_and_presets():
         AtomParams(gamma_p=2.0)
     with pytest.raises(ValueError, match="c0"):
         AtomParams(c0=1.5)
-    free = AtomParams.with_mode_fraction("free_space")
+    free = AtomParams(gamma_p=MODE_FRACTION_PRESETS["free_space"])
     assert free.gamma_p == pytest.approx(3.0 / (8.0 * np.pi))
     assert MODE_FRACTION_PRESETS["waveguide_1d"] == 0.5
 

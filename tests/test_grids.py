@@ -1,11 +1,11 @@
-"""Time and detuning grid helpers."""
+"""The uniform time grid."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fockatom import FrequencyGrid, TimeGrid
+from fockatom import TimeGrid
 from fockatom.grids import MAX_GRID_SAMPLES, ParameterError
 
 
@@ -30,14 +30,6 @@ def test_time_grid_validation():
         TimeGrid(0.0, 0.1, 1)
     with pytest.raises(ValueError, match="t_max"):
         TimeGrid.from_span(1.0, 1.0, 0.1)
-
-
-def test_frequency_grid_weights_sum_to_span():
-    win = FrequencyGrid(5.0, 11)
-    assert win.trapezoid_weights().sum() == pytest.approx(10.0)
-    assert win.deltas[0] == -5.0 and win.deltas[-1] == 5.0
-    with pytest.raises(ValueError):
-        FrequencyGrid(-1.0, 11)
 
 
 def test_time_grid_sample_budget():
