@@ -30,7 +30,7 @@ from .dynamics import (
     spontaneous_decay,
 )
 from .grids import MAX_GRID_SAMPLES, MIN_SCALE, ParameterError, TimeGrid, check_range
-from .pulses import PULSE_SHAPES, CoherentPulseSpec, PulseSpec
+from .pulses import NORMALIZABLE_SHAPES, PULSE_SHAPES, CoherentPulseSpec, PulseSpec
 from .serialize import (
     write_csv,
     write_detector_trace,
@@ -106,12 +106,22 @@ _DEFAULTS = {
     "output_dir": None,
 }
 
-# The pulse and spectrum fields a scenario reads, for the scenarios that read only some:
-# a sidecar records the config, so any other field of those sections set away from its
-# default is refused rather than recorded and not run. A sweep cell's tau_f and kappa
-# come from the sweep axes.
-_READS = {"sweep": ("pulse.shape",), "decay": ("spectrum.kappa",),
-          "delta_rise": ("spectrum.kappa",)}
+# The pulse and spectrum fields a scenario reads, for the scenarios that read only some,
+# keyed by the scenario and, where it depends on them, by (scenario, spectrum.kind) and
+# (scenario, pulse.shape): a sidecar records the config, so any other field of those
+# sections set away from its default is refused rather than recorded and not run. A sweep
+# cell's tau_f and kappa come from the sweep axes. A simulated delta pulse is its
+# amplitude xi0 alone; a normalizable one has no amplitude, but a length and a carrier.
+_READS = {
+    "sweep": ("pulse.shape",),
+    "decay": ("spectrum.kappa",),
+    "delta_rise": ("spectrum.kappa",),
+    "simulate": ("spectrum.kind", "pulse.shape", "pulse.t_a"),
+    ("simulate", "lorentzian"): ("spectrum.kappa",),
+    ("simulate", "tabulated"): ("spectrum.csv",),
+    ("simulate", "delta"): ("pulse.xi0",),
+    **{("simulate", shape): ("pulse.tau_f", "pulse.delta0") for shape in NORMALIZABLE_SHAPES},
+}
 
 # fields that may be null, with their type; the others are typed by their default
 _NULLABLE = {"atom.gamma_p": float, "pulse.t_a": float, "grid.t_max": float,
@@ -267,14 +277,11 @@ def _outputs(cfg: dict) -> dict:
     a, scenario = cfg["atom"], cfg["scenario"]
     atom = AtomParams(gamma=a["gamma"], gamma_p=a["gamma_p"], t_d=a["t_d"],
                       c0=complex(a["c0_re"], a["c0_im"]))
-    if scenario == "simulate":
-        spectrum = _build_spectrum(cfg, atom)
-        pulse, grid = _build_pulse_and_grid(cfg, atom, spectrum)
-        return {"trajectory": lambda: solve(atom, spectrum, pulse, grid, cfg["solver"])}
     kappa = cfg["spectrum"]["kappa"]
     if scenario == "sweep" and cfg["grid"] != _DEFAULTS["grid"]:
         raise ParameterError("grid", "a sweep builds each cell's grid from tau_f and kappa")
-    reads = _READS.get(scenario, ())
+    reads = [field for key in (scenario, (scenario, cfg["spectrum"]["kind"]),
+                               (scenario, cfg["pulse"]["shape"])) for field in _READS.get(key, ())]
     if "spectrum.kappa" in reads:
         check_range("kappa", kappa, MIN_SCALE)  # a field read is checked before those refused
     for section in ("pulse", "spectrum") if reads else ():
@@ -282,6 +289,10 @@ def _outputs(cfg: dict) -> dict:
             if cfg[section][key] != default and f"{section}.{key}" not in reads:
                 raise ParameterError(f"{section}.{key}", f"{scenario} reads only "
                                      f"{', '.join(reads)} of the pulse and spectrum sections")
+    if scenario == "simulate":
+        spectrum = _build_spectrum(cfg, atom)
+        pulse, grid = _build_pulse_and_grid(cfg, atom, spectrum)
+        return {"trajectory": lambda: solve(atom, spectrum, pulse, grid, cfg["solver"])}
     if scenario == "decay":
         grid = _grid(cfg, cfg["grid"]["t0"] + 8.0 / atom.gamma)
         return {"decay": lambda: spontaneous_decay(replace(atom, c0=1.0), kappa, grid)}

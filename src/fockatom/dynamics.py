@@ -39,8 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
-from scipy.linalg.lapack import dtbtrs, ztbtrs
+from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dtbtrs, dtrtrs, ztbtrs, ztrtrs
 
 from .grids import MIN_SCALE, ParameterError, TimeGrid, check_range, check_rates
 from .pulses import DELTA, PulseSpec
@@ -61,6 +61,7 @@ _DEGENERATE_RTOL = 1e-9   # |kappa - 2 gamma| below this (times gamma) is the do
 # so the guard sits above that; the 1e-9 physics bound is asserted in tests.
 _PROB_TOL = 1e-6
 _TOEPLITZ_BLOCK = 128          # rows per dense solve of the Volterra Toeplitz system
+_TOEPLITZ_BLOCK_REAL = 512     # the same in float64, where a dense row costs a quarter
 _RK4_BLOCK = 128               # RK4 steps per block-Toeplitz product of the ODE route
 
 
@@ -392,8 +393,9 @@ def _product_trapezoid_weights(kernel, dt: float, n: int):
 
     Interval [t_m, t_{m+1}] contributes A_j C_m + B_j C_{m+1} to the memory
     integral at t_{m+j}, with the kernel integrated exactly against the
-    linear interpolant of C. Exponential kernels use closed-form moments;
-    numeric kernels a per-interval Simpson rule.
+    linear interpolant of C. Exponential kernels use closed-form moments,
+    real-valued; numeric kernels a per-interval Simpson rule on the
+    complex samples of `MemoryKernel.uniform`.
     """
     j = np.arange(1, n)
     if kernel.analytic:
@@ -412,44 +414,55 @@ def _product_trapezoid_weights(kernel, dt: float, n: int):
         g_right = G[2 * j]
         A = dt / 6.0 * (2.0 * g_mid + g_right)
         B = dt / 6.0 * (g_left + 2.0 * g_mid)
-    return A.astype(complex), B.astype(complex)
+    return A, B
 
 
 def _solve_memory_toeplitz(mem: np.ndarray, r: np.ndarray) -> np.ndarray:
     """x with x_i - x_{i-1} + sum_{j<=i} mem_{i-j} x_j = r_i (x_{-1} = 0).
 
     The lower-triangular Toeplitz system is solved blockwise: dense
-    triangular solves on base blocks of _TOEPLITZ_BLOCK rows and, after the
-    block ending at e, one FFT product carrying the dyadic block [e-s, e)
-    into rows [e, e+s), s the largest power-of-two multiple of the base size
-    dividing e. Every earlier block reaches each row exactly once, so the
-    cost is O(n log^2 n). Only `mem` goes through the FFT; the unit
-    difference x_i - x_{i-1} is applied exactly. `r` is overwritten.
+    triangular solves on base blocks of b rows and, after the block ending
+    at e, one FFT product carrying the dyadic block [e-s, e) into rows
+    [e, e+s), s the largest power-of-two multiple of b dividing e. Every
+    earlier block reaches each row exactly once, so the cost is
+    O(n log^2 n). Only `mem` goes through the FFT; the unit difference
+    x_i - x_{i-1} is applied exactly. `r` is overwritten.
+
+    Real `mem` and `r` run in float64: `dtrtrs`, `rfft`/`irfft` and
+    b = _TOEPLITZ_BLOCK_REAL. Anything else runs `ztrtrs`, `fft`/`ifft` and
+    b = _TOEPLITZ_BLOCK. Each block solve calls LAPACK as
+    `scipy.linalg.solve_triangular` calls it on a C-ordered block: the
+    transposed block as upper-triangular, trans=1, info checked.
     """
     n = len(r)
-    b = _TOEPLITZ_BLOCK
-    col = np.zeros(b, dtype=complex)
+    real = not (np.iscomplexobj(mem) or np.iscomplexobj(r))
+    b = _TOEPLITZ_BLOCK_REAL if real else _TOEPLITZ_BLOCK
+    dtype = float if real else complex
+    trtrs = dtrtrs if real else ztrtrs
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    col = np.zeros(b, dtype=dtype)
     col[:min(b, n)] = mem[:b]
     col[0] += 1.0
     col[1] -= 1.0
-    block = toeplitz(col, np.zeros(b))
+    upper = toeplitz(col, np.zeros(b)).T
     mem_fft = {}
-    x = np.empty(n, dtype=complex)
+    x = np.empty(n, dtype=dtype)
     for e in range(0, n, b):
         stop = min(e + b, n)
         if e:
             r[e] += x[e - 1]
-        x[e:stop] = solve_triangular(block[:stop - e, :stop - e], r[e:stop], lower=True,
-                                     check_finite=False)
+        x[e:stop], info = trtrs(upper[:stop - e, :stop - e], r[e:stop], lower=0, trans=1)
+        if info:
+            raise np.linalg.LinAlgError(f"singular Volterra block: diagonal {info - 1}")
         if stop == n:
             break
         k = stop // b
         s = b * (k & -k)
         if s not in mem_fft:
-            seg = np.zeros(2 * s, dtype=complex)
+            seg = np.zeros(2 * s, dtype=dtype)
             seg[:min(2 * s, n)] = mem[:2 * s]
-            mem_fft[s] = np.fft.fft(seg)
-        tail = np.fft.ifft(np.fft.fft(x[stop - s:stop], 2 * s) * mem_fft[s])
+            mem_fft[s] = fft(seg)
+        tail = ifft(fft(x[stop - s:stop], 2 * s) * mem_fft[s], 2 * s)
         hi = min(stop + s, n)
         r[stop:hi] -= tail[s:s + hi - stop]
     return x
@@ -463,10 +476,14 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     is linear in C, so the whole march is one lower-triangular Toeplitz
     system in C_1..C_{n-1}, solved in O(n log^2 n) by blocked FFT products
     (Hairer, Lubich & Schlichte 1985); the weights and the discrete
-    equations are those of the step-by-step march. A flat spectrum has no
-    memory to integrate and is refused by `memory_kernel` (`solve_markov` is
-    its solver); a tabulated one is refused on grids reaching its kernel's
-    period 2*pi/h, h the node spacing.
+    equations are those of the step-by-step march. An analytic (Lorentzian)
+    kernel has a real memory column, so the real and imaginary parts of the
+    right-hand side are solved as separate float64 systems, and a part that
+    is identically zero is skipped (the real part at delta0 = 0 and c0 = 0);
+    a tabulated kernel's column is complex and is solved as it is. A flat
+    spectrum has no memory to integrate and is refused by `memory_kernel`
+    (`solve_markov` is its solver); a tabulated one is refused on grids
+    reaching its kernel's period 2*pi/h, h the node spacing.
     """
     check_rates_agree(atom, spectrum)
     kernel = memory_kernel(spectrum)
@@ -483,7 +500,7 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     # w_0 = B_0, w_l = A_{l-1} + B_l. The step C_i - C_{i-1} + h/2 (I_i + I_{i-1})
     # = h/2 (D_{i-1} + D_i), I_0 = 0, has memory column h/2 (w_k + w_{k-1}); its
     # C_0 terms move to the right-hand side.
-    w = np.empty(grid.n - 1, dtype=complex)
+    w = np.empty(grid.n - 1, dtype=A.dtype)
     w[0] = B[0]
     w[1:] = A[:-1] + B[1:]
     mem = half * w
@@ -492,9 +509,14 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     A_pair[1:] += A[:-1]
     r = half * (D[:-1] + D[1:]) - half * A_pair * c0
     r[0] += c0
-    C = np.empty(grid.n, dtype=complex)
+    C = np.zeros(grid.n, dtype=complex)
     C[0] = c0
-    C[1:] = _solve_memory_toeplitz(mem, r)
+    if np.iscomplexobj(mem):
+        C[1:] = _solve_memory_toeplitz(mem, r)
+    else:  # the column is real: each part of r is its own real system
+        for x, out in ((r.real, C.real), (r.imag, C.imag)):
+            if x.any():
+                out[1:] = _solve_memory_toeplitz(mem, x.copy())
     return Trajectory.from_amplitude(grid, C, "volterra", atom, pulse,
                                      spectrum_kind=spectrum.kind, kappa=spectrum.kappa)
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__ as _code_version
 
 
-_CSV_CHUNK = 1 << 14  # rows formatted by one str.format call
+_CSV_CHUNK = 1 << 14  # rows formatted by one printf-style %
 
 
 def params_digest(params: dict) -> str:
@@ -45,18 +45,20 @@ def _atomic_write(path, chunks) -> None:
 
 
 def _csv_chunks(header: list[str], columns: list):
-    """CSV text in chunks of _CSV_CHUNK rows, one str.format call per chunk.
+    """CSV text in chunks of _CSV_CHUNK rows, one printf-style % per chunk.
 
-    Numeric columns print with 17 significant digits; a list of strings
-    prints as it is.
+    Numeric columns print as "%.17g" (17 significant digits); a list of
+    strings prints as "%s", as it is. printf-style "%.17g" is the same
+    PyOS_double_to_string conversion as "{:.17g}".format, so the bytes are
+    those of str.format, and a value holding % or {} is never parsed.
     """
     yield ",".join(header) + "\n"
     text = [isinstance(col, list) for col in columns]
-    row = ",".join("{}" if t else "{:.17g}" for t in text) + "\n"
+    row = ",".join("%s" if t else "%.17g" for t in text) + "\n"
     for s in range(0, len(columns[0]), _CSV_CHUNK):
         block = np.column_stack([np.asarray(col[s:s + _CSV_CHUNK], dtype=object if t else float)
                                  for col, t in zip(columns, text)])
-        yield (row * len(block)).format(*block.ravel().tolist())
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def write_csv(path, header: list[str], columns: list) -> None:

@@ -57,7 +57,10 @@ TABULATED = "tabulated"
 # Degenerate-pole guard for the decaying-exp filter: wide enough that the
 # (e^{-a tau} - e^{-r tau})/(r - a) cancellation stays benign.
 _POLE_TOL = 1e-7
-_SPACING_RTOL = 1e-6  # largest table gap departure from the median gap, relative
+# Largest distance of a table node from delta_0 + j h, h the mean gap, relative to h, on
+# top of 4 ulp of the largest |delta| (a uniform grid's rounding leaves at most 2). The
+# chirp-z sums place node j there: a stray of e*h moves the phase at t <= 2*pi/h by <= 2*pi*e.
+_SPACING_RTOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,12 @@ class InteractionSpectrum:
             gaps = np.diff(d)
             if np.any(gaps <= 0.0):
                 raise ValueError("tabulated delta grid must be strictly increasing")
-            h = np.median(gaps)
-            if np.abs(gaps - h).max() > _SPACING_RTOL * h:
-                raise ValueError(f"tabulated delta grid must be uniform: gaps span "
-                                 f"[{gaps.min():g}, {gaps.max():g}] around {h:g}")
+            h = (d[-1] - d[0]) / (d.size - 1)
+            stray = np.abs(d - (d[0] + h * np.arange(d.size))).max()
+            if stray > _SPACING_RTOL * h + 4.0 * np.spacing(np.abs(d).max()):
+                raise ValueError(f"tabulated delta grid must be uniform: a node strays "
+                                 f"{stray / h:.3g} h from delta_0 + j h, h = {h:g}; gaps span "
+                                 f"[{gaps.min():g}, {gaps.max():g}]")
             if np.any(g2 < 0.0):
                 raise ValueError("tabulated g2 must be non-negative")
             object.__setattr__(self, "table_delta", d)
@@ -350,9 +355,11 @@ def _fft_size(n: int) -> int:
 
 def _phase_sum_uniform(vals: np.ndarray, nodes: np.ndarray,
                        tau0: float, dtau: float, n: int) -> np.ndarray:
-    """Same sum on tau_k = tau0 + k*dtau by Bluestein's chirp-z algorithm.
+    """The phase sum sum_j vals_j exp(-1j nodes_j tau_k) on tau_k = tau0 + k*dtau,
+    by Bluestein's chirp-z algorithm.
 
-    With nodes_j = nodes_0 + j*h the sum is the chirp-z transform
+    With nodes_j = nodes_0 + j*h, h the mean gap (the nodes a uniform table
+    or a linspace holds, to rounding), the sum is the chirp-z transform
     X_k = sum_j x_j a^{-j} w^{jk}, w = exp(-1j h dtau), a = exp(1j h tau0),
     and jk = (j^2 + k^2 - (k-j)^2)/2 makes it the convolution of
     x_j a^{-j} w^{j^2/2} with the chirp w^{-l^2/2}: one FFT product on
@@ -360,7 +367,7 @@ def _phase_sum_uniform(vals: np.ndarray, nodes: np.ndarray,
     Audio Electroacoust. 17, 1969).
     """
     m = vals.size
-    h = nodes[1] - nodes[0]
+    h = (nodes[-1] - nodes[0]) / (m - 1)
     x = vals * np.exp(-1j * nodes[0] * tau0)
     k = np.arange(max(m, n), dtype=float)
     wk2 = np.exp(-0.5j * h * dtau * (k * k))

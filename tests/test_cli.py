@@ -382,7 +382,9 @@ def test_one_route_from_spectrum_kind_and_solver(tmp_path, capsys, monkeypatch, 
     fockatom.linear_response(atom, pulse, "fock", grid, spectrum)
     assert used == [{"flat": "markov", "tabulated": "volterra"}.get(kind, "closed_form")]
 
-    cfg = {"spectrum": {"kind": kind, "kappa": 5.0, "csv": csv_path}, "solver": solver,
+    # each kind with the spectrum field it reads: simulate refuses the others
+    reads = {"lorentzian": {"kappa": 5.0}, "tabulated": {"csv": csv_path}}.get(kind, {})
+    cfg = {"spectrum": {"kind": kind, **reads}, "solver": solver,
            "pulse": {"tau_f": 1.0, "t_a": 3.0}, "grid": {"t_max": 8.0, "dt": 1e-2}}
     code, _, _ = _run(["simulate", "--config", _write_config(tmp_path, cfg),
                        "--out", str(tmp_path / "o")], capsys)

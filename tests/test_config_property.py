@@ -217,6 +217,20 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table):
     ("decay", {"pulse": {"shape": "delta"}}, "pulse.shape"),
     ("delta-rise", {"spectrum": {"kind": "flat"}}, "spectrum.kind"),
     ("figure fig6", {"pulse": {"tau_f": 2.0}}, "pulse.tau_f"),
+    # simulate reads the fields of its spectrum kind and pulse shape: a flat spectrum has no
+    # kappa, a table no kappa and the others no table, a delta pulse no length or carrier,
+    # a normalizable one no amplitude xi0, and no pulse a photon number n_bar
+    ("simulate", {"spectrum": {"kind": "flat", "kappa": 5.0}, "pulse": {"xi0": 0.3, "n_bar": 4.0}},
+     "pulse.xi0"),
+    ("simulate", {"spectrum": {"kind": "flat", "kappa": 5.0}}, "spectrum.kappa"),
+    ("simulate", {"spectrum": {"kind": "tabulated", "kappa": 5.0}}, "spectrum.kappa"),
+    ("simulate", {"spectrum": {"csv": "table.csv"}}, "spectrum.csv"),
+    ("simulate", {"pulse": {"n_bar": 4.0}}, "pulse.n_bar"),
+    ("simulate", {"pulse": {"shape": "delta", "n_bar": 4.0}}, "pulse.n_bar"),
+    ("simulate", {"pulse": {"shape": "rising_exp", "xi0": 0.3}}, "pulse.xi0"),
+    ("simulate", {"pulse": {"shape": "delta", "tau_f": 2.0}}, "pulse.tau_f"),
+    ("simulate", {"pulse": {"shape": "delta", "delta0": 0.5}}, "pulse.delta0"),
+    ("figure fig2a", {"pulse": {"n_bar": 2.0}}, "pulse.n_bar"),
 ])
 def test_refusal_names_the_config_field(tmp_path, capsys, work, command, cfg, field):
     if cfg.get("spectrum", {}).get("kind") == "tabulated":

@@ -135,17 +135,18 @@ def bloch_step_loop(atom, pulse, grid):
     return pop, coh
 
 
-@pytest.mark.parametrize("n_bar", [0.1, 1.0, 5.0])
+@pytest.mark.parametrize("n_bar", [0.1, 1.0, 5.0, 50.0])
 @pytest.mark.parametrize("shape", ["gaussian", "decaying_exp", "rising_exp"])
 def test_bloch_matches_step_loop_oracle(shape, n_bar):
-    # same arithmetic on Python scalars: bit-identical
+    # the same RK4 steps, composed as affine maps by a scan: rounding apart (~5e-15)
     atom = AtomParams(gamma_p=0.7, t_d=0.1)
     grid = TimeGrid.from_span(0.0, 6.0, 2e-3)
     pulse = CoherentPulseSpec(base=PulseSpec(shape, tau_f=0.5, t_a=2.0), n_bar=n_bar)
     pop, coh = bloch_trajectories(atom, pulse, grid)
     want_pop, want_coh = bloch_step_loop(atom, pulse, grid)
     assert pop.dtype == want_pop.dtype and coh.dtype == want_coh.dtype
-    assert np.array_equal(pop, want_pop) and np.array_equal(coh, want_coh)
+    assert np.abs(pop - want_pop).max() <= 1e-13
+    assert np.abs(coh - want_coh).max() <= 1e-13
 
 
 def test_bloch_rejects_detuned_carrier():

@@ -20,9 +20,11 @@ from fockatom import (
     solve_volterra,
     spontaneous_decay,
 )
+from fockatom import dynamics
 from fockatom.dynamics import (
     _RK4_BLOCK,
     _TOEPLITZ_BLOCK,
+    _TOEPLITZ_BLOCK_REAL,
     MODE_FRACTION_PRESETS,
     _branch_sum,
     _drive_on_grid,
@@ -365,7 +367,8 @@ def _gaussian_tabulated_spectrum():
 
 
 @pytest.mark.parametrize("n", [2, 3, _TOEPLITZ_BLOCK - 1, _TOEPLITZ_BLOCK,
-                               _TOEPLITZ_BLOCK + 1, 1000, 4097])
+                               _TOEPLITZ_BLOCK + 1, 1000, 4097, _TOEPLITZ_BLOCK_REAL,
+                               _TOEPLITZ_BLOCK_REAL + 1, 2 * _TOEPLITZ_BLOCK_REAL + 1])
 @pytest.mark.parametrize("kind", ["lorentzian", "tabulated"])
 def test_volterra_matches_step_loop_oracle(kind, n):
     spec = (InteractionSpectrum.lorentzian(5.0) if kind == "lorentzian"
@@ -375,6 +378,25 @@ def test_volterra_matches_step_loop_oracle(kind, n):
     grid = TimeGrid(0.0, 2e-3, n)
     fast = solve_volterra(atom, spec, pulse, grid)
     assert np.abs(fast.c - volterra_step_loop(atom, spec, pulse, grid)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("c0", [0j, 0.3 + 0.2j], ids=["c0_zero", "c0_set"])
+@pytest.mark.parametrize("delta0", [0.0, 0.4])
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 1.9, 2.1, 10.0, 100.0])
+def test_volterra_real_parts_match_the_complex_solve(monkeypatch, kappa, delta0, c0):
+    # a Lorentzian memory column is real, so the real and imaginary parts of the right-hand
+    # side run as float64 systems; a complex column forces the one complex solve
+    atom = AtomParams(c0=c0)
+    grid = TimeGrid.from_span(0.0, 20.0, 2e-3)
+    pulse = PulseSpec("gaussian", tau_f=1.0, delta0=delta0, t_a=8.0)
+    spec = InteractionSpectrum.lorentzian(kappa)
+    weights = dynamics._product_trapezoid_weights
+    assert not np.iscomplexobj(weights(memory_kernel(spec), grid.dt, grid.n)[0])
+    got = solve_volterra(atom, spec, pulse, grid).c
+    monkeypatch.setattr(dynamics, "_product_trapezoid_weights",
+                        lambda *args: tuple(w.astype(complex) for w in weights(*args)))
+    want = solve_volterra(atom, spec, pulse, grid).c
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_volterra_long_decay_matches_closed_form():

@@ -5,7 +5,14 @@ import json
 import numpy as np
 
 from fockatom import AtomParams, PulseSpec, SweepResult, TimeGrid, solve_markov
-from fockatom.serialize import _CSV_CHUNK, params_digest, write_csv, write_sweep, write_trajectory
+from fockatom.serialize import (
+    _CSV_CHUNK,
+    _csv_chunks,
+    params_digest,
+    write_csv,
+    write_sweep,
+    write_trajectory,
+)
 
 
 def test_params_digest_is_stable_and_order_free():
@@ -52,6 +59,15 @@ def test_csv_chunks_match_per_cell_format(tmp_path):
     write_csv(tmp_path / "big.csv", ["a", "b", "c"], cols)
     lines = ["a,b,c"] + [",".join(f"{float(col[i]):.17g}" for col in cols) for i in range(n)]
     assert (tmp_path / "big.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_csv_chunks_print_as_str_format():
+    # printf-style %.17g and %s give the bytes of "{:.17g}" and "{}"; a text value
+    # holding % or {} is printed, not parsed
+    x = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-5, 1e-4, 1e16, 1e17, 1e308]
+    text = ["100% {} %s {:.17g}"] + [f"row {i}" for i in range(1, len(x))]
+    got = "".join(_csv_chunks(["x", "note"], [np.array(x), text]))
+    assert got == "x,note\n" + "".join("{:.17g},{}\n".format(v, t) for v, t in zip(x, text))
 
 
 def test_trajectory_bundle(tmp_path):

@@ -318,7 +318,7 @@ def test_uniform_and_pointwise_drive_agree():
 
 def _phase_sum_czt(vals, nodes, tau0, dtau, n):
     """sum_j vals_j exp(-1j nodes_j tau_k), tau_k = tau0 + k dtau, by scipy.signal.czt."""
-    h = nodes[1] - nodes[0]
+    h = (nodes[-1] - nodes[0]) / (len(nodes) - 1)
     out = czt(vals * np.exp(-1j * nodes[0] * tau0), m=n, w=np.exp(-1j * h * dtau),
               a=np.exp(1j * h * tau0))
     return out * np.exp(-1j * nodes[0] * (np.arange(n) * dtau))
@@ -333,14 +333,15 @@ def _phase_sum_czt(vals, nodes, tau0, dtau, n):
     (20001, 0.05, 0.0, 5e-4, 16001),     # tabulated kernel of the Volterra weights
 ])
 def test_bluestein_matches_scipy_czt(m, h, tau0, dtau, n):
-    # the oracle is the direct sum over the uniform nodes nodes_0 + j h that both
-    # transforms assume; scipy raises the rounded w = exp(-1j h dtau) to k^2/2 and
+    # the oracle is the direct sum over the uniform nodes nodes_0 + j h, h the mean gap,
+    # that both transforms assume; scipy raises the rounded w = exp(-1j h dtau) to k^2/2 and
     # drifts from it by up to 3.4e-9 here, so it bounds the error only from above
     rng = np.random.default_rng(m + n)
     nodes = np.linspace(-0.5 * h * (m - 1), 0.5 * h * (m - 1), m) + 0.3
     vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     k = np.unique(np.r_[np.arange(0, n, max(1, n // 500)), n - 1])
-    want = _dense_phase_sum(vals, nodes[0] + (nodes[1] - nodes[0]) * np.arange(m), tau0 + dtau * k)
+    h_mean = (nodes[-1] - nodes[0]) / (m - 1)
+    want = _dense_phase_sum(vals, nodes[0] + h_mean * np.arange(m), tau0 + dtau * k)
     got = _phase_sum_uniform(vals, nodes, tau0, dtau, n)[k]
     scipy_err = np.abs(_phase_sum_czt(vals, nodes, tau0, dtau, n)[k] - want).max()
     scale = np.abs(want).max()
@@ -376,16 +377,25 @@ def test_tabulated_kernel_takes_the_chirp_exactly(n):
     assert np.abs(fast - direct).max() <= 1e-11 * np.abs(direct).max()
 
 
-@pytest.mark.xfail(strict=True, reason="the chirp-z kernel puts node j at nodes[0] + j h, h the "
-                   "first gap, and the uniformity rule lets gaps depart from the median by 1e-6")
 def test_table_jittered_within_the_uniformity_tolerance_keeps_its_kernel():
-    # gaps 0.25 (1 +- 1e-7) pass the rule, but the far nodes drift off the assumed grid
+    # gaps 0.25 (1 +- jitter): a table is refused as non-uniform, or the chirp-z kernel,
+    # which places node j at nodes[0] + j h, h the mean gap, keeps the dense phase sum
     rng = np.random.default_rng(0)
-    d = -50.0 + np.r_[0.0, np.cumsum(0.25 * (1.0 + 1e-7 * rng.uniform(-1.0, 1.0, 399)))]
-    kernel = memory_kernel(InteractionSpectrum.tabulated(d, 1.0 / ((d / 5.0) ** 2 + 1.0)))
     tau = 5e-3 * np.arange(801)
-    want = _dense_phase_sum(kernel._weights, kernel._nodes, tau)
-    assert np.abs(kernel.uniform(0.0, 5e-3, 801) - want).max() <= 1e-10 * np.abs(want).max()
+    outcomes = []
+    for jitter in (1e-7, 1e-9, 1e-11, 1e-13, 0.0):
+        d = -50.0 + np.r_[0.0, np.cumsum(0.25 * (1.0 + jitter * rng.uniform(-1.0, 1.0, 399)))]
+        try:
+            spec = InteractionSpectrum.tabulated(d, 1.0 / ((d / 5.0) ** 2 + 1.0))
+        except ValueError as exc:
+            assert "uniform" in str(exc)
+            outcomes.append("refused")
+            continue
+        kernel = memory_kernel(spec)
+        want = _dense_phase_sum(kernel._weights, kernel._nodes, tau)
+        assert np.abs(kernel.uniform(0.0, 5e-3, 801) - want).max() <= 1e-10 * np.abs(want).max()
+        outcomes.append("kept")
+    assert outcomes[:2] == ["refused", "refused"] and outcomes[-2:] == ["kept", "kept"], outcomes
 
 
 def test_fft_size_is_smallest_5_smooth_length():
