@@ -95,22 +95,24 @@ def _cross_down(t, y, level, start):
     return t[i - 1] + frac * (t[i] - t[i - 1]), i
 
 
-def _refine_peak(t, y, i):
-    """Parabolic sub-sample refinement of a sampled maximum.
+def _refine_peak(t0, dt, y, i):
+    """Parabolic sub-sample refinement of the maximum y[i] sampled at t0 + i*dt.
 
     Skipped at grid edges and across jumps (a neighbor below half the peak
-    cannot be on the same parabola, e.g. a delta-pulse arrival).
+    cannot be on the same parabola, e.g. a delta-pulse arrival). The sample
+    time and step are those of `Trajectory.times`: t0 + dt*i, and
+    (t0 + dt) - t0 between its first two samples.
     """
+    t = t0 + dt * i
     if i == 0 or i == len(y) - 1:
-        return t[i], y[i]
+        return t, y[i]
     if min(y[i - 1], y[i + 1]) < 0.5 * y[i]:
-        return t[i], y[i]
+        return t, y[i]
     denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
     if denom >= 0.0:
-        return t[i], y[i]
+        return t, y[i]
     shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
-    dt = t[1] - t[0]
-    return t[i] + shift * dt, y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
+    return t + shift * ((t0 + dt) - t0), y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
 
 
 def _local_maxima(y: np.ndarray, height: float) -> np.ndarray:
@@ -141,7 +143,7 @@ def transduction_metrics(traj: Trajectory, kappa: float, gamma: float) -> Transd
     if P.max() <= 0.0:
         raise ValueError("no absorption event: trajectory is identically zero")
     i_max = int(np.argmax(P))
-    t_peak, p_max = _refine_peak(t, P, i_max)
+    t_peak, p_max = _refine_peak(traj.t0, traj.dt, P, i_max)
     t10, i10 = _cross_up(t, P, 0.1 * p_max)
     t90, _ = _cross_up(t, P, 0.9 * p_max, start=i10 if i10 is not None else 0)
     rise = t90 - t10
@@ -253,7 +255,7 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
                 spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p,
                                                           gamma=atom.gamma)
                 traj = solve(atom, spectrum, pulse, grid, solver)
-                tp, pm = _refine_peak(traj.times, traj.p, int(np.argmax(traj.p)))
+                tp, pm = _refine_peak(traj.t0, traj.dt, traj.p, int(np.argmax(traj.p)))
                 p_max[i, j] = pm
                 t_peak[i, j] = tp
             except (ValueError, MemoryError) as exc:

@@ -29,8 +29,14 @@ and the frequency-domain branch decomposition of the absorption amplitude.
 
 All solvers accept an initial amplitude C(t0) = c0 along with the pulse;
 the dynamics is linear, so the result is the superposition of the two
-responses. Each returns `Trajectory.from_amplitude(grid, c, solver, atom,
-pulse, **extra)`, which digests those inputs and guards P <= 1.
+responses. The drive arrives as the float64 parts (re, im) of
+`driving_term_uniform`, a part that is zero by construction marked None.
+The closed form and the Volterra solver on a real memory column keep the
+parts through to the amplitude; RK4, the Markov reference and the double
+pole join them into one complex array (`_joined`). Each solver returns
+`Trajectory.from_amplitude(grid, c, solver, atom, pulse, **extra)`, which
+keeps those inputs as the trajectory's `params` (digested only when read)
+and guards P <= 1.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from scipy.linalg.lapack import dtbtrs, dtrtrs, ztbtrs, ztrtrs
 
 from .grids import MIN_SCALE, ParameterError, TimeGrid, check_range, check_rates
 from .pulses import DELTA, PulseSpec
-from .serialize import params_digest
+from .serialize import params_digest as _digest
 from .spectra import InteractionSpectrum, driving_term_uniform, exp_filter, memory_kernel
 
 # Fraction gamma_p/gamma of pulse modes in the total field modes: perfect
@@ -147,30 +153,49 @@ def branch_params(gamma: float, kappa: float) -> LorentzBranches:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Complex amplitude C and probability P = |C|^2 on a uniform grid."""
+    """Complex amplitude C and probability P = |C|^2 on a uniform grid.
+
+    `params` holds what the solver ran on: the solver, the atom, the pulse,
+    the grid and the solver's own parameters; `params_digest` hashes it.
+    """
 
     t0: float
     dt: float
     c: np.ndarray
     p: np.ndarray
     solver_id: str
-    params_digest: str
+    params: dict
 
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self.p))
 
+    @property
+    def params_digest(self) -> str:
+        return _digest(self.params)
+
     @classmethod
-    def from_amplitude(cls, grid: TimeGrid, c: np.ndarray, solver: str, atom: AtomParams,
+    def from_amplitude(cls, grid: TimeGrid, c, solver: str, atom: AtomParams,
                        pulse: PulseSpec | None, **extra) -> "Trajectory":
-        """The trajectory a solver computed, its digest over the solver, the
-        atom, the pulse, the grid and the solver's own parameters `extra`.
+        """The trajectory a solver computed, with the solver, the atom, the
+        pulse, the grid and the solver's own parameters `extra` as its params.
+
+        c is the complex amplitude or its float64 parts (re, im), a part that
+        is zero by construction given as None. With no real part P is im*im,
+        bit for bit the |1j im|^2 of the complex amplitude; otherwise P is
+        |C|^2 of the complex array.
 
         Refuses, as a step that does not resolve the dynamics, a non-finite
         amplitude and, unless the pulse is a delta (an unnormalizable drive),
         P above 1 + _PROB_TOL.
         """
-        p = np.abs(c) ** 2
+        if isinstance(c, tuple):
+            re, im = c
+            c = _joined(c, grid.n)
+            p = im * im if re is None and im is not None else np.abs(c) ** 2
+        else:
+            c = np.asarray(c, complex)
+            p = np.abs(c) ** 2
         p_max = p.max(initial=0.0)  # NaN if any sample is NaN
         if not np.isfinite(p_max):
             raise ParameterError("dt", f"non-finite amplitude from {solver}: max P = {p_max}")
@@ -184,8 +209,16 @@ class Trajectory:
         if pulse is not None:
             params["pulse"] = {"shape": pulse.shape, "tau_f": pulse.tau_f,
                                "delta0": pulse.delta0, "t_a": pulse.t_a, "xi0": pulse.xi0}
-        return cls(t0=grid.t0, dt=grid.dt, c=np.asarray(c, complex), p=p,
-                   solver_id=solver, params_digest=params_digest(params))
+        return cls(t0=grid.t0, dt=grid.dt, c=c, p=p, solver_id=solver, params=params)
+
+
+def _joined(parts, n: int) -> np.ndarray:
+    """The complex array of n samples with float64 parts (re, im), None a zero part."""
+    out = np.zeros(n, dtype=complex)
+    for part, view in zip(parts, (out.real, out.imag)):
+        if part is not None:
+            view[:] = part
+    return out
 
 
 def _lorentz_spectrum(atom: AtomParams, kappa: float) -> InteractionSpectrum:
@@ -193,15 +226,16 @@ def _lorentz_spectrum(atom: AtomParams, kappa: float) -> InteractionSpectrum:
 
 
 def _drive_on_grid(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | None,
-                   grid: TimeGrid, half_step: bool = False) -> np.ndarray:
-    """D sampled on the grid (or the dt/2 refinement), with t_d folded in.
+                   grid: TimeGrid, half_step: bool = False) -> tuple:
+    """D sampled on the grid (or the dt/2 refinement), with t_d folded in, as
+    the float64 parts (re, im) of `driving_term_uniform`; no pulse is (None, None).
 
     A step with |delta0| dt > pi aliases the carrier of a (non-delta) pulse
     and is refused.
     """
     m = 2 * grid.n - 1 if half_step else grid.n
     if pulse is None:
-        return np.zeros(m, dtype=complex)
+        return None, None
     if pulse.shape != DELTA and abs(pulse.delta0) * grid.dt > np.pi:
         raise ParameterError("dt", f"dt={grid.dt:g} aliases the carrier: |delta0| dt = "
                                    f"{abs(pulse.delta0) * grid.dt:.3g} > pi")
@@ -245,27 +279,25 @@ def _exp_conv_trapezoid(p, D: np.ndarray, dt: float) -> np.ndarray:
     return _first_order_recursion(e, b)
 
 
-def _branch_sum(br: LorentzBranches, D: np.ndarray, dt: float) -> np.ndarray:
-    """sum_j s_j J_{p_j}[D], the two-branch response to the drive D.
+def _branch_sum(br: LorentzBranches, D: tuple, dt: float) -> tuple:
+    """sum_j s_j J_{p_j}[D], the two-branch response to the drive D, as parts.
 
-    J is linear, so the real and imaginary parts of D are convolved as
-    separate real sequences, and a part that is identically zero is skipped
-    (J[0] = 0). For real poles the weights are real too and each branch is a
-    float64 recursion. For a complex pair p2 = conj(p1) and s2 = conj(s1)
-    exactly, so s2 J_{p2}[x] = conj(s1 J_{p1}[x]) for real x and the sum is
+    J is linear, so the float64 parts (re, im) of D are convolved as
+    separate real sequences, and a part that is absent (None) stays absent.
+    For real poles the weights are real too and each branch is a float64
+    recursion. For a complex pair p2 = conj(p1) and s2 = conj(s1) exactly,
+    so s2 J_{p2}[x] = conj(s1 J_{p1}[x]) for real x and the sum is
     2 Re(s1 J_{p1}[x]): one complex recursion for both branches.
     """
     (p1, s1), (p2, s2) = br.pairs
-    C = np.zeros(len(D), dtype=complex)
-    for x, out in ((D.real, C.real), (D.imag, C.imag)):
-        if not x.any():
-            continue
+
+    def response(x):
         if p1.imag == 0.0:
-            out[:] = (s1.real * _exp_conv_trapezoid(p1.real, x, dt)
-                      + s2.real * _exp_conv_trapezoid(p2.real, x, dt))
-        else:
-            out[:] = 2.0 * (s1 * _exp_conv_trapezoid(p1, x, dt)).real
-    return C
+            return (s1.real * _exp_conv_trapezoid(p1.real, x, dt)
+                    + s2.real * _exp_conv_trapezoid(p2.real, x, dt))
+        return 2.0 * (s1 * _exp_conv_trapezoid(p1, x, dt)).real
+
+    return tuple(None if x is None else response(x) for x in D)
 
 
 def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
@@ -279,13 +311,15 @@ def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpe
     parts of D run as real sequences, float64 recursions for real poles and
     one complex recursion for a conjugate pair, and a part that is zero (the
     real part at delta0 = 0) is skipped. The free decay of C(t0) is formed
-    only when C(t0) = c0 is nonzero.
+    only when C(t0) = c0 is nonzero; with c0 = 0 the amplitude goes to
+    `Trajectory.from_amplitude` as its parts.
     """
     spectrum = _lorentz_spectrum(atom, kappa)
     D = _drive_on_grid(atom, spectrum, pulse, grid)
     br = branch_params(atom.gamma, kappa)
     if br.degenerate:
         g = atom.gamma
+        D = _joined(D, grid.n)
         Ja = _exp_conv_trapezoid(g, D, grid.dt)
         # J_b = int (t-s) e^{-g(t-s)} D ds via the paired recursion
         e = np.exp(-g * grid.dt)
@@ -301,6 +335,7 @@ def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpe
     else:
         C = _branch_sum(br, D, grid.dt)
         if atom.c0 != 0:
+            C = _joined(C, grid.n)
             dtt = grid.dt * np.arange(grid.n)
             for p, s in br.pairs:
                 C += s * (np.exp(-p * dtt) * atom.c0)
@@ -338,7 +373,7 @@ def solve_ode_reduction(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
     """
     check_ode_step(atom.gamma, kappa, grid.dt)
     spectrum = _lorentz_spectrum(atom, kappa)
-    Dh = _drive_on_grid(atom, spectrum, pulse, grid, half_step=True)
+    Dh = _joined(_drive_on_grid(atom, spectrum, pulse, grid, half_step=True), 2 * grid.n - 1)
     gk = 0.5 * atom.gamma * kappa
     dt = grid.dt
 
@@ -477,10 +512,11 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     system in C_1..C_{n-1}, solved in O(n log^2 n) by blocked FFT products
     (Hairer, Lubich & Schlichte 1985); the weights and the discrete
     equations are those of the step-by-step march. An analytic (Lorentzian)
-    kernel has a real memory column, so the real and imaginary parts of the
-    right-hand side are solved as separate float64 systems, and a part that
-    is identically zero is skipped (the real part at delta0 = 0 and c0 = 0);
-    a tabulated kernel's column is complex and is solved as it is. A flat
+    kernel has a real memory column, so the right-hand side is built from
+    the drive's parts and the parts of c0 as separate float64 systems, and a
+    part whose drive part is absent and whose c0 part is zero stays absent
+    (the real part at delta0 = 0 and c0 = 0); a tabulated kernel's column is
+    complex and is solved, with the drive joined, as it is. A flat
     spectrum has no memory to integrate and is refused by `memory_kernel`
     (`solve_markov` is its solver); a tabulated one is refused on grids
     reaching its kernel's period 2*pi/h, h the node spacing.
@@ -507,18 +543,31 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     mem[1:] += half * w[:-1]
     A_pair = A.copy()
     A_pair[1:] += A[:-1]
-    r = half * (D[:-1] + D[1:]) - half * A_pair * c0
-    r[0] += c0
-    C = np.zeros(grid.n, dtype=complex)
-    C[0] = c0
     if np.iscomplexobj(mem):
+        D = _joined(D, grid.n)
+        r = half * (D[:-1] + D[1:]) - half * A_pair * c0
+        r[0] += c0
+        C = np.empty(grid.n, dtype=complex)
+        C[0] = c0
         C[1:] = _solve_memory_toeplitz(mem, r)
     else:  # the column is real: each part of r is its own real system
-        for x, out in ((r.real, C.real), (r.imag, C.imag)):
-            if x.any():
-                out[1:] = _solve_memory_toeplitz(mem, x.copy())
+        C = tuple(_real_volterra_part(mem, half, A_pair, d, c, grid.n)
+                  for d, c in zip(D, (c0.real, c0.imag)))
     return Trajectory.from_amplitude(grid, C, "volterra", atom, pulse,
                                      spectrum_kind=spectrum.kind, kappa=spectrum.kappa)
+
+
+def _real_volterra_part(mem: np.ndarray, half: float, A_pair: np.ndarray, d, c: float, n: int):
+    """One float64 part of the Volterra amplitude on a real memory column: d the drive part
+    (None if zero), c the part of c0; None when both are zero."""
+    if d is None and c == 0.0:
+        return None
+    r = (0.0 if d is None else half * (d[:-1] + d[1:])) - half * A_pair * c
+    r[0] += c
+    x = np.empty(n)
+    x[0] = c
+    x[1:] = _solve_memory_toeplitz(mem, r)
+    return x
 
 
 def solve_markov(atom: AtomParams, pulse: PulseSpec | None, grid: TimeGrid) -> Trajectory:
@@ -536,7 +585,7 @@ def solve_markov(atom: AtomParams, pulse: PulseSpec | None, grid: TimeGrid) -> T
         C = C + np.sqrt(atom.gamma_p) * exp_filter(g2, pulse, rel)
     elif pulse is not None:
         spectrum = InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
-        D = _drive_on_grid(atom, spectrum, pulse, grid)
+        D = _joined(_drive_on_grid(atom, spectrum, pulse, grid), grid.n)
         C = C + _exp_conv_trapezoid(g2, D, grid.dt)
     return Trajectory.from_amplitude(grid, C, "markov", atom, pulse)
 

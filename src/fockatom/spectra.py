@@ -26,10 +26,13 @@ evaluator there: `driving_term_uniform` and `MemoryKernel.uniform`. The
 lorentzian pulse coupling is a causal first-order cavity filter,
 D(tau) = -1j sqrt(gamma_p) kappa F_kappa[u](tau) with
 F_r[u](tau) = int_{-inf}^tau exp(-r (tau - s)) u(s) ds, and `exp_filter`
-evaluates F_r in closed form for every pulse shape. Tabulated drives and
-kernels are composite-trapezoid quadratures on a uniform detuning grid,
-evaluated for all grid times at once as a chirp-z transform by Bluestein's
-algorithm on numpy's FFT.
+evaluates F_r in closed form for every pulse shape, in float64 when the rate
+and the carrier are real. D is returned as its float64 real and imaginary
+parts, a part that is zero by construction marked None: a resonant
+(delta0 = 0) Lorentzian drive is (None, -sqrt(gamma_p) kappa F). Tabulated
+drives and kernels are composite-trapezoid quadratures on a uniform detuning
+grid, evaluated for all grid times at once as a chirp-z transform by
+Bluestein's algorithm on numpy's FFT.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfcx
 
-from .grids import MIN_SCALE, ParameterError, check_range, check_rates
+from .grids import MAX_GRID_SAMPLES, MIN_SCALE, ParameterError, check_range, check_rates
 from .pulses import (
     DECAYING_EXP,
     DELTA,
@@ -234,18 +237,23 @@ def memory_kernel(spec: InteractionSpectrum) -> MemoryKernel:
 # ---------------------------------------------------------------------------
 
 def driving_term_uniform(spec: InteractionSpectrum, pulse: PulseSpec,
-                         t0: float, dt: float, n: int) -> np.ndarray:
-    """Driving term D(t) of the amplitude equation on the uniform grid t0 + k*dt.
+                         t0: float, dt: float, n: int) -> tuple:
+    """Driving term D(t) of the amplitude equation on the uniform grid t0 + k*dt,
+    as its float64 parts (re, im), a part that is zero by construction given as None.
 
     Times are absolute; the pulse reference enters through t - t_a. Flat
     drives are the envelope, Lorentzian drives the closed-form cavity filter
     (`exp_filter`), and tabulated drives the trapezoid quadrature over the
-    detuning window, summed by the Bluestein chirp-z transform.
+    detuning window, summed by the Bluestein chirp-z transform. Without a
+    carrier (delta0 = 0) the flat drive is (sqrt(gamma_p) u, None) and the
+    real filter F gives D = -1j sqrt(gamma_p) kappa F = (None, -sqrt(gamma_p)
+    kappa F), each part formed as in the complex product; every other drive
+    is split off its complex samples.
     """
     tau0 = t0 - pulse.t_a
     if spec.kind == TABULATED:
         nodes, vals = _driving_quadrature_nodes(spec, pulse, tau_span=(n - 1) * dt)
-        return _phase_sum_uniform(vals, nodes, tau0, dt, n)
+        return _parts(_phase_sum_uniform(vals, nodes, tau0, dt, n))
     tau = tau0 + dt * np.arange(n)
     if spec.kind == FLAT:
         if pulse.shape == DELTA:
@@ -253,9 +261,23 @@ def driving_term_uniform(spec: InteractionSpectrum, pulse: PulseSpec,
                 "delta pulse on the flat spectrum drives through a Dirac impulse; "
                 "use the analytic Markov delta response"
             )
-        # Markov short-circuit: D = sqrt(gamma_p) * u(t - t_a)
-        return np.sqrt(spec.gamma_p) * np.asarray(envelope(pulse, tau + pulse.t_a))
-    return -1j * np.sqrt(spec.gamma_p) * spec.kappa * exp_filter(spec.kappa, pulse, tau)
+        # Markov short-circuit: D = sqrt(gamma_p) * u(t - t_a), real without a carrier
+        u = np.asarray(envelope(pulse, tau + pulse.t_a))
+        if pulse.delta0 == 0.0:
+            return np.sqrt(spec.gamma_p) * u.real, None
+        return _parts(np.sqrt(spec.gamma_p) * u)
+    f = exp_filter(spec.kappa, pulse, tau)
+    if np.iscomplexobj(f):
+        return _parts(-1j * np.sqrt(spec.gamma_p) * spec.kappa * f)
+    # Im(-1j a f) = 0 * 0 + (-a) f for real a and f: a +0.0 turns the product's -0 into +0
+    f *= -(np.sqrt(spec.gamma_p) * spec.kappa)
+    f += 0.0
+    return None, f
+
+
+def _parts(x: np.ndarray) -> tuple:
+    """Contiguous float64 copies (re, im) of the parts of a complex array."""
+    return x.real.copy(), x.imag.copy()
 
 
 def _real_if_exact(x: complex) -> complex | float:
@@ -274,37 +296,38 @@ def exp_filter(rate: complex, pulse: PulseSpec, tau) -> np.ndarray:
 
     A rate with an exactly zero imaginary part (kappa, a real branch pole)
     and the carrier 1j delta0 at delta0 = 0 are carried as floats, so with
-    both real, exp and erfcx run in real arithmetic; the returned array is
-    complex always.
+    both real, exp and erfcx run in real arithmetic and the result is a
+    float64 array, the real part of the complex one; otherwise it is complex.
     """
     tau = np.asarray(tau, dtype=float)
     rate = _real_if_exact(rate)
-    after = tau >= 0.0
-    tpos = np.clip(tau, 0.0, None)
     if pulse.shape == DELTA:
-        return np.where(after, pulse.xi0 * np.sqrt(2.0 * np.pi) * np.exp(-rate * tpos), 0.0 + 0j)
+        return np.where(tau >= 0.0,
+                        pulse.xi0 * np.sqrt(2.0 * np.pi) * np.exp(-rate * np.clip(tau, 0.0, None)),
+                        0.0)
     tf, carrier = pulse.tau_f, _real_if_exact(1j * pulse.delta0)
     if pulse.shape == DECAYING_EXP:
+        tpos = np.clip(tau, 0.0, None)
         a = 0.5 / tf + carrier
         if abs(rate - a) < _POLE_TOL * abs(rate):
             body = tpos * np.exp(-rate * tpos)
         else:
             body = (np.exp(-a * tpos) - np.exp(-rate * tpos)) / (rate - a)
-        return np.where(after, body / np.sqrt(tf), 0.0 + 0j)
+        return np.where(tau >= 0.0, body / np.sqrt(tf), 0.0)
     if pulse.shape == RISING_EXP:
         b = 0.5 / tf - carrier  # the pulse tail before cut-off grows as e^{b tau}
         before = np.exp(b * np.clip(tau, None, 0.0))
-        return np.asarray(np.where(after, np.exp(-rate * tpos), before)
-                          / ((rate + b) * np.sqrt(tf)), dtype=complex)
-    # gaussian
+        return (np.where(tau >= 0.0, np.exp(-rate * np.clip(tau, 0.0, None)), before)
+                / ((rate + b) * np.sqrt(tf)))
+    # gaussian: erfcx(z) at Re z >= 0, the reflection at the tail Re z < 0
     amp = (2.0 * np.pi * tf**2) ** -0.25 * tf * np.sqrt(np.pi)
     q = (rate - carrier) * tf
     z = np.asarray(q - tau / (2.0 * tf))
     gauss = np.exp(-carrier * tau - tau**2 / (4.0 * tf**2))
-    out = np.empty(tau.shape, dtype=complex)
-    head, tail = z.real >= 0.0, z.real < 0.0
-    out[head] = amp * gauss[head] * erfcx(z[head])
-    out[tail] = amp * (2.0 * np.exp(q * q - rate * tau[tail]) - gauss[tail] * erfcx(-z[tail]))
+    tail = z.real < 0.0
+    e = erfcx(np.where(tail, -z, z))
+    out = amp * gauss * e
+    out[tail] = amp * (2.0 * np.exp(q * q - rate * tau[tail]) - gauss[tail] * e[tail])
     return out
 
 
@@ -314,7 +337,8 @@ def _driving_quadrature_nodes(spec: InteractionSpectrum, pulse: PulseSpec,
 
     The spacing h obeys two constraints: resolving the pulse spectrum, and
     pushing the 2*pi/h aliasing images of the trapezoid sum beyond the
-    evaluation span plus the drive's own decay tail.
+    evaluation span plus the drive's own decay tail. A window needing more
+    than MAX_GRID_SAMPLES nodes is refused before any node is allocated.
     """
     if pulse.shape == DELTA:
         raise ParameterError("shape", "delta pulse with tabulated spectrum has no closed form "
@@ -327,7 +351,13 @@ def _driving_quadrature_nodes(spec: InteractionSpectrum, pulse: PulseSpec,
     hi = min(half_width, spec.table_delta[-1])
     if not hi > lo:
         raise ParameterError("csv", "tabulated grid does not overlap the pulse spectrum window")
-    m = int(np.ceil((hi - lo) / h)) + 1
+    m = np.ceil((hi - lo) / h) + 1
+    if m > MAX_GRID_SAMPLES:  # the carrier widens the window, tau_f refines its spacing
+        name = "delta0" if abs(pulse.delta0) > 50.0 * feature else "tau_f"
+        raise ParameterError(name, f"the tabulated drive needs {m:.3g} detuning nodes, over the "
+                                   f"budget of {MAX_GRID_SAMPLES}: spacing {h:.3g} across "
+                                   f"[{lo:g}, {hi:g}]")
+    m = int(m)
     nodes = np.linspace(lo, hi, m)
     w = np.full(m, nodes[1] - nodes[0])
     w[0] *= 0.5

@@ -37,7 +37,7 @@ def _rise_edge_traj(gamma, kappa, dt=2e-4, t_max=4.0):
     grid = TimeGrid.from_span(0.0, t_max, dt)
     c_r, _ = delta_pulse_rise(AtomParams(gamma=gamma, gamma_p=gamma), kappa, grid)
     return Trajectory(t0=grid.t0, dt=grid.dt, c=c_r.astype(complex), p=c_r**2,
-                      solver_id="rise_edge", params_digest="")
+                      solver_id="rise_edge", params={})
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_density_markov_delta_is_exponential():
 def test_density_scale_invariance():
     traj = _markov_delta_traj()
     scaled = Trajectory(t0=traj.t0, dt=traj.dt, c=np.sqrt(2.0) * traj.c,
-                        p=2.0 * traj.p, solver_id="x", params_digest="y")
+                        p=2.0 * traj.p, solver_id="x", params={})
     assert np.array_equal(probability_density(traj), probability_density(scaled))
 
 
@@ -116,7 +116,7 @@ def test_metrics_flags_oscillatory_trajectory_ambiguous():
     t = grid.times
     p = np.exp(-((t - 3.0) ** 2)) + 0.9 * np.exp(-((t - 7.0) ** 2))
     traj = Trajectory(t0=0.0, dt=1e-3, c=np.sqrt(p).astype(complex), p=p,
-                      solver_id="synthetic", params_digest="none")
+                      solver_id="synthetic", params={})
     m = transduction_metrics(traj, kappa=1.0, gamma=1.0)
     assert m.ambiguous
 
@@ -317,3 +317,42 @@ def test_derived_sweep_rk4_step_resolves_the_stiffest_rate(monkeypatch):
     assert [kappa for kappa, _ in steps] == [1.0, 50.0, 100.0]
     for kappa, dt in steps:
         check_ode_step(1.0, kappa, dt)
+
+
+def _refine_on_times(t, y, i):
+    """Parabolic peak refinement read off the sample times array t."""
+    if i == 0 or i == len(y) - 1 or min(y[i - 1], y[i + 1]) < 0.5 * y[i]:
+        return t[i], y[i]
+    denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+    if denom >= 0.0:
+        return t[i], y[i]
+    shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
+    return t[i] + shift * (t[1] - t[0]), y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
+
+
+@pytest.mark.parametrize("c0", [0j, 0.3 + 0.2j], ids=["c0_zero", "c0_set"])
+@pytest.mark.parametrize("shape", ["gaussian", "decaying_exp", "rising_exp"])
+def test_sweep_cell_is_the_refined_peak_of_its_solve(shape, c0):
+    # kappa = 0.5 has a complex pole pair, 10 real poles; each cell's (p_max, t_peak) is the
+    # peak of solve(...).p refined on its times array, bit for bit
+    atom = AtomParams(c0=c0)
+    taus, kappas = [0.3, 1.0], [0.5, 10.0]
+    sweep = sweep_pmax(atom, shape, taus, kappas)
+    for i, kappa in enumerate(kappas):
+        for j, tau_f in enumerate(taus):
+            grid, t_a = analysis.cell_grid(shape, tau_f, kappa, atom.gamma)
+            traj = solve(atom, InteractionSpectrum.lorentzian(kappa), PulseSpec(shape, tau_f=tau_f,
+                                                                                t_a=t_a), grid)
+            tp, pm = _refine_on_times(traj.times, traj.p, int(np.argmax(traj.p)))
+            assert (sweep.p_max[i, j], sweep.t_peak[i, j]) == (pm, tp)
+            assert analysis._refine_peak(traj.t0, traj.dt, traj.p, int(np.argmax(traj.p))) \
+                == (tp, pm)
+
+
+@pytest.mark.parametrize("t0, dt", [(0.0, 1e-3), (0.3, 1e-3), (-7.1, 3e-3), (1e4, 1e-4)])
+def test_refine_peak_on_t0_and_dt_is_the_times_array_form(t0, dt):
+    # the step (t0 + dt) - t0 and the time t0 + dt*i are those the times array holds
+    y = np.exp(-((np.arange(101) - 40.3) / 9.0) ** 2)
+    times = t0 + dt * np.arange(y.size)
+    for i in (0, 39, 40, 41, 100):
+        assert analysis._refine_peak(t0, dt, y, i) == _refine_on_times(times, y, i)

@@ -7,7 +7,7 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fockatom import analysis, cli
@@ -75,9 +75,13 @@ def _all_finite(csv_path) -> bool:
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    d = np.linspace(-100.0, 100.0, 2001)
-    g2 = (1.0 / (2 * np.pi)) / ((d / 5.0) ** 2 + 1.0)
-    (root / "s.csv").write_text("delta,g2\n" + "\n".join(f"{x},{y}" for x, y in zip(d, g2)))
+    # s.csv, and the two tables of the oversize tabulated drives: wide.csv (+-2000 in
+    # steps of 0.5, kappa = 10) and sparse.csv (+-1e6 in 401 rows)
+    for name, d, kappa in (("s.csv", np.linspace(-100.0, 100.0, 2001), 5.0),
+                           ("wide.csv", np.linspace(-2000.0, 2000.0, 8001), 10.0),
+                           ("sparse.csv", np.linspace(-1e6, 1e6, 401), 10.0)):
+        g2 = (1.0 / (2 * np.pi)) / ((d / kappa) ** 2 + 1.0)
+        (root / name).write_text("delta,g2\n" + "\n".join(f"{x},{y}" for x, y in zip(d, g2)))
     return str(root)
 
 
@@ -137,25 +141,42 @@ def _tables(draw):
     return text, not faults and len(rows) >= 2
 
 
+# a clean table over [-150, 150] in steps of 1 (alias horizon 6.3)
+_WIDE_TABLE = "delta,g2\n" + "".join(f"{x!r},{1.0 / (2 * np.pi) / ((x / 5.0) ** 2 + 1.0)!r}\n"
+                                      for x in np.linspace(-150.0, 150.0, 301).tolist())
+
+
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(table=_tables())
-def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table):
+@example(table=(_WIDE_TABLE, True), tau_f=1.0, delta0=2.5)  # 4201 nodes: runs
+@example(table=(_WIDE_TABLE, True), tau_f=2000.0, delta0=120.0)  # 1.9e7 nodes: refused
+@given(table=_tables(), tau_f=st.sampled_from([0.25, 0.05, 1.0, 8.0, 300.0, 2000.0]),
+       delta0=st.sampled_from([0.0, 2.5, -30.0, 120.0, -180.0]))
+def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f, delta0):
+    # the drive's detuning window |delta| <= |delta0| + 50/tau_f, in steps of at most
+    # 1/(40 tau_f): a long pulse (tau_f up to 2000) with a carrier needs more nodes than the
+    # budget, a short one may miss the table, and |delta0| dt > pi aliases the carrier
     text, clean = table
     path = os.path.join(work, "table.csv")
     with open(path, "w") as fh:
         fh.write(text)
-    # tau_f = 0.25: the drive's detuning window [-200, 200] overlaps every drawn table
-    cfg = {"spectrum": {"kind": "tabulated", "csv": path}, "pulse": {"tau_f": 0.25},
+    cfg = {"spectrum": {"kind": "tabulated", "csv": path},
+           "pulse": {"tau_f": tau_f, "delta0": delta0},
            "grid": {"t_max": TABLE_SPAN, "dt": TABLE_DT}}
     code, csvs = _run(work, "simulate", cfg)
     err = capsys.readouterr().err
     if code == 2:
-        field = json.loads(err)["field"]
+        payload = json.loads(err)
+        field = payload["field"]
         if field == "grid.t_max":
             assert InteractionSpectrum.from_csv(path).alias_horizon <= TABLE_SPAN
+        elif field == "grid.dt":
+            assert abs(delta0) * TABLE_DT > np.pi, (text, err)
+        elif field in ("pulse.delta0", "pulse.tau_f"):
+            assert "detuning nodes, over the budget" in payload["error"], (text, err)
         else:
-            assert field == "spectrum.csv" and not clean, (text, err)
+            assert field == "spectrum.csv", (text, err)
+            assert not clean or "does not overlap" in payload["error"], (text, err)
         return
     assert code == 0 and all(_all_finite(p) for p in csvs), (text, err)
     # the half-step kernel of the Volterra weights against the direct phase sum
@@ -231,10 +252,18 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table):
     ("simulate", {"pulse": {"shape": "delta", "tau_f": 2.0}}, "pulse.tau_f"),
     ("simulate", {"pulse": {"shape": "delta", "delta0": 0.5}}, "pulse.delta0"),
     ("figure fig2a", {"pulse": {"n_bar": 2.0}}, "pulse.n_bar"),
+    # a long detuned pulse on a wide table: its drive quadrature would take 8e7 detuning
+    # nodes (a 640 MB linspace, then a 1.2 GiB array), on a sparse one 4e10; refused unbuilt
+    ("simulate", {"spectrum": {"kind": "tabulated", "csv": "wide.csv"},
+                  "pulse": {"tau_f": 1000, "delta0": 1000, "t_a": 5}, "grid": {"t_max": 10}},
+     "pulse.delta0"),
+    ("simulate", {"spectrum": {"kind": "tabulated", "csv": "sparse.csv"},
+                  "pulse": {"tau_f": 1000, "delta0": 5e5}, "grid": {"t_max": 1e-3, "dt": 1e-6}},
+     "pulse.delta0"),
 ])
 def test_refusal_names_the_config_field(tmp_path, capsys, work, command, cfg, field):
-    if cfg.get("spectrum", {}).get("kind") == "tabulated":
-        cfg["spectrum"].setdefault("csv", os.path.join(work, "s.csv"))
+    if cfg.get("spectrum", {}).get("kind") == "tabulated":  # a table of the work directory
+        cfg["spectrum"]["csv"] = os.path.join(work, cfg["spectrum"].get("csv", "s.csv"))
     code, csvs = _run(str(tmp_path), command, cfg)
     payload = json.loads(capsys.readouterr().err)
     assert (code, payload["field"]) == (2, field), payload

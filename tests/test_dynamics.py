@@ -30,10 +30,11 @@ from fockatom.dynamics import (
     _drive_on_grid,
     _exp_conv_trapezoid,
     _first_order_recursion,
+    _joined,
     _product_trapezoid_weights,
 )
 from fockatom.grids import ParameterError
-from fockatom.serialize import write_trajectory
+from fockatom.serialize import params_digest, write_trajectory
 from fockatom.spectra import memory_kernel
 
 
@@ -44,6 +45,12 @@ def markov_gaussian_amplitude(t, tau_f=1.0, gamma=1.0, gamma_p=1.0, t_a=0.0):
     return (pref * np.sqrt(gamma_p) * tau_f * np.sqrt(np.pi)
             * np.exp(gamma**2 * tau_f**2 / 4.0 - gamma * x / 2.0)
             * (1.0 + erf(x / (2.0 * tau_f) - gamma * tau_f / 2.0)))
+
+
+def _drive(atom, spectrum, pulse, grid, half_step=False):
+    """The complex drive of `_drive_on_grid`, its parts joined."""
+    n = 2 * grid.n - 1 if half_step else grid.n
+    return _joined(_drive_on_grid(atom, spectrum, pulse, grid, half_step), n)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +140,7 @@ def test_closed_form_recovers_initial_condition():
 def _closed_form_two_recursions(atom, kappa, pulse, grid):
     """The closed form summed branch by branch: one complex recursion on the complex
     drive per branch, s_j (e^{-p_j t} c0 + J_{p_j}[D]), the free decay always formed."""
-    D = _drive_on_grid(atom, InteractionSpectrum.lorentzian(kappa), pulse, grid)
+    D = _drive(atom, InteractionSpectrum.lorentzian(kappa), pulse, grid)
     br = branch_params(atom.gamma, kappa)
     dtt = grid.dt * np.arange(grid.n)
     if br.degenerate:
@@ -153,7 +160,7 @@ def _closed_form_with_c0_term(atom, kappa, pulse, grid):
         return _closed_form_two_recursions(atom, kappa, pulse, grid)
     D = _drive_on_grid(atom, InteractionSpectrum.lorentzian(kappa), pulse, grid)
     dtt = grid.dt * np.arange(grid.n)
-    C = _branch_sum(br, D, grid.dt)
+    C = _joined(_branch_sum(br, D, grid.dt), grid.n)
     for p, s in br.pairs:
         C += s * (np.exp(-p * dtt) * atom.c0)
     return C
@@ -173,7 +180,7 @@ def _closed_form_longdouble(atom, kappa, pulse, grid):
     """The branch-by-branch trapezoid recursion in extended precision: p_j and s_j from
     the `branch_params` formulas in longdouble, run on the float64 drive by `lfilter`
     in clongdouble. Its distance from a float64 route is that route's rounding drift."""
-    D = _drive_on_grid(atom, InteractionSpectrum.lorentzian(kappa), pulse, grid)
+    D = _drive(atom, InteractionSpectrum.lorentzian(kappa), pulse, grid)
     ld, cld = np.longdouble, np.clongdouble
     g, k, dt = ld(atom.gamma), ld(kappa), ld(grid.dt)
     disc = k * k - 2 * k * g
@@ -273,7 +280,7 @@ def test_ode_rejects_stiff_step():
 def rk4_step_loop(atom, kappa, pulse, grid):
     """Step-by-step oracle: the RK4 march of the ODE reduction, one step per iteration."""
     spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p, gamma=atom.gamma)
-    Dh = _drive_on_grid(atom, spectrum, pulse, grid, half_step=True)
+    Dh = _drive(atom, spectrum, pulse, grid, half_step=True)
     gk = 0.5 * atom.gamma * kappa
     dt = grid.dt
     C = np.zeros(grid.n, dtype=complex)
@@ -337,7 +344,7 @@ def test_ode_converges_at_fourth_order(kappa, shape):
 
 def volterra_step_loop(atom, spectrum, pulse, grid):
     """Direct-sum oracle: the step-by-step implicit-trapezoid march, O(n^2)."""
-    D = _drive_on_grid(atom, spectrum, pulse, grid)
+    D = _drive(atom, spectrum, pulse, grid)
     kern = memory_kernel(spectrum)
     A, B = _product_trapezoid_weights(kern, grid.dt, grid.n)
     # I_fix(t_i) = A_i C_0 + sum_{m=1}^{i-1} (A_{i-m} + B_{i-m+1}) C_m
@@ -724,6 +731,37 @@ def test_trajectory_probability_is_modulus_squared():
     assert np.array_equal(traj.p, np.abs(traj.c) ** 2)
 
 
+@pytest.mark.parametrize("c0", [0j, 0.3 + 0.2j], ids=["c0_zero", "c0_set"])
+@pytest.mark.parametrize("delta0", [0.0, 0.4])
+def test_trajectory_probability_from_parts_is_modulus_squared(delta0, c0):
+    # with no real part P is im*im, else |C|^2 of the joined amplitude: bit for bit |C|^2
+    grid = TimeGrid.from_span(0.0, 12.0, 1e-3)
+    pulse = PulseSpec("gaussian", tau_f=1.0, delta0=delta0, t_a=6.0)
+    for kappa in (0.5, 2.0, 10.0):
+        traj = solve_closed_form_lorentzian(AtomParams(c0=c0), kappa, pulse, grid)
+        assert np.array_equal(traj.p.view(np.int64), (np.abs(traj.c) ** 2).view(np.int64))
+    im = np.linspace(-0.7, 0.7, 41)
+    for parts in ((None, im), (im[::-1].copy(), im), (None, None)):
+        traj = Trajectory.from_amplitude(TimeGrid(0.0, 0.1, 41), parts, "closed_form",
+                                         AtomParams(), None)
+        assert traj.c.dtype == complex
+        assert np.array_equal(traj.p.view(np.int64), (np.abs(traj.c) ** 2).view(np.int64))
+
+
+def test_trajectory_digests_its_params_on_demand():
+    grid = TimeGrid.from_span(0.0, 4.0, 1e-3)
+    atom = AtomParams(c0=0.1j)
+    pulse = PulseSpec("gaussian", tau_f=0.5, t_a=2.0)
+    spec = InteractionSpectrum.lorentzian(10.0)
+    for traj in (solve_closed_form_lorentzian(atom, 10.0, pulse, grid),
+                 solve_ode_reduction(atom, 10.0, pulse, grid),
+                 solve_volterra(atom, spec, pulse, grid),
+                 solve_markov(atom, pulse, grid)):
+        assert traj.params_digest == params_digest(traj.params)
+        assert traj.params["solver"] == traj.solver_id
+        assert traj.params["grid"] == {"t0": grid.t0, "dt": grid.dt, "n": grid.n}
+
+
 def test_gamma_rescaling_invariance():
     # C_gamma(t; kappa, tau_f) == C_1(gamma t; kappa/gamma, gamma tau_f):
     # gamma really is just the unit of rates throughout the stack
@@ -797,7 +835,7 @@ def test_spontaneous_decay_csv_is_the_branch_sum(tmp_path, gamma, kappa):
     grid = TimeGrid.from_span(0.5, 8.5, 1e-3)
     c = _branch_sum_decay(atom, kappa, grid)
     oracle = Trajectory(t0=grid.t0, dt=grid.dt, c=c, p=np.abs(c) ** 2,
-                        solver_id="closed_form", params_digest="")
+                        solver_id="closed_form", params={})
     write_trajectory(tmp_path / "oracle", oracle)
     write_trajectory(tmp_path / "decay", spontaneous_decay(atom, kappa, grid))
     assert (tmp_path / "decay.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -22,6 +22,7 @@ from fockatom import (
     memory_kernel,
     total_spectrum,
 )
+from fockatom.dynamics import _joined
 from fockatom.grids import ParameterError
 from fockatom.spectra import (
     _driving_quadrature_nodes,
@@ -32,9 +33,14 @@ from fockatom.spectra import (
 )
 
 
+def _drive(spec, pulse, t0, dt, n):
+    """The complex drive of `driving_term_uniform`, its parts joined (None is zero)."""
+    return _joined(driving_term_uniform(spec, pulse, t0, dt, n), n)
+
+
 def _drive_at(spec, pulse, t):
     """D at the one time t."""
-    return driving_term_uniform(spec, pulse, t, 1.0, 1)[0]
+    return _drive(spec, pulse, t, 1.0, 1)[0]
 
 
 def _dense_phase_sum(vals, nodes, tau):
@@ -257,13 +263,81 @@ def _exp_filter_complex(rate, pulse, tau):
 @pytest.mark.parametrize("rate", [10.0, branch_params(1.0, 10.0).p1, branch_params(1.0, 0.5).p1],
                          ids=["kappa", "real_pole", "complex_pole"])
 def test_exp_filter_matches_all_complex_oracle(shape, delta0, rate):
-    # real rates and detunings run in real arithmetic; the values stay those of complex
+    # real rates and detunings run in real arithmetic and return float64, where the complex
+    # oracle's imaginary part is exactly 0; the values stay those of complex (complex exp
+    # and erfcx differ from the real ones in the last bit)
     pulse = PulseSpec(shape, tau_f=0.7, delta0=delta0, xi0=0.1)
     tau = np.linspace(-12.0, 30.0, 4201)
     got = exp_filter(rate, pulse, tau)
     want = _exp_filter_complex(rate, pulse, tau)
-    assert got.dtype == complex
+    real = complex(rate).imag == 0.0 and (delta0 == 0.0 or shape == "delta")
+    assert got.dtype == (np.float64 if real else complex)
+    if real:
+        assert not want.imag.any()
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("delta0", [0.0, 0.4])
+@pytest.mark.parametrize("rate", [10.0, branch_params(1.0, 0.5).p1], ids=["real", "complex"])
+def test_gaussian_filter_is_the_head_and_tail_evaluation(delta0, rate):
+    # one erfcx call on where(tail, -z, z) gives, bit for bit, erfcx(z) on the head and the
+    # reflection 2 exp(z^2) - erfcx(-z) on the tail, each evaluated on its own samples
+    pulse = PulseSpec("gaussian", tau_f=0.7, delta0=delta0)
+    tau = np.linspace(-12.0, 30.0, 4201)
+    rate = rate.real if complex(rate).imag == 0.0 else rate
+    carrier = 1j * delta0 if delta0 else 0.0
+    tf = pulse.tau_f
+    amp = (2.0 * np.pi * tf**2) ** -0.25 * tf * np.sqrt(np.pi)
+    q = (rate - carrier) * tf
+    z = q - tau / (2.0 * tf)
+    gauss = np.exp(-carrier * tau - tau**2 / (4.0 * tf**2))
+    head, tail = z.real >= 0.0, z.real < 0.0
+    want = np.empty(tau.shape, dtype=complex)
+    want[head] = amp * gauss[head] * erfcx(z[head])
+    want[tail] = amp * (2.0 * np.exp(q * q - rate * tau[tail]) - gauss[tail] * erfcx(-z[tail]))
+    assert head.any() and tail.any()
+    got = exp_filter(rate, pulse, tau)
+    assert np.array_equal(got.astype(complex).view(np.int64), want.view(np.int64))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.int64)
+
+
+@pytest.mark.parametrize("delta0", [0.0, 0.4])
+@pytest.mark.parametrize("shape", ["gaussian", "decaying_exp", "rising_exp", "delta"])
+@pytest.mark.parametrize("kind", ["lorentzian", "flat", "tabulated"])
+def test_drive_parts_reassemble_the_complex_drive(kind, shape, delta0):
+    # the parts, a part marked None read as zeros, are bit for bit the complex drive:
+    # -1j sqrt(gamma_p) kappa F for a Lorentzian, sqrt(gamma_p) u for a flat spectrum and
+    # the chirp-z phase sum for a table; a part is None only where it is zero by construction
+    pulse = PulseSpec(shape, tau_f=0.7, delta0=delta0, t_a=3.0, xi0=0.1)
+    t0, dt, n = -1.0, 0.01, 1201
+    tau = t0 - pulse.t_a + dt * np.arange(n)
+    if kind == "lorentzian":
+        spec = InteractionSpectrum.lorentzian(7.0, gamma_p=0.6)
+        want = -1j * np.sqrt(spec.gamma_p) * spec.kappa * exp_filter(spec.kappa, pulse, tau)
+        absent = (shape == "delta" or delta0 == 0.0, False)
+    elif shape == "delta":  # no drive on a flat spectrum or a finite table
+        spec = (InteractionSpectrum.flat() if kind == "flat"
+                else InteractionSpectrum.tabulated(np.linspace(-50, 50, 101), np.ones(101)))
+        with pytest.raises(ValueError):
+            driving_term_uniform(spec, pulse, t0, dt, n)
+        return
+    elif kind == "flat":
+        spec = InteractionSpectrum.flat(gamma_p=0.6)
+        want = np.sqrt(spec.gamma_p) * envelope(pulse, tau + pulse.t_a)
+        absent = (False, delta0 == 0.0)
+    else:
+        spec = _lorentzian_table()
+        nodes, vals = _driving_quadrature_nodes(spec, pulse, (n - 1) * dt)
+        want = _phase_sum_uniform(vals, nodes, tau[0], dt, n)
+        absent = (False, False)
+    parts = driving_term_uniform(spec, pulse, t0, dt, n)
+    assert tuple(part is None for part in parts) == absent
+    for part in parts:
+        assert part is None or (part.dtype == np.float64 and part.flags.c_contiguous)
+    assert np.array_equal(_bits(_drive(spec, pulse, t0, dt, n)), _bits(want))
 
 
 def test_delta_drive_closed_form():
@@ -309,7 +383,7 @@ def test_uniform_and_pointwise_drive_agree():
     pulse = PulseSpec("gaussian", tau_f=0.5, t_a=2.0)
     n, dt = 201, 0.02
     t = 1.0 + dt * np.arange(n)
-    via_czt = driving_term_uniform(spec, pulse, 1.0, dt, n)
+    via_czt = _drive(spec, pulse, 1.0, dt, n)
     tau = t - pulse.t_a
     nodes, vals = _driving_quadrature_nodes(spec, pulse, np.ptp(tau))
     direct = _dense_phase_sum(vals, nodes, tau)
@@ -360,7 +434,7 @@ def test_tabulated_drive_takes_the_chirp_exactly():
     pulse = PulseSpec("gaussian", tau_f=1.0, t_a=7.0)
     n, dt = 20001, 2e-3
     k = np.r_[np.arange(0, n, 50), n - 1]
-    fast = driving_term_uniform(spec, pulse, 0.0, dt, n)[k]
+    fast = _drive(spec, pulse, 0.0, dt, n)[k]
     tau = dt * k - pulse.t_a
     nodes, vals = _driving_quadrature_nodes(spec, pulse, np.ptp(tau))
     direct = _dense_phase_sum(vals, nodes, tau)
@@ -421,11 +495,11 @@ def test_tabulated_drive_close_to_analytic_magnitude():
     tab = InteractionSpectrum.tabulated(d, g2)
     lor = InteractionSpectrum.lorentzian(kappa)
     pulse = PulseSpec("gaussian", tau_f=1.0, t_a=0.0)
-    dt_tab = np.abs(driving_term_uniform(tab, pulse, -3.0, 0.5, 13))
-    dt_lor = np.abs(driving_term_uniform(lor, pulse, -3.0, 0.5, 13))
+    dt_tab = np.abs(_drive(tab, pulse, -3.0, 0.5, 13))
+    dt_lor = np.abs(_drive(lor, pulse, -3.0, 0.5, 13))
     assert np.abs(dt_tab - dt_lor).max() < 1e-2
     # delay-compensated comparison collapses the gap
-    dt_lor_shifted = np.abs(driving_term_uniform(lor, pulse, -3.0 + 1.0 / kappa, 0.5, 13))
+    dt_lor_shifted = np.abs(_drive(lor, pulse, -3.0 + 1.0 / kappa, 0.5, 13))
     assert np.abs(dt_tab - dt_lor_shifted).max() < 3e-4
 
 
