@@ -1,11 +1,11 @@
 """Scenario runner: JSON configs in, plot-ready CSV bundles out.
 
-Commands: simulate, sweep, decay, delta-rise, detector-compare,
-figure <id>, validate. Configs are strict JSON (unknown keys rejected);
-command-line flags override config values. Outputs are deterministic:
-identical configs produce byte-identical CSVs, with timestamps confined
-to the JSON sidecars. The default output directory comes from the
-FOCKATOM_OUT environment variable (falling back to ./out).
+Commands: simulate, sweep, decay, delta-rise, detector-compare, figure <id>, validate.
+Configs are strict JSON: an unknown key, or a field set away from its default that the
+run builds no input from, exits 2 naming it. Command-line flags override config values.
+Outputs are deterministic: identical configs produce byte-identical CSVs, with timestamps
+confined to the JSON sidecars. The default output directory comes from the FOCKATOM_OUT
+environment variable (falling back to ./out).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 from typing import NamedTuple
 
@@ -29,8 +28,8 @@ from .dynamics import (
     delta_pulse_rise,
     spontaneous_decay,
 )
-from .grids import MAX_GRID_SAMPLES, MIN_SCALE, ParameterError, TimeGrid, check_range
-from .pulses import NORMALIZABLE_SHAPES, PULSE_SHAPES, CoherentPulseSpec, PulseSpec
+from .grids import MAX_GRID_SAMPLES, ParameterError, TimeGrid
+from .pulses import DELTA, PULSE_SHAPES, CoherentPulseSpec, PulseSpec
 from .serialize import (
     write_csv,
     write_detector_trace,
@@ -104,23 +103,6 @@ _DEFAULTS = {
     },
     "solver": "closed_form",
     "output_dir": None,
-}
-
-# The pulse and spectrum fields a scenario reads, for the scenarios that read only some,
-# keyed by the scenario and, where it depends on them, by (scenario, spectrum.kind) and
-# (scenario, pulse.shape): a sidecar records the config, so any other field of those
-# sections set away from its default is refused rather than recorded and not run. A sweep
-# cell's tau_f and kappa come from the sweep axes. A simulated delta pulse is its
-# amplitude xi0 alone; a normalizable one has no amplitude, but a length and a carrier.
-_READS = {
-    "sweep": ("pulse.shape",),
-    "decay": ("spectrum.kappa",),
-    "delta_rise": ("spectrum.kappa",),
-    "simulate": ("spectrum.kind", "pulse.shape", "pulse.t_a"),
-    ("simulate", "lorentzian"): ("spectrum.kappa",),
-    ("simulate", "tabulated"): ("spectrum.csv",),
-    ("simulate", "delta"): ("pulse.xi0",),
-    **{("simulate", shape): ("pulse.tau_f", "pulse.delta0") for shape in NORMALIZABLE_SHAPES},
 }
 
 # fields that may be null, with their type; the others are typed by their default
@@ -230,9 +212,9 @@ def _grid(cfg, t_max: float | None) -> TimeGrid:
     return TimeGrid.from_span(g["t0"], t_max if g["t_max"] is None else g["t_max"], g["dt"])
 
 
-def _build_spectrum(cfg, atom: AtomParams) -> InteractionSpectrum:
+def _build_spectrum(cfg, atom: AtomParams, kind: str | None = None) -> InteractionSpectrum:
     s, rates = cfg["spectrum"], {"gamma_p": atom.gamma_p, "gamma": atom.gamma}
-    if s["kind"] == "lorentzian":
+    if (kind or s["kind"]) == "lorentzian":
         return InteractionSpectrum.lorentzian(s["kappa"], **rates)
     if s["kind"] == "flat":
         return InteractionSpectrum.flat(**rates)
@@ -244,14 +226,14 @@ def _build_spectrum(cfg, atom: AtomParams) -> InteractionSpectrum:
 
 def _build_pulse_and_grid(cfg, atom: AtomParams, spectrum: InteractionSpectrum):
     """Pulse arriving at pulse.t_a, else at grid.t0 + the `cell_span` lead, and a grid from
-    grid.t0 to grid.t_max, else to the arrival plus the trail, rounded once. The configured
-    pulse is checked before the grid and the grid before the arrival, so a refusal names
-    the field the user set."""
+    grid.t0 to grid.t_max, else to the arrival plus the trail, rounded once. A delta pulse is
+    its amplitude xi0, any other its length and carrier. The pulse is checked before the
+    grid and the grid before the arrival, so a refusal names the field the user set."""
     p = cfg["pulse"]
-    pulse = PulseSpec(shape=p["shape"], tau_f=p["tau_f"], delta0=p["delta0"], xi0=p["xi0"],
-                      t_a=p["t_a"] or 0.0)
+    form = ("xi0",) if p["shape"] == DELTA else ("tau_f", "delta0")
+    pulse = PulseSpec(shape=p["shape"], t_a=p["t_a"] or 0.0, **{key: p[key] for key in form})
     kappa = spectrum.kappa if spectrum.kind == "lorentzian" else np.inf
-    lead, trail = cell_span(p["shape"], p["tau_f"], min(kappa, 1e6), atom.gamma)
+    lead, trail = cell_span(pulse.shape, pulse.tau_f, min(kappa, 1e6), atom.gamma)
     t_a = cfg["grid"]["t0"] + lead if p["t_a"] is None else p["t_a"]
     grid = _grid(cfg, t_a + trail)
     return pulse.with_arrival(t_a), grid
@@ -269,34 +251,46 @@ def _axis(ax) -> np.ndarray:
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _outputs(cfg: dict) -> dict:
-    """Named outputs of a non-figure scenario, each a thunk that computes it.
+class _Recording:
+    """A config, or one of its sections, adding the path of each field read to `read`."""
 
-    Inputs are built, and so checked, here; a caller computes what it writes.
-    """
+    def __init__(self, node: dict, read: set, section: str = ""):
+        self._node, self._read, self._section = node, read, section
+
+    def __getitem__(self, key: str):
+        val = self._node[key]
+        if not self._section and isinstance(val, dict):
+            return _Recording(val, self._read, key + ".")
+        self._read.add(self._section + key)
+        return val
+
+
+def _fields(cfg: dict) -> dict:
+    """Path -> value of each field a scenario may read (a sweep axis whole), pulse first."""
+    return {**{f"{name}.{key}": val for name in ("pulse", "spectrum", "atom", "grid", "sweep")
+               for key, val in cfg[name].items()}, "solver": cfg["solver"]}
+
+
+def _outputs(cfg: dict) -> dict:
+    """Named outputs of a non-figure scenario, each a thunk of inputs built, and so checked,
+    here. A field set away from its `normalize_config({})` default that none read is refused."""
+    read = set()
+    cfg, given = _Recording(cfg, read), cfg
     a, scenario = cfg["atom"], cfg["scenario"]
+    c0 = {"decay": 1.0, "delta_rise": 0j}.get(scenario)  # decay's excited atom; no amplitude
     atom = AtomParams(gamma=a["gamma"], gamma_p=a["gamma_p"], t_d=a["t_d"],
-                      c0=complex(a["c0_re"], a["c0_im"]))
-    kappa = cfg["spectrum"]["kappa"]
-    if scenario == "sweep" and cfg["grid"] != _DEFAULTS["grid"]:
-        raise ParameterError("grid", "a sweep builds each cell's grid from tau_f and kappa")
-    reads = [field for key in (scenario, (scenario, cfg["spectrum"]["kind"]),
-                               (scenario, cfg["pulse"]["shape"])) for field in _READS.get(key, ())]
-    if "spectrum.kappa" in reads:
-        check_range("kappa", kappa, MIN_SCALE)  # a field read is checked before those refused
-    for section in ("pulse", "spectrum") if reads else ():
-        for key, default in _DEFAULTS[section].items():
-            if cfg[section][key] != default and f"{section}.{key}" not in reads:
-                raise ParameterError(f"{section}.{key}", f"{scenario} reads only "
-                                     f"{', '.join(reads)} of the pulse and spectrum sections")
+                      c0=complex(a["c0_re"], a["c0_im"]) if c0 is None else c0)
+    if scenario in ("decay", "delta_rise"):  # closed forms of a Lorentzian spectrum
+        kappa = _build_spectrum(cfg, atom, "lorentzian").kappa
     if scenario == "simulate":
         spectrum = _build_spectrum(cfg, atom)
         pulse, grid = _build_pulse_and_grid(cfg, atom, spectrum)
-        return {"trajectory": lambda: solve(atom, spectrum, pulse, grid, cfg["solver"])}
-    if scenario == "decay":
+        solver = (cfg["solver"],) if spectrum.kind == "lorentzian" else ()  # others fix theirs
+        outputs = {"trajectory": partial(solve, atom, spectrum, pulse, grid, *solver)}
+    elif scenario == "decay":
         grid = _grid(cfg, cfg["grid"]["t0"] + 8.0 / atom.gamma)
-        return {"decay": lambda: spontaneous_decay(replace(atom, c0=1.0), kappa, grid)}
-    if scenario == "delta_rise":
+        outputs = {"decay": partial(spontaneous_decay, atom, kappa, grid)}
+    elif scenario == "delta_rise":
         grid = _grid(cfg, cfg["grid"]["t0"] + 2.0 / atom.gamma)
 
         def rise():
@@ -305,23 +299,29 @@ def _outputs(cfg: dict) -> dict:
                                   np.exp(0.5 * atom.gamma * atom.t_d), 0.0)
             return (["t", "C_R", "dC_R_dt", "C_R_markov"], [grid.times, c_r, dc_r, c_r_markov],
                     {"saturation": float(c_r[-1])})
-        return {"delta_rise": rise}
-    if scenario == "sweep":
+        outputs = {"delta_rise": rise}
+    elif scenario == "sweep":
         axes = [_axis(cfg["sweep"][name]) for name in ("tau_f", "kappa")]
-        return {"sweep": lambda: sweep_pmax(atom, cfg["pulse"]["shape"], *axes,
-                                            solver=cfg["solver"])}
-    if scenario == "detector_compare":  # the configured spectrum sets only the grid
+        outputs = {"sweep": partial(sweep_pmax, atom, cfg["pulse"]["shape"], *axes,
+                                    solver=cfg["solver"])}
+    else:  # detector_compare: the configured spectrum sets only the grid
         pulse, grid = _build_pulse_and_grid(cfg, atom, _build_spectrum(cfg, atom))
         coherent = CoherentPulseSpec(base=pulse, n_bar=cfg["pulse"]["n_bar"])
         flat = InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
-        return {
+        outputs = {
             "linear_fock": lambda: linear_response(atom, pulse, "fock", grid, flat),
             "linear_coherent": lambda: linear_response(atom, pulse, "coherent", grid, flat,
                                                        n_bar=coherent.n_bar),
             "atom_fock": lambda: fock_atom_response(atom, pulse, grid),
             "atom_bloch_coherent": lambda: bloch_response(atom, coherent, grid),
         }
-    raise ParameterError("scenario", f"unhandled scenario {scenario!r}")
+    if "atom.gamma_p" in read:
+        read.add("atom.mode_fraction")  # normalize_config derives gamma_p from it
+    defaults = _fields(normalize_config({}))
+    for field, val in _fields(given).items():
+        if val != defaults[field] and field not in read:
+            raise ParameterError(field, f"set, but {scenario} builds no input from it")
+    return outputs
 
 
 def _write(base: str, item, meta: dict) -> list[str]:

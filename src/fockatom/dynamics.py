@@ -544,27 +544,23 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     A_pair = A.copy()
     A_pair[1:] += A[:-1]
     if np.iscomplexobj(mem):
-        D = _joined(D, grid.n)
-        r = half * (D[:-1] + D[1:]) - half * A_pair * c0
-        r[0] += c0
-        C = np.empty(grid.n, dtype=complex)
-        C[0] = c0
-        C[1:] = _solve_memory_toeplitz(mem, r)
+        C = _volterra_part(mem, half, A_pair, _joined(D, grid.n), c0, grid.n)
     else:  # the column is real: each part of r is its own real system
-        C = tuple(_real_volterra_part(mem, half, A_pair, d, c, grid.n)
+        C = tuple(_volterra_part(mem, half, A_pair, d, c, grid.n)
                   for d, c in zip(D, (c0.real, c0.imag)))
     return Trajectory.from_amplitude(grid, C, "volterra", atom, pulse,
                                      spectrum_kind=spectrum.kind, kappa=spectrum.kappa)
 
 
-def _real_volterra_part(mem: np.ndarray, half: float, A_pair: np.ndarray, d, c: float, n: int):
-    """One float64 part of the Volterra amplitude on a real memory column: d the drive part
-    (None if zero), c the part of c0; None when both are zero."""
+def _volterra_part(mem: np.ndarray, half: float, A_pair: np.ndarray, d, c, n: int):
+    """The Volterra amplitude from drive d (None if zero) and initial value c, in the dtype
+    of its right-hand side: on a real memory column, one float64 part, with d and c the
+    parts of the drive and of c0; None when both are zero."""
     if d is None and c == 0.0:
         return None
     r = (0.0 if d is None else half * (d[:-1] + d[1:])) - half * A_pair * c
     r[0] += c
-    x = np.empty(n)
+    x = np.empty(n, dtype=r.dtype)
     x[0] = c
     x[1:] = _solve_memory_toeplitz(mem, r)
     return x

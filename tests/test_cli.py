@@ -382,12 +382,16 @@ def test_one_route_from_spectrum_kind_and_solver(tmp_path, capsys, monkeypatch, 
     fockatom.linear_response(atom, pulse, "fock", grid, spectrum)
     assert used == [{"flat": "markov", "tabulated": "volterra"}.get(kind, "closed_form")]
 
-    # each kind with the spectrum field it reads: simulate refuses the others
+    # each kind with the spectrum field it reads: simulate refuses the others, and a flat or
+    # tabulated spectrum, which fixes its solver, refuses any solver set
     reads = {"lorentzian": {"kappa": 5.0}, "tabulated": {"csv": csv_path}}.get(kind, {})
     cfg = {"spectrum": {"kind": kind, **reads}, "solver": solver,
            "pulse": {"tau_f": 1.0, "t_a": 3.0}, "grid": {"t_max": 8.0, "dt": 1e-2}}
-    code, _, _ = _run(["simulate", "--config", _write_config(tmp_path, cfg),
-                       "--out", str(tmp_path / "o")], capsys)
+    code, _, err = _run(["simulate", "--config", _write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")], capsys)
+    if kind != "lorentzian" and solver != "closed_form":
+        assert (code, json.loads(err)["field"]) == (2, "solver")
+        return
     assert code == 0
     assert json.loads((tmp_path / "o" / "trajectory.json").read_text())["solver_id"] == expected
 
@@ -573,10 +577,10 @@ def test_sweep_ode_rk4_resolves_stiff_cells(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["sweep", "--dt", "1e-2"], ["figure", "fig4d", "--t-max", "5"]])
 def test_sweep_refuses_grid_fields(tmp_path, capsys, argv):
-    # each cell builds its own grid, so a grid field would be recorded but not run
+    # each cell builds its own grid, so the grid field set would be recorded but not run
     code, out, err = _run(argv + ["--out", str(tmp_path / "o")], capsys)
     assert code == 2
-    assert json.loads(err)["field"] == "grid"
+    assert json.loads(err)["field"] == {"--dt": "grid.dt", "--t-max": "grid.t_max"}[argv[-2]]
     assert out == "" and not (tmp_path / "o").exists()
 
 

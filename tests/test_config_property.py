@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pathlib
 import shutil
 
 import numpy as np
@@ -260,6 +261,19 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     ("simulate", {"spectrum": {"kind": "tabulated", "csv": "sparse.csv"},
                   "pulse": {"tau_f": 1000, "delta0": 5e5}, "grid": {"t_max": 1e-3, "dt": 1e-6}},
      "pulse.delta0"),
+    # a field no input is built from, in any section: detector-compare's pulse is never a
+    # delta, decay runs from c0 = 1 and delta-rise from no amplitude, a flat spectrum fixes
+    # its solver, decay and detector-compare never read one, and only a sweep reads its axes
+    ("detector-compare", {"pulse": {"xi0": 0.3}, "spectrum": {"kind": "flat", "kappa": 5}},
+     "pulse.xi0"),
+    ("decay", {"atom": {"c0_re": 0.5}}, "atom.c0_re"),
+    ("decay", {"solver": "volterra"}, "solver"),
+    ("delta-rise", {"atom": {"c0_re": 0.5}}, "atom.c0_re"),
+    ("simulate", {"spectrum": {"kind": "flat"}, "solver": "ode_rk4"}, "solver"),
+    ("simulate", {"sweep": {"tau_f": {"num": 2}}}, "sweep.tau_f"),
+    ("decay", {"sweep": {"kappa": {"start": 1.0}}}, "sweep.kappa"),
+    ("detector-compare", {"solver": "volterra"}, "solver"),
+    ("validate", {"scenario": "decay", "solver": "volterra"}, "solver"),
 ])
 def test_refusal_names_the_config_field(tmp_path, capsys, work, command, cfg, field):
     if cfg.get("spectrum", {}).get("kind") == "tabulated":  # a table of the work directory
@@ -276,6 +290,60 @@ def test_fig3_and_fig6_accept_atom_fields(tmp_path, capsys):
         code, csvs = _run(str(tmp_path), f"figure {fig}",
                           {"atom": {"mode_fraction": 0.7, "t_d": 0.1}})
         assert code == 0 and csvs, (fig, capsys.readouterr().err)
+
+
+# one valid value per settable field, away from its default and from each base config's
+ALTERNATES = {
+    "atom.gamma": 1.5, "atom.gamma_p": 0.5, "atom.mode_fraction": 0.5, "atom.t_d": 0.1,
+    "atom.c0_re": 0.5, "atom.c0_im": 0.5, "spectrum.kind": "flat", "spectrum.kappa": 5.0,
+    "spectrum.csv": "s.csv", "pulse.shape": "decaying_exp", "pulse.tau_f": 2.0,
+    "pulse.delta0": 0.5, "pulse.t_a": 5.0, "pulse.xi0": 0.3, "pulse.n_bar": 2.0,
+    "grid.t0": 1.0, "grid.t_max": 30.0, "grid.dt": 0.02, "solver": "ode_rk4",
+}
+# each scenario's base config: a coarse grid, a small sweep, and a detector-compare
+# spectrum (kappa = 1 < 2 gamma) that moves its grid
+BASES = {
+    "simulate": {"grid": {"dt": 0.01}},
+    "decay": {"grid": {"dt": 0.01}},
+    "delta-rise": {"grid": {"dt": 0.01}},
+    "detector-compare": {"grid": {"dt": 0.01}, "spectrum": {"kappa": 1.0}},
+    "sweep": {"sweep": {"tau_f": {"start": 0.5, "stop": 2.0, "num": 2},
+                        "kappa": {"start": 1.0, "stop": 10.0, "num": 2}}},
+}
+# the atom is built from gamma, gamma_p (or atom.mode_fraction) and t_d in every scenario,
+# though decay's excited atom has no drive to take gamma_p or delay, and the delta-rise
+# window has no gamma_p
+UNMOVED = {("decay", "atom.gamma_p"), ("decay", "atom.mode_fraction"), ("decay", "atom.t_d"),
+           ("delta-rise", "atom.gamma_p"), ("delta-rise", "atom.mode_fraction")}
+
+
+def _csv_bytes(work, command, cfg):
+    """Exit code of one CLI run and the bytes of each CSV it wrote, by path in the output."""
+    code, csvs = _run(work, command, cfg)
+    out = os.path.join(work, "out")
+    return code, {os.path.relpath(path, out): pathlib.Path(path).read_bytes() for path in csvs}
+
+
+@pytest.fixture(scope="module")
+def base_csvs(work):
+    return {command: _csv_bytes(work, command, cfg) for command, cfg in BASES.items()}
+
+
+@pytest.mark.parametrize("field", sorted(ALTERNATES))
+@pytest.mark.parametrize("command", sorted(BASES))
+def test_a_field_set_moves_the_output_or_is_refused(work, base_csvs, capsys, command, field):
+    # a run that accepts a field must compute from it: some CSV differs from the base run's
+    assert base_csvs[command][0] == 0
+    *section, key = field.split(".")
+    cfg = json.loads(json.dumps(BASES[command]))
+    (cfg.setdefault(section[0], {}) if section else cfg)[key] = ALTERNATES[field]
+    code, csvs = _csv_bytes(work, command, cfg)
+    err = capsys.readouterr().err
+    if code == 2:
+        assert json.loads(err)["field"] in FIELDS, err
+    else:
+        assert code == 0, err
+        assert (csvs != base_csvs[command][1]) != ((command, field) in UNMOVED), cfg
 
 
 def test_sample_budget_message_is_short(tmp_path, capsys):
