@@ -171,9 +171,9 @@ _SOLVERS = {
     "closed_form": solve_closed_form_lorentzian,
     "ode_rk4": solve_ode_reduction,
     "volterra": solve_volterra,
-    "markov": solve_markov,
+    "markov": solve_markov,  # the flat spectrum's solver, not a name to select
 }
-SOLVERS = tuple(_SOLVERS)
+SOLVERS = ("closed_form", "ode_rk4", "volterra")
 
 
 def solve(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | None,
@@ -182,10 +182,10 @@ def solve(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | No
 
     A flat spectrum has no memory and goes to `solve_markov`, a tabulated
     one has only its sampled kernel and goes to `solve_volterra`, and a
-    Lorentzian one goes to the named solver. The spectrum's decay rates
-    must be the atom's, which all but `solve_volterra` read.
+    Lorentzian one goes to the named solver, one of SOLVERS. The spectrum's
+    decay rates must be the atom's, which all but `solve_volterra` read.
     """
-    if solver not in _SOLVERS:
+    if solver not in SOLVERS:
         raise ParameterError("solver", f"unknown solver tag {solver!r}")
     check_rates_agree(atom, spectrum)
     name = {FLAT: "markov", TABULATED: "volterra"}.get(spectrum.kind, solver)
@@ -237,7 +237,7 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
         raise ParameterError("sweep", "sweep grids must be nonempty")
     if not (np.all(np.diff(tau_f_grid) > 0) and np.all(np.diff(kappa_grid) > 0)):
         raise ParameterError("sweep", "sweep grids must be sorted ascending")
-    if solver not in _SOLVERS:
+    if solver not in SOLVERS:
         raise ParameterError("solver", f"unknown solver tag {solver!r}")
     nk, nt = kappa_grid.size, tau_f_grid.size
     p_max = np.full((nk, nt), np.nan)

@@ -167,6 +167,8 @@ def normalize_config(raw: dict) -> dict:
 
     atom = cfg["atom"]
     frac = atom["mode_fraction"]
+    if frac is not None and atom["gamma_p"] is not None:
+        raise ParameterError("atom.mode_fraction", "set beside atom.gamma_p: give one of the two")
     if isinstance(frac, str) and frac not in MODE_FRACTION_PRESETS:
         raise ParameterError("atom.mode_fraction",
                              f"unknown preset; use one of {sorted(MODE_FRACTION_PRESETS)}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import solve
-from .dynamics import _PROB_TOL, AtomParams, solve_markov
+from .dynamics import _PROB_TOL, AtomParams, _affine_march, solve_markov
 from .grids import ParameterError, TimeGrid
 from .pulses import DELTA, CoherentPulseSpec, PulseSpec, envelope
 from .spectra import InteractionSpectrum
@@ -94,9 +94,8 @@ def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
     affine map y_{i+1} = M_i y_i + c_i, read off the step itself applied to
     the unit states (M_i) and, with the drive's constant term, to the zero
     state (c_i), for all steps at once on the arrays of Omega at t_i,
-    t_i + dt/2 and t_i + dt. The maps are composed by a log-depth inclusive
-    scan (Hillis-Steele; Blelloch 1990), so y_i is the composition of the
-    first i maps applied to y_0 = 0. A population leaving [0, 1] is refused
+    t_i + dt/2 and t_i + dt. The march from y_0 = 0 is one banded triangular
+    solve (`dynamics._affine_march`). A population leaving [0, 1] is refused
     as a step that does not resolve the Rabi frequency.
     """
     if pulse.base.delta0 != 0.0:
@@ -119,16 +118,8 @@ def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
                 b + dt / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]))
 
     # states: the unit states without the constant term (columns of M), the zero state with it
-    ya, yb = step(*np.eye(3)[:, :, None])
-    M = np.array([[ya[0], ya[1]], [yb[0], yb[1]]])
-    y = np.zeros((2, grid.n))
-    y[:, 1:] = ya[2], yb[2]
-    steps, s = grid.n - 1, 1
-    while s < steps:  # y_{i+1} becomes maps max(0, i + 1 - 2s)..i applied to y_0 = 0
-        y[:, s + 1:] += np.einsum("ijk,jk->ik", M[:, :, s:], y[:, 1:-s])
-        if 2 * s < steps:
-            M[:, :, s:] = np.einsum("ijk,jlk->ilk", M[:, :, s:], M[:, :, :-s])
-        s *= 2
+    G = np.array(step(*np.eye(3)[:, :, None]))
+    y = _affine_march(G[:, :2], G[:, 2], (0.0, 0.0), grid.n)
     pop = y[0]
     if not np.all((pop >= -_PROB_TOL) & (pop <= 1.0 + _PROB_TOL)):
         raise ParameterError("dt", f"Bloch population left [0, 1] (max {pop.max():.6g}): "

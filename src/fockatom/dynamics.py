@@ -15,8 +15,8 @@ is solved three ways that share nothing but the driving term:
   both branches of a complex-conjugate pair.
 * `solve_ode_reduction`: the exponential kernel embedded exactly as the
   auxiliary variable M' = -kappa*M + C, integrated with fixed-step RK4. The
-  step is a constant affine 2x2 map of (C, M), applied blockwise: one
-  block-Toeplitz product of its powers per block of steps.
+  step is a constant real affine 2x2 map of (C, M), marched for each part
+  of the drive by one banded triangular solve.
 * `solve_volterra`: generic product-trapezoid discretization of the memory
   integral (piecewise-linear amplitude, exact kernel moments) with an
   implicit-trapezoid step. Works for any evaluable kernel; the march is one
@@ -31,8 +31,8 @@ All solvers accept an initial amplitude C(t0) = c0 along with the pulse;
 the dynamics is linear, so the result is the superposition of the two
 responses. The drive arrives as the float64 parts (re, im) of
 `driving_term_uniform`, a part that is zero by construction marked None.
-The closed form and the Volterra solver on a real memory column keep the
-parts through to the amplitude; RK4, the Markov reference and the double
+The closed form, RK4 and the Volterra solver on a real memory column keep
+the parts through to the amplitude; the Markov reference and the double
 pole join them into one complex array (`_joined`). Each solver returns
 `Trajectory.from_amplitude(grid, c, solver, atom, pulse, **extra)`, which
 keeps those inputs as the trajectory's `params` (digested only when read)
@@ -68,7 +68,6 @@ _DEGENERATE_RTOL = 1e-9   # |kappa - 2 gamma| below this (times gamma) is the do
 _PROB_TOL = 1e-6
 _TOEPLITZ_BLOCK = 128          # rows per dense solve of the Volterra Toeplitz system
 _TOEPLITZ_BLOCK_REAL = 512     # the same in float64, where a dense row costs a quarter
-_RK4_BLOCK = 128               # RK4 steps per block-Toeplitz product of the ODE route
 
 
 @dataclass(frozen=True)
@@ -356,6 +355,26 @@ def check_ode_step(gamma: float, kappa: float, dt: float) -> None:
         )
 
 
+def _affine_march(M, c, y0, n: int) -> np.ndarray:
+    """States y_0..y_{n-1} of the real march y_{i+1} = M_i y_i + c_i, as a (2, n) array.
+
+    M is one 2x2 map or a (2, 2, n-1) stack, c a (2, n-1) array or a scalar. In
+    the order (y_0[0], y_0[1], y_1[0], ...) the march is a unit lower-triangular
+    system with 3 sub-diagonals, -M_i[r, k] at offset 2 + r - k of the column of
+    y_i[k]: one `dtbtrs` runs its forward substitution, the step loop itself.
+    """
+    band = np.zeros((4, 2 * n), order="F")  # diagonal row unreferenced (diag="U")
+    for r, k in np.ndindex(2, 2):
+        band[2 + r - k, k:-2:2] = -M[r, k]
+    z = np.empty((2 * n, 1))
+    z[:2, 0] = y0
+    z[2:, 0] = np.ravel(c, order="F")
+    z, info = dtbtrs(band, z, uplo="L", diag="U", overwrite_b=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dtbtrs failed: info {info}")
+    return z[:, 0].reshape(n, 2).T
+
+
 def solve_ode_reduction(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
                         grid: TimeGrid) -> Trajectory:
     """Exact ODE embedding of the exponential kernel, fixed-step RK4.
@@ -365,15 +384,14 @@ def solve_ode_reduction(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
     Lorentzian kernel. The fixed step must resolve the stiffest rate.
     With constant coefficients one RK4 step is the affine map
     y_{i+1} = R y_i + A (D(t_i), D(t_i + dt/2), D(t_i + dt)) of y = (C, M);
-    R and A are read off the step itself. Blocks of _RK4_BLOCK steps are
-    evaluated at once: the zero-start response by one product with the
-    block-Toeplitz matrix [R^{k-j}], plus R^k times the block-start state,
-    which R^b carries from block to block. Powers of R stay well defined at
-    the double pole kappa = 2*gamma, where R is not diagonalisable.
+    R and A are read off the step itself. R is real, so each float64 part of
+    the drive, with that part of c0, is one `_affine_march` (absent when both
+    are zero), and the double pole kappa = 2*gamma, where R is not
+    diagonalisable, is no special case.
     """
     check_ode_step(atom.gamma, kappa, grid.dt)
     spectrum = _lorentz_spectrum(atom, kappa)
-    Dh = _joined(_drive_on_grid(atom, spectrum, pulse, grid, half_step=True), 2 * grid.n - 1)
+    Dh = _drive_on_grid(atom, spectrum, pulse, grid, half_step=True)
     gk = 0.5 * atom.gamma * kappa
     dt = grid.dt
 
@@ -398,28 +416,15 @@ def solve_ode_reduction(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
     # columns: the step of the unit states (R) and of unit drive samples (A)
     G = np.array(step(*np.eye(5)))
     R, A = G[:, :2], G[:, 2:]
-    steps = grid.n - 1
-    b = _RK4_BLOCK
-    nb = -(-steps // b)
-    f = np.zeros((nb * b, 2), dtype=complex)
-    f[:steps] = np.stack((Dh[:-1:2], Dh[1::2], Dh[2::2]), axis=1) @ A.T
-    P = np.empty((b + 1, 2, 2))
-    P[0] = np.eye(2)
-    for k in range(b):
-        P[k + 1] = R @ P[k]
-    lag = np.subtract.outer(np.arange(b), np.arange(b))
-    T = np.where((lag >= 0)[:, :, None, None], P[np.maximum(lag, 0)], 0.0)
-    T = T.transpose(0, 2, 1, 3).reshape(2 * b, 2 * b)
-    # Z[blk, k]: state k + 1 steps into block blk when the block starts from zero
-    Z = (f.reshape(nb, 2 * b) @ T.T).reshape(nb, b, 2)
-    starts = np.empty((nb, 2), dtype=complex)
-    y = np.array([atom.c0, 0.0], dtype=complex)
-    for blk in range(nb):
-        starts[blk] = y
-        y = P[b] @ y + Z[blk, -1]
-    C = np.empty(grid.n, dtype=complex)
-    C[0] = atom.c0
-    C[1:] = (Z[:, :, 0] + starts @ P[1:, 0, :].T).ravel()[:steps]
+
+    def part(d, c):
+        if d is None and c == 0.0:
+            return None
+        f = 0.0 if d is None else A @ np.stack((d[:-1:2], d[1::2], d[2::2]))
+        return _affine_march(R, f, (c, 0.0), grid.n)[0]
+
+    c0 = complex(atom.c0)
+    C = tuple(part(d, c) for d, c in zip(Dh, (c0.real, c0.imag)))
     return Trajectory.from_amplitude(grid, C, "ode_rk4", atom, pulse, kappa=kappa)
 
 

@@ -66,11 +66,10 @@ def write_csv(path, header: list[str], columns: list) -> None:
     _atomic_write(path, _csv_chunks(header, columns))
 
 
-def write_json(path, payload: dict, timestamp: bool = True) -> None:
+def write_json(path, payload: dict) -> None:
     doc = dict(payload)
     doc.setdefault("code_version", _code_version)
-    if timestamp:
-        doc["created_at"] = datetime.now(timezone.utc).isoformat()
+    doc["created_at"] = datetime.now(timezone.utc).isoformat()
     _atomic_write(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 

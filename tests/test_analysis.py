@@ -293,6 +293,21 @@ def test_solve_refuses_spectrum_rates_that_are_not_the_atom(kind, solver):
     assert err.value.field == "gamma_p"
 
 
+def test_markov_is_reached_by_the_flat_spectrum_not_by_name():
+    # a named markov solver would ignore a Lorentzian spectrum's kappa, and a sweep's cells
+    grid = TimeGrid.from_span(0.0, 8.0, 1e-2)
+    pulse = PulseSpec("gaussian", tau_f=1.0, t_a=4.0)
+    assert "markov" not in SOLVERS
+    assert solve(AtomParams(), InteractionSpectrum.flat(), pulse, grid).solver_id == "markov"
+    for spectrum in (InteractionSpectrum.flat(), InteractionSpectrum.lorentzian(5.0)):
+        with pytest.raises(ParameterError) as err:
+            solve(AtomParams(), spectrum, pulse, grid, "markov")
+        assert err.value.field == "solver"
+    with pytest.raises(ParameterError) as err:
+        sweep_pmax(AtomParams(), "gaussian", np.array([1.0]), np.array([1.0]), solver="markov")
+    assert err.value.field == "solver"
+
+
 def test_linear_response_refuses_spectrum_rates_that_are_not_the_atom():
     grid = TimeGrid.from_span(0.0, 8.0, 1e-2)
     pulse = PulseSpec("gaussian", tau_f=1.0, t_a=4.0)

@@ -274,6 +274,11 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     ("decay", {"sweep": {"kappa": {"start": 1.0}}}, "sweep.kappa"),
     ("detector-compare", {"solver": "volterra"}, "solver"),
     ("validate", {"scenario": "decay", "solver": "volterra"}, "solver"),
+    # gamma_p fixes the rate mode_fraction would derive; markov is the flat spectrum's
+    # solver, reached only through its kind
+    ("simulate", {"atom": {"gamma_p": 0.5, "mode_fraction": 0.7}}, "atom.mode_fraction"),
+    ("simulate", {"solver": "markov"}, "solver"),
+    ("validate", {"scenario": "sweep", "solver": "markov"}, "solver"),
 ])
 def test_refusal_names_the_config_field(tmp_path, capsys, work, command, cfg, field):
     if cfg.get("spectrum", {}).get("kind") == "tabulated":  # a table of the work directory

@@ -22,10 +22,10 @@ from fockatom import (
 )
 from fockatom import dynamics
 from fockatom.dynamics import (
-    _RK4_BLOCK,
     _TOEPLITZ_BLOCK,
     _TOEPLITZ_BLOCK_REAL,
     MODE_FRACTION_PRESETS,
+    _affine_march,
     _branch_sum,
     _drive_on_grid,
     _exp_conv_trapezoid,
@@ -277,6 +277,27 @@ def test_ode_rejects_stiff_step():
         solve_ode_reduction(atom, 1000.0, None, grid)
 
 
+@pytest.mark.parametrize("n", [2, 3, 1001])
+def test_affine_march_is_the_step_loop(n):
+    # y_{i+1} = M_i y_i + c_i from y_0: one map or a stack of contracting maps, with a
+    # drive array or a scalar 0.0 for an absent drive
+    rng = np.random.default_rng(n)
+    theta = rng.uniform(-np.pi, np.pi, n - 1)
+    stack = 0.9 * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    stack += 0.05 * rng.standard_normal((2, 2, n - 1))
+    drive = rng.standard_normal((2, n - 1))
+    y0 = (0.3, -0.7)
+    for M, c in ((stack, drive), (stack, 0.0), (stack[:, :, 0], drive), (stack[:, :, 0], 0.0)):
+        want = np.empty((2, n))
+        want[:, 0] = y0
+        for i in range(n - 1):
+            Mi = M if M.ndim == 2 else M[:, :, i]
+            want[:, i + 1] = Mi @ want[:, i] + (c if np.isscalar(c) else c[:, i])
+        got = _affine_march(M, c, y0, n)
+        assert got.shape == (2, n) and got.dtype == np.float64
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def rk4_step_loop(atom, kappa, pulse, grid):
     """Step-by-step oracle: the RK4 march of the ODE reduction, one step per iteration."""
     spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p, gamma=atom.gamma)
@@ -311,15 +332,17 @@ def rk4_step_loop(atom, kappa, pulse, grid):
     return C
 
 
-@pytest.mark.parametrize("n", [2, 3, _RK4_BLOCK, _RK4_BLOCK + 1, _RK4_BLOCK + 2,
-                               2 * _RK4_BLOCK + 1, 16001])
+@pytest.mark.parametrize("n", [2, 3, 128, 129, 130, 257, 16001])
 @pytest.mark.parametrize("kappa", [0.5, 2.0, 10.0, 100.0])
 def test_ode_matches_step_loop_oracle(kappa, n):
-    # n - 1 steps: below, at and past one and two blocks; kappa = 2 is the double pole
+    # one step, two, and long marches; kappa = 2 is the double pole, where R is defective;
+    # the carrier with c0 runs both drive parts and both c0 parts through the march
     grid = TimeGrid(0.0, 1e-3, n)
     runs = [(AtomParams(), PulseSpec(shape, tau_f=0.1, t_a=0.06))
             for shape in ("gaussian", "decaying_exp", "rising_exp")]
     runs.append((AtomParams(c0=0.2 + 0.3j), None))
+    runs.append((AtomParams(c0=0.3 - 0.2j),
+                 PulseSpec("gaussian", tau_f=0.1, t_a=0.06, delta0=0.4)))
     for atom, pulse in runs:
         fast = solve_ode_reduction(atom, kappa, pulse, grid)
         assert np.abs(fast.c - rk4_step_loop(atom, kappa, pulse, grid)).max() <= 1e-12
