@@ -173,7 +173,7 @@ _SOLVERS = {
     "volterra": solve_volterra,
     "markov": solve_markov,  # the flat spectrum's solver, not a name to select
 }
-SOLVERS = ("closed_form", "ode_rk4", "volterra")
+SOLVERS = tuple(name for name in _SOLVERS if name != "markov")
 
 
 def solve(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | None,

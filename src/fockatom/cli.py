@@ -167,14 +167,14 @@ def normalize_config(raw: dict) -> dict:
 
     atom = cfg["atom"]
     frac = atom["mode_fraction"]
-    if frac is not None and atom["gamma_p"] is not None:
-        raise ParameterError("atom.mode_fraction", "set beside atom.gamma_p: give one of the two")
     if isinstance(frac, str) and frac not in MODE_FRACTION_PRESETS:
         raise ParameterError("atom.mode_fraction",
                              f"unknown preset; use one of {sorted(MODE_FRACTION_PRESETS)}")
+    derived = float(1.0 if frac is None else MODE_FRACTION_PRESETS.get(frac, frac)) * atom["gamma"]
     if atom["gamma_p"] is None:
-        ratio = 1.0 if frac is None else MODE_FRACTION_PRESETS.get(frac, frac)
-        atom["gamma_p"] = float(ratio) * atom["gamma"]
+        atom["gamma_p"] = derived
+    elif frac is not None and atom["gamma_p"] != derived:  # a sidecar records both, agreeing
+        raise ParameterError("atom.mode_fraction", "disagrees with atom.gamma_p; give one of them")
 
     spec = cfg["spectrum"]
     if spec["kind"] not in ("lorentzian", "flat", "tabulated"):

@@ -522,18 +522,25 @@ def test_fig3_is_delta_rise_with_pulse_delay(tmp_path, capsys):
 
 
 def test_figure_sidecar_config_reproduces_its_csv(tmp_path, capsys):
-    code, _, _ = _run(["figure", "fig2a", "--dt", "2e-3", "--out", str(tmp_path / "f")], capsys)
-    assert code == 0
-    meta = json.loads((tmp_path / "f" / "fig2a" / "markov.json").read_text())
-    assert meta["figure"] == "fig2a"
-    cfg = meta["config"]
-    assert (cfg["scenario"], cfg["spectrum"]["kind"], cfg["pulse"]["tau_f"]) == (
-        "simulate", "flat", 0.1)
-    cfg["output_dir"] = str(tmp_path / "replay")
-    code, _, _ = _run(["simulate", "--config", _write_config(tmp_path, cfg)], capsys)
-    assert code == 0
-    assert ((tmp_path / "replay" / "trajectory.csv").read_bytes()
-            == (tmp_path / "f" / "fig2a" / "markov.csv").read_bytes())
+    # with a mode fraction the sidecar records it beside the gamma_p derived from it
+    for name, flags in (("plain", []), ("ratio", ["--gamma-p-ratio", "0.5"])):
+        out = tmp_path / name
+        code, _, _ = _run(["figure", "fig2a", "--dt", "2e-3", "--out", str(out / "f")] + flags,
+                          capsys)
+        assert code == 0
+        meta = json.loads((out / "f" / "fig2a" / "markov.json").read_text())
+        assert meta["figure"] == "fig2a"
+        cfg = meta["config"]
+        assert (cfg["scenario"], cfg["spectrum"]["kind"], cfg["pulse"]["tau_f"]) == (
+            "simulate", "flat", 0.1)
+        assert (cfg["atom"]["mode_fraction"], cfg["atom"]["gamma_p"]) == (
+            (0.5, 0.5) if flags else (None, 1.0))
+        cfg["output_dir"] = str(out / "replay")
+        out.mkdir(exist_ok=True)
+        code, _, _ = _run(["simulate", "--config", _write_config(out, cfg)], capsys)
+        assert code == 0
+        assert ((out / "replay" / "trajectory.csv").read_bytes()
+                == (out / "f" / "fig2a" / "markov.csv").read_bytes())
 
 
 def test_fig5a_does_not_run_the_bloch_detector(tmp_path, capsys, monkeypatch):
