@@ -2,7 +2,8 @@
 
 Commands: simulate, sweep, decay, delta-rise, detector-compare, figure <id>, validate.
 Configs are strict JSON: an unknown key, or a field set away from its default that the
-run builds no input from, exits 2 naming it. Command-line flags override config values.
+run builds no input from, exits 2 naming it. Each command-line flag sets one config field
+(`_FLAGS`), overriding the file, and its value is checked and refused as that field's value.
 Outputs are deterministic: identical configs produce byte-identical CSVs, with timestamps
 confined to the JSON sidecars. The default output directory comes from the FOCKATOM_OUT
 environment variable (falling back to ./out).
@@ -11,6 +12,7 @@ environment variable (falling back to ./out).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -412,12 +414,18 @@ _FLAGS = {"gamma_p_ratio": "atom.mode_fraction", "kappa": "spectrum.kappa", "tau
 
 
 def _apply_overrides(raw: dict, args) -> dict:
-    """raw with each given flag set on its _FLAGS field; a non-object section is left as is."""
+    """raw with each given flag's text set on its _FLAGS field, as a float where the field
+    takes numbers and float() reads the text: normalize_config checks it like a config value.
+    A non-object section is left as is."""
     for flag, field in _FLAGS.items():
         value = getattr(args, flag)
         if value is None:
             continue
         *section, key = field.split(".")
+        default = _DEFAULTS[section[0]][key] if section else _DEFAULTS[key]
+        if _NULLABLE.get(field, type(default)) is not str:
+            with contextlib.suppress(ValueError):
+                value = float(value)
         node = raw.setdefault(section[0], {}) if section else raw
         if isinstance(node, dict):
             node[key] = value
@@ -431,19 +439,12 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON scenario config")
-    common.add_argument("--gamma-p-ratio", type=float, dest="gamma_p_ratio",
-                        help="pulse-mode fraction gamma_p/gamma")
-    common.add_argument("--kappa", type=float, help="interaction spectrum width")
-    common.add_argument("--tau-f", type=float, dest="tau_f", help="pulse length")
-    common.add_argument("--pulse", choices=PULSE_SHAPES, help="pulse shape")
-    common.add_argument("--solver", choices=SOLVERS)
-    common.add_argument("--t-max", type=float, dest="t_max")
-    common.add_argument("--dt", type=float)
-    common.add_argument("--out", help="output directory (default $FOCKATOM_OUT or ./out)")
+    for flag, field in _FLAGS.items():
+        common.add_argument("--" + flag.replace("_", "-"), dest=flag, help=f"sets {field}")
     for name in ("simulate", "sweep", "decay", "delta-rise", "detector-compare"):
         sub.add_parser(name, parents=[common])
     fig = sub.add_parser("figure", parents=[common])
-    fig.add_argument("figure_id", choices=FIGURE_IDS)
+    fig.add_argument("figure_id")
     val = sub.add_parser("validate")
     val.add_argument("config_path")
     return parser

@@ -269,12 +269,6 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     assert json.loads(err)["field"] == "pulse.length"
 
 
-def test_unknown_figure_id_exits_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["figure", "fig99", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
@@ -323,6 +317,36 @@ def test_flag_overrides_beat_config(tmp_path, capsys):
     meta = json.loads((tmp_path / "o" / "trajectory.json").read_text())
     assert meta["config"]["pulse"]["tau_f"] == 0.5
     assert meta["config"]["spectrum"]["kappa"] == 5.0
+
+
+def test_flag_delivers_its_config_field(tmp_path, capsys, monkeypatch):
+    def run(name, *argv):
+        code, _, err = _run(["simulate", *argv, "--out", str(tmp_path / name)], capsys)
+        assert code == 0, err
+        meta = json.loads((tmp_path / name / "trajectory.json").read_text())
+        del meta["config"]["output_dir"]
+        return (tmp_path / name / "trajectory.csv").read_bytes(), meta["config"]
+
+    # a number as float() reads it, whatever its spelling
+    cfg = {"spectrum": {"kappa": 10.0}, "pulse": {"tau_f": 0.5},
+           "grid": {"dt": 0.002, "t_max": 12.0}}
+    assert (run("flags", "--kappa", "10", "--tau-f", ".5", "--dt", "2e-3", "--t-max", "+12")
+            == run("file", "--config", _write_config(tmp_path, cfg)))
+    # a mode-fraction preset by name, recorded as given
+    short = ["--dt", "2e-3", "--t-max", "12"]
+    csv, config = run("preset", "--gamma-p-ratio", "waveguide_1d", *short)
+    assert csv == run("ratio", "--gamma-p-ratio", "0.5", *short)[0]
+    assert config["atom"]["mode_fraction"] == "waveguide_1d"
+    # output_dir takes text only: 123 is a directory
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = _run(["simulate", *short, "--out", "123"], capsys)
+    assert code == 0 and (tmp_path / "123" / "trajectory.csv").exists()
+    # --help names each flag with the field it sets
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, field in cli._FLAGS.items():
+        assert f"--{flag.replace('_', '-')} {flag.upper()} sets {field}" in text, flag
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -279,6 +279,12 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     ("simulate", {"atom": {"gamma_p": 0.5, "mode_fraction": 0.7}}, "atom.mode_fraction"),
     ("simulate", {"solver": "markov"}, "solver"),
     ("validate", {"scenario": "sweep", "solver": "markov"}, "solver"),
+    # a flag is its config field: its value is checked, and refused, as that field's
+    ("simulate --solver markov", {}, "solver"),
+    ("simulate --kappa abc", {}, "spectrum.kappa"),
+    ("simulate --pulse square", {}, "pulse.shape"),
+    ("simulate --gamma-p-ratio bogus", {}, "atom.mode_fraction"),
+    ("figure fig99", {}, "figure_id"),
 ])
 def test_refusal_names_the_config_field(tmp_path, capsys, work, command, cfg, field):
     if cfg.get("spectrum", {}).get("kind") == "tabulated":  # a table of the work directory
