@@ -268,10 +268,7 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
 def _argmax_with_tiebreak(tau_f_grid, kappa_grid, p_max):
     if np.all(np.isnan(p_max)):
         raise ParameterError("sweep", "sweep produced no successful cells")
-    best = np.nanmax(p_max)
-    # ties broken toward smaller tau_f, then smaller kappa
-    cand = np.argwhere(np.isclose(p_max, best, rtol=0.0, atol=0.0))
-    order = sorted((tau_f_grid[j], kappa_grid[i]) for i, j in cand)
-    tf_star, kap_star = order[0]
-    return float(tf_star), float(kap_star), float(best)
-
+    # the first maximum in row-major [tau_f, kappa] order: both axes ascend, so ties are
+    # broken toward smaller tau_f, then smaller kappa
+    j, i = np.unravel_index(np.nanargmax(p_max.T), p_max.T.shape)
+    return float(tau_f_grid[j]), float(kappa_grid[i]), float(p_max[i, j])

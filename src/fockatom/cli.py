@@ -313,11 +313,10 @@ def _outputs(cfg: dict) -> dict:
         coherent = CoherentPulseSpec(base=pulse, n_bar=cfg["pulse"]["n_bar"])
         flat = InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
         outputs = {
-            "linear_fock": lambda: linear_response(atom, pulse, "fock", grid, flat),
-            "linear_coherent": lambda: linear_response(atom, pulse, "coherent", grid, flat,
-                                                       n_bar=coherent.n_bar),
-            "atom_fock": lambda: fock_atom_response(atom, pulse, grid),
-            "atom_bloch_coherent": lambda: bloch_response(atom, coherent, grid),
+            "linear_fock": partial(linear_response, atom, pulse, grid, flat),
+            "linear_coherent": partial(linear_response, atom, coherent, grid, flat),
+            "atom_fock": partial(fock_atom_response, atom, pulse, grid),
+            "atom_bloch_coherent": partial(bloch_response, atom, coherent, grid),
         }
     if "atom.gamma_p" in read:
         read.add("atom.mode_fraction")  # normalize_config derives gamma_p from it

@@ -1,22 +1,25 @@
 """Linear (harmonic-oscillator) vs nonlinear (two-level atom) detector outputs.
 
 The linear detector's mean amplitude obeys the same memory-kernel equation
-as the atomic excitation amplitude, so those solvers are reused verbatim:
-a Fock pulse gives y = |f|^2 and a coherent pulse y = n_bar |f|^2, which is
-why the linear detector cannot tell the two apart. The coherently driven
-atom instead saturates: it follows the resonant optical Bloch equations with
-Rabi amplitude Omega(t) = 2 sqrt(gamma_p * n_bar) u(t), and its peak
+as the atomic excitation amplitude, so it reaches its solver through
+`analysis.solve`, like every other run: a Fock pulse (`PulseSpec`) gives
+y = |f|^2 and a coherent pulse (`CoherentPulseSpec`) y = n_bar |f|^2, which
+is why the linear detector cannot tell the two apart. The Fock-pulse atom
+in the Markov regime is that same trace under its own label. The
+coherently driven atom instead saturates: it follows the resonant optical
+Bloch equations with Rabi amplitude Omega(t) = 2 sqrt(gamma_p * n_bar) u(t),
+stepped by the solvers' RK4 tableau (`dynamics._rk4_step`), and its peak
 excitation for n_bar = 1 falls well below the Fock-pulse atom's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import solve
-from .dynamics import _PROB_TOL, AtomParams, _affine_march, solve_markov
+from .dynamics import _PROB_TOL, AtomParams, _affine_march, _rk4_step
 from .grids import ParameterError, TimeGrid
 from .pulses import DELTA, CoherentPulseSpec, PulseSpec, envelope
 from .spectra import InteractionSpectrum
@@ -49,32 +52,37 @@ class DetectorTrace:
         return self.t0 + self.dt * np.arange(len(self.y))
 
 
-def linear_response(atom: AtomParams, pulse: PulseSpec, statistics: str,
-                    grid: TimeGrid, spectrum: InteractionSpectrum,
-                    n_bar: float = 1.0) -> DetectorTrace:
+def linear_response(atom: AtomParams, pulse: PulseSpec | CoherentPulseSpec, grid: TimeGrid,
+                    spectrum: InteractionSpectrum) -> DetectorTrace:
     """Harmonic-oscillator detector: mean excitation of the resonant mode.
 
     The Langevin mean amplitude f solves the same kernel equation as the
-    atomic C(t); vacuum noise contributes nothing at zero temperature.
-    statistics is "fock" (unit-norm pulse required) or "coherent" (scales
-    with n_bar). The spectrum picks the solver as in `analysis.solve`, a
-    Lorentzian one taking the closed form, and must carry the atom's rates.
+    atomic C(t); vacuum noise contributes nothing at zero temperature. A
+    `PulseSpec` is a Fock pulse, n_bar = 1, and must be normalizable; a
+    `CoherentPulseSpec` is a coherent pulse, y = n_bar |f|^2 with f the
+    response to its base. The spectrum picks the solver as in
+    `analysis.solve`, a Lorentzian one taking the closed form, and must
+    carry the atom's rates.
     """
-    if statistics not in (FOCK, COHERENT):
-        raise ValueError(f"unknown statistics {statistics!r}")
-    if pulse.shape == DELTA and statistics == FOCK:
+    if isinstance(pulse, CoherentPulseSpec):
+        base, statistics, nb = pulse.base, COHERENT, pulse.n_bar
+    elif pulse.shape == DELTA:
         raise ParameterError("shape", "delta pulse is unnormalizable: no Fock-state response")
-    traj = solve(atom, spectrum, pulse, grid)
-    nb = 1.0 if statistics == FOCK else n_bar
+    else:
+        base, statistics, nb = pulse, FOCK, 1.0
+    traj = solve(atom, spectrum, base, grid)
     return DetectorTrace(t0=grid.t0, dt=grid.dt, y=nb * traj.p, detector=LINEAR_OSCILLATOR,
                          statistics=statistics, n_bar=nb)
 
 
 def fock_atom_response(atom: AtomParams, pulse: PulseSpec, grid: TimeGrid) -> DetectorTrace:
-    """Two-level atom driven by a Fock pulse in the Markov regime: y = P(t)."""
-    traj = solve_markov(atom, pulse, grid)
-    return DetectorTrace(t0=grid.t0, dt=grid.dt, y=traj.p, detector=ATOM_FOCK,
-                         statistics=FOCK, n_bar=1.0)
+    """Two-level atom driven by a Fock pulse in the Markov regime: y = P(t).
+
+    In the single-excitation sector the atom's P is the linear detector's
+    Fock trace on the atom's flat spectrum, so this is that trace relabelled.
+    """
+    flat = InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
+    return replace(linear_response(atom, pulse, grid, flat), detector=ATOM_FOCK)
 
 
 def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
@@ -91,9 +99,9 @@ def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
     approach n_bar |f|^2 of the linear response. A carrier is refused, so
     Omega is real and Re rho_ge stays exactly 0: the state is
     y = (rho_ee, Im rho_ge). Fixed-step RK4 on the grid makes each step an
-    affine map y_{i+1} = M_i y_i + c_i, read off the step itself applied to
-    the unit states (M_i) and, with the drive's constant term, to the zero
-    state (c_i), for all steps at once on the arrays of Omega at t_i,
+    affine map y_{i+1} = M_i y_i + c_i, read off the step (`_rk4_step`)
+    applied to the unit states (M_i) and, with the drive's constant term, to
+    the zero state (c_i), for all steps at once on the arrays of Omega at t_i,
     t_i + dt/2 and t_i + dt. The march from y_0 = 0 is one banded triangular
     solve (`dynamics._affine_march`). A population leaving [0, 1] is refused
     as a step that does not resolve the Rabi frequency.
@@ -105,20 +113,15 @@ def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
     omega = amp * np.asarray(envelope(pulse.base, grid.half_step_times() - atom.t_d)).real
     o0, om, o1 = omega[:-1:2], omega[1::2], omega[2::2]
     dt = float(grid.dt)
+    unit = np.eye(3)[:, :, None]
+    s = unit[2]
 
-    def f(a, b, o, s):  # d(rho_ee, Im rho_ge)/dt, the drive's constant term scaled by s
+    def rhs(y, o):  # d(rho_ee, Im rho_ge)/dt, the drive's constant term scaled by s
+        a, b = y
         return -g * a + o * b, -0.5 * g * b - o * a + s * (0.5 * o)
 
-    def step(a, b, s):
-        k1 = f(a, b, o0, s)
-        k2 = f(a + 0.5 * dt * k1[0], b + 0.5 * dt * k1[1], om, s)
-        k3 = f(a + 0.5 * dt * k2[0], b + 0.5 * dt * k2[1], om, s)
-        k4 = f(a + dt * k3[0], b + dt * k3[1], o1, s)
-        return (a + dt / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-                b + dt / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]))
-
     # states: the unit states without the constant term (columns of M), the zero state with it
-    G = np.array(step(*np.eye(3)[:, :, None]))
+    G = np.array(_rk4_step(rhs, dt, tuple(unit[:2]), o0, om, o1))
     y = _affine_march(G[:, :2], G[:, 2], (0.0, 0.0), grid.n)
     pop = y[0]
     if not np.all((pop >= -_PROB_TOL) & (pop <= 1.0 + _PROB_TOL)):

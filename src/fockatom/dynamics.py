@@ -14,9 +14,10 @@ is solved three ways that share nothing but the driving term:
   float64 recursions for real poles, and one complex recursion standing for
   both branches of a complex-conjugate pair.
 * `solve_ode_reduction`: the exponential kernel embedded exactly as the
-  auxiliary variable M' = -kappa*M + C, integrated with fixed-step RK4. The
-  step is a constant real affine 2x2 map of (C, M), marched for each part
-  of the drive by one banded triangular solve.
+  auxiliary variable M' = -kappa*M + C, integrated with fixed-step RK4
+  (`_rk4_step`, the tableau the Bloch detector runs too). The step is a
+  constant real affine 2x2 map of (C, M), marched for each part of the
+  drive by one banded triangular solve.
 * `solve_volterra`: generic product-trapezoid discretization of the memory
   integral (piecewise-linear amplitude, exact kernel moments) with an
   implicit-trapezoid step. Works for any evaluable kernel; the march is one
@@ -355,6 +356,21 @@ def check_ode_step(gamma: float, kappa: float, dt: float) -> None:
         )
 
 
+def _rk4_step(f, dt: float, y: tuple, s0, sm, s1) -> tuple:
+    """One classical RK4 step of y' = f(y, s) from the state tuple y.
+
+    s0, sm and s1 are the input s at the step's start, midpoint and end;
+    f returns the derivative as a tuple shaped like y. A step of a linear f
+    applied to unit states reads off the step's affine map.
+    """
+    k1 = f(y, s0)
+    k2 = f(tuple(v + 0.5 * dt * k for v, k in zip(y, k1)), sm)
+    k3 = f(tuple(v + 0.5 * dt * k for v, k in zip(y, k2)), sm)
+    k4 = f(tuple(v + dt * k for v, k in zip(y, k3)), s1)
+    return tuple(v + dt / 6.0 * (a + 2.0 * (b + c) + d)
+                 for v, a, b, c, d in zip(y, k1, k2, k3, k4))
+
+
 def _affine_march(M, c, y0, n: int) -> np.ndarray:
     """States y_0..y_{n-1} of the real march y_{i+1} = M_i y_i + c_i, as a (2, n) array.
 
@@ -384,7 +400,8 @@ def solve_ode_reduction(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
     Lorentzian kernel. The fixed step must resolve the stiffest rate.
     With constant coefficients one RK4 step is the affine map
     y_{i+1} = R y_i + A (D(t_i), D(t_i + dt/2), D(t_i + dt)) of y = (C, M);
-    R and A are read off the step itself. R is real, so each float64 part of
+    R and A are read off the step itself, `_rk4_step` applied to the unit
+    states and unit drive samples. R is real, so each float64 part of
     the drive, with that part of c0, is one `_affine_march` (absent when both
     are zero), and the double pole kappa = 2*gamma, where R is not
     diagonalisable, is no special case.
@@ -393,28 +410,14 @@ def solve_ode_reduction(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
     spectrum = _lorentz_spectrum(atom, kappa)
     Dh = _drive_on_grid(atom, spectrum, pulse, grid, half_step=True)
     gk = 0.5 * atom.gamma * kappa
-    dt = grid.dt
 
-    def step(c, m, d0, dm, d1):
-        k1c = -gk * m + d0
-        k1m = c - kappa * m
-        c2 = c + 0.5 * dt * k1c
-        m2 = m + 0.5 * dt * k1m
-        k2c = -gk * m2 + dm
-        k2m = c2 - kappa * m2
-        c3 = c + 0.5 * dt * k2c
-        m3 = m + 0.5 * dt * k2m
-        k3c = -gk * m3 + dm
-        k3m = c3 - kappa * m3
-        c4 = c + dt * k3c
-        m4 = m + dt * k3m
-        k4c = -gk * m4 + d1
-        k4m = c4 - kappa * m4
-        return (c + dt / 6.0 * (k1c + 2.0 * (k2c + k3c) + k4c),
-                m + dt / 6.0 * (k1m + 2.0 * (k2m + k3m) + k4m))
+    def rhs(y, d):  # d(C, M)/dt at drive sample d
+        c, m = y
+        return -gk * m + d, c - kappa * m
 
     # columns: the step of the unit states (R) and of unit drive samples (A)
-    G = np.array(step(*np.eye(5)))
+    unit = np.eye(5)
+    G = np.array(_rk4_step(rhs, grid.dt, tuple(unit[:2]), *unit[2:]))
     R, A = G[:, :2], G[:, 2:]
 
     def part(d, c):

@@ -178,8 +178,8 @@ def test_criterion_8_detector_contrast():
     grid = TimeGrid.from_span(0.0, 16.0, 1e-3)
     pulse = PulseSpec("gaussian", tau_f=1.0, t_a=7.0)
     flat = InteractionSpectrum.flat()
-    fock_lin = linear_response(atom, pulse, "fock", grid, flat)
-    coh_lin = linear_response(atom, pulse, "coherent", grid, flat, n_bar=1.0)
+    fock_lin = linear_response(atom, pulse, grid, flat)
+    coh_lin = linear_response(atom, CoherentPulseSpec(base=pulse, n_bar=1.0), grid, flat)
     lin_gap = np.abs(fock_lin.y - coh_lin.y).max()
 
     fock_atom = fock_atom_response(atom, pulse, grid)

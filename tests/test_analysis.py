@@ -312,10 +312,10 @@ def test_linear_response_refuses_spectrum_rates_that_are_not_the_atom():
     grid = TimeGrid.from_span(0.0, 8.0, 1e-2)
     pulse = PulseSpec("gaussian", tau_f=1.0, t_a=4.0)
     with pytest.raises(ParameterError, match="rates disagree"):
-        linear_response(AtomParams(), pulse, "fock", grid, _half_rate_spectrum("flat"))
+        linear_response(AtomParams(), pulse, grid, _half_rate_spectrum("flat"))
     spectrum = InteractionSpectrum.flat(gamma_p=1.0, gamma=2.0)
     with pytest.raises(ParameterError, match="rates disagree") as err:
-        linear_response(AtomParams(), pulse, "fock", grid, spectrum)
+        linear_response(AtomParams(), pulse, grid, spectrum)
     assert err.value.field == "gamma"
 
 

@@ -403,7 +403,7 @@ def test_one_route_from_spectrum_kind_and_solver(tmp_path, capsys, monkeypatch, 
 
     for name, fn in list(analysis._SOLVERS.items()):
         monkeypatch.setitem(analysis._SOLVERS, name, recorded(fn))
-    fockatom.linear_response(atom, pulse, "fock", grid, spectrum)
+    fockatom.linear_response(atom, pulse, grid, spectrum)
     assert used == [{"flat": "markov", "tabulated": "volterra"}.get(kind, "closed_form")]
 
     # each kind with the spectrum field it reads: simulate refuses the others, and a flat or
@@ -473,6 +473,28 @@ def test_detector_compare_scenario(tmp_path, capsys):
     bloch = np.loadtxt(os.path.join(out, "atom_bloch_coherent.csv"), delimiter=",", skiprows=1)
     assert np.abs(fock[:, 1] - coh[:, 1]).max() < 1e-12
     assert fock[:, 1].max() - bloch[:, 1].max() > 0.1
+
+    # at n_bar = 2 the linear coherent trace is twice the Fock trace, exactly
+    out = str(tmp_path / "dc2")
+    cfg = _write_config(tmp_path, {"pulse": {"n_bar": 2.0}})
+    code, _, _ = _run(["detector-compare", "--config", cfg, "--out", out, "--dt", "2e-3"],
+                      capsys)
+    assert code == 0
+    with open(os.path.join(out, "atom_fock.csv"), "rb") as a, \
+            open(os.path.join(out, "linear_fock.csv"), "rb") as b:
+        assert a.read() == b.read()  # the Fock-pulse Markov atom is the linear Fock trace
+    fock = np.loadtxt(os.path.join(out, "linear_fock.csv"), delimiter=",", skiprows=1)
+    coh = np.loadtxt(os.path.join(out, "linear_coherent.csv"), delimiter=",", skiprows=1)
+    assert np.array_equal(coh[:, 0], fock[:, 0])
+    assert np.array_equal(coh[:, 1], 2.0 * fock[:, 1])
+    sidecars = {"linear_fock": ("linear_oscillator", "fock", 1.0),
+                "atom_fock": ("atom_fock", "fock", 1.0),
+                "linear_coherent": ("linear_oscillator", "coherent", 2.0),
+                "atom_bloch_coherent": ("atom_bloch", "coherent", 2.0)}
+    for name, want in sidecars.items():
+        with open(os.path.join(out, f"{name}.json")) as fh:
+            meta = json.load(fh)
+        assert (meta["detector"], meta["statistics"], meta["n_bar"]) == want, name
 
 
 # ---------------------------------------------------------------------------

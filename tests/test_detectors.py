@@ -15,6 +15,7 @@ from fockatom import (
     linear_response,
 )
 from fockatom.detectors import bloch_trajectories
+from fockatom.grids import ParameterError
 
 
 def _setup(tau_f=1.0, dt=1e-3):
@@ -27,22 +28,22 @@ def _setup(tau_f=1.0, dt=1e-3):
 def test_linear_detector_cannot_distinguish_fock_from_coherent():
     atom, grid, pulse = _setup()
     flat = InteractionSpectrum.flat()
-    fock = linear_response(atom, pulse, "fock", grid, flat)
-    coh = linear_response(atom, pulse, "coherent", grid, flat, n_bar=1.0)
+    fock = linear_response(atom, pulse, grid, flat)
+    coh = linear_response(atom, CoherentPulseSpec(pulse, n_bar=1.0), grid, flat)
     assert np.abs(fock.y - coh.y).max() < 1e-12
 
 
 def test_linear_vacuum_input_gives_nothing():
     atom, grid, pulse = _setup()
     flat = InteractionSpectrum.flat()
-    trace = linear_response(atom, pulse, "coherent", grid, flat, n_bar=0.0)
+    trace = linear_response(atom, CoherentPulseSpec(pulse, n_bar=0.0), grid, flat)
     assert np.abs(trace.y).max() == 0.0
 
 
 def test_linear_fock_peak_equals_markov_atom_peak():
     atom, grid, pulse = _setup()
     flat = InteractionSpectrum.flat()
-    fock = linear_response(atom, pulse, "fock", grid, flat)
+    fock = linear_response(atom, pulse, grid, flat)
     atom_trace = fock_atom_response(atom, pulse, grid)
     assert np.array_equal(fock.y, atom_trace.y)
     # tau_f = 1/gamma Markov peak (the tau_f-optimized value is ~0.801)
@@ -52,23 +53,32 @@ def test_linear_fock_peak_equals_markov_atom_peak():
 def test_linear_scaling_in_n_bar_exact():
     atom, grid, pulse = _setup()
     flat = InteractionSpectrum.flat()
-    y1 = linear_response(atom, pulse, "coherent", grid, flat, n_bar=0.25).y
-    y2 = linear_response(atom, pulse, "coherent", grid, flat, n_bar=0.5).y
+    y1 = linear_response(atom, CoherentPulseSpec(pulse, n_bar=0.25), grid, flat).y
+    y2 = linear_response(atom, CoherentPulseSpec(pulse, n_bar=0.5), grid, flat).y
     assert np.array_equal(2.0 * y1, y2)
+
+
+@pytest.mark.parametrize("n_bar", [-5.0, np.nan, np.inf])
+def test_linear_coherent_refuses_a_mean_photon_number_out_of_range(n_bar):
+    atom, grid, pulse = _setup()
+    with pytest.raises(ParameterError) as err:
+        linear_response(atom, CoherentPulseSpec(pulse, n_bar=n_bar), grid,
+                        InteractionSpectrum.flat())
+    assert err.value.field == "n_bar"
 
 
 def test_linear_rejects_delta_fock():
     atom, grid, _ = _setup()
     with pytest.raises(ValueError, match="unnormalizable"):
-        linear_response(atom, PulseSpec("delta"), "fock", grid, InteractionSpectrum.flat())
+        linear_response(atom, PulseSpec("delta"), grid, InteractionSpectrum.flat())
 
 
 def test_linear_nonmarkov_matches_markov_at_large_kappa():
     atom, grid, pulse = _setup()
     lor = InteractionSpectrum.lorentzian(1000.0)
     flat = InteractionSpectrum.flat()
-    a = linear_response(atom, pulse, "fock", grid, lor)
-    b = linear_response(atom, pulse, "fock", grid, flat)
+    a = linear_response(atom, pulse, grid, lor)
+    b = linear_response(atom, pulse, grid, flat)
     assert np.abs(a.y - b.y).max() < 1e-2
 
 
@@ -83,7 +93,7 @@ def test_bloch_weak_drive_matches_linear_response():
     n_bar = 1e-4
     bloch = bloch_response(atom, CoherentPulseSpec(base=pulse, n_bar=n_bar), grid)
     flat = InteractionSpectrum.flat()
-    linear = linear_response(atom, pulse, "fock", grid, flat)
+    linear = linear_response(atom, pulse, grid, flat)
     rel = np.abs(bloch.y / n_bar - linear.y).max() / linear.y.max()
     assert rel < 0.01
 
@@ -156,16 +166,10 @@ def test_bloch_rejects_detuned_carrier():
         bloch_response(atom, CoherentPulseSpec(base=pulse, n_bar=1.0), grid)
 
 
-def test_linear_detector_statistics_validation():
-    atom, grid, pulse = _setup()
-    with pytest.raises(ValueError, match="statistics"):
-        linear_response(atom, pulse, "thermal", grid, InteractionSpectrum.flat())
-
-
 def test_trace_metadata():
     atom, grid, pulse = _setup()
-    trace = linear_response(atom, pulse, "coherent", grid,
-                            InteractionSpectrum.flat(), n_bar=2.0)
+    trace = linear_response(atom, CoherentPulseSpec(pulse, n_bar=2.0), grid,
+                            InteractionSpectrum.flat())
     assert trace.detector == "linear_oscillator"
     assert trace.statistics == "coherent"
     assert trace.n_bar == 2.0

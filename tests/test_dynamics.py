@@ -32,6 +32,7 @@ from fockatom.dynamics import (
     _first_order_recursion,
     _joined,
     _product_trapezoid_weights,
+    _rk4_step,
 )
 from fockatom.grids import ParameterError
 from fockatom.serialize import params_digest, write_trajectory
@@ -330,6 +331,23 @@ def rk4_step_loop(atom, kappa, pulse, grid):
         m += dt / 6.0 * (k1m + 2.0 * (k2m + k3m) + k4m)
         C[i + 1] = c
     return C
+
+
+@pytest.mark.parametrize("lam", [-2.0, -0.5 + 3.0j])
+def test_rk4_step_is_the_fourth_order_taylor_polynomial(lam):
+    # one step of y' = lam y from y = 1 is the degree-4 Taylor polynomial of e^z, z = lam dt
+    dt = 0.1
+    z = lam * dt
+    seen = []
+
+    def f(y, s):
+        seen.append(s)
+        return (lam * y[0],)
+
+    (y,) = _rk4_step(f, dt, (1.0,), "start", "mid", "end")
+    want = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    assert abs(y - want) <= 1e-15 * abs(want)
+    assert seen == ["start", "mid", "mid", "end"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 128, 129, 130, 257, 16001])
