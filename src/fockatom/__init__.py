@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .analysis import (
     SweepResult,
     TransductionMetrics,
-    probability_density,
     solve,
     sweep_pmax,
     transduction_metrics,
@@ -42,9 +41,7 @@ from .pulses import (
 from .spectra import (
     InteractionSpectrum,
     MemoryKernel,
-    coupling_amplitude,
     memory_kernel,
-    total_spectrum,
 )
 
 __all__ = [
@@ -63,13 +60,11 @@ __all__ = [
     "bloch_response",
     "branch_decomposition",
     "branch_params",
-    "coupling_amplitude",
     "delta_pulse_rise",
     "envelope",
     "fock_atom_response",
     "linear_response",
     "memory_kernel",
-    "probability_density",
     "solve",
     "solve_closed_form_lorentzian",
     "solve_markov",
@@ -78,6 +73,5 @@ __all__ = [
     "spectral_amplitude",
     "spontaneous_decay",
     "sweep_pmax",
-    "total_spectrum",
     "transduction_metrics",
 ]

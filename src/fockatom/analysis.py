@@ -63,7 +63,7 @@ class SweepResult:
 
 def probability_density(traj: Trajectory) -> np.ndarray:
     """Excitation probability density: P normalized to unit time integral."""
-    w = np.full(len(traj.p), traj.dt)
+    w = np.full(len(traj.p), traj.grid.dt)
     w[0] *= 0.5
     w[-1] *= 0.5
     total = float(np.sum(w * traj.p))
@@ -95,14 +95,15 @@ def _cross_down(t, y, level, start):
     return t[i - 1] + frac * (t[i] - t[i - 1]), i
 
 
-def _refine_peak(t0, dt, y, i):
-    """Parabolic sub-sample refinement of the maximum y[i] sampled at t0 + i*dt.
+def _refine_peak(grid: TimeGrid, y, i):
+    """Parabolic sub-sample refinement of the maximum y[i] sampled on the grid.
 
     Skipped at grid edges and across jumps (a neighbor below half the peak
     cannot be on the same parabola, e.g. a delta-pulse arrival). The sample
-    time and step are those of `Trajectory.times`: t0 + dt*i, and
+    time and step are those of `TimeGrid.times`: t0 + dt*i, and
     (t0 + dt) - t0 between its first two samples.
     """
+    t0, dt = grid.t0, grid.dt
     t = t0 + dt * i
     if i == 0 or i == len(y) - 1:
         return t, y[i]
@@ -138,12 +139,12 @@ def transduction_metrics(traj: Trajectory, kappa: float, gamma: float) -> Transd
     rise interval is the first upward 10->90 crossing before the peak, the
     fall the first 90->10 after it.
     """
-    t = traj.times
+    t = traj.grid.times
     P = traj.p
     if P.max() <= 0.0:
         raise ValueError("no absorption event: trajectory is identically zero")
     i_max = int(np.argmax(P))
-    t_peak, p_max = _refine_peak(traj.t0, traj.dt, P, i_max)
+    t_peak, p_max = _refine_peak(traj.grid, P, i_max)
     t10, i10 = _cross_up(t, P, 0.1 * p_max)
     t90, _ = _cross_up(t, P, 0.9 * p_max, start=i10 if i10 is not None else 0)
     rise = t90 - t10
@@ -255,7 +256,7 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
                 spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p,
                                                           gamma=atom.gamma)
                 traj = solve(atom, spectrum, pulse, grid, solver)
-                tp, pm = _refine_peak(traj.t0, traj.dt, traj.p, int(np.argmax(traj.p)))
+                tp, pm = _refine_peak(traj.grid, traj.p, int(np.argmax(traj.p)))
                 p_max[i, j] = pm
                 t_peak[i, j] = tp
             except (ValueError, MemoryError) as exc:

@@ -298,9 +298,7 @@ def _outputs(cfg: dict) -> dict:
         grid = _grid(cfg, cfg["grid"]["t0"] + 2.0 / atom.gamma)
 
         def rise():
-            c_r, dc_r = delta_pulse_rise(atom, kappa, grid)
-            c_r_markov = np.where(grid.times - grid.t0 >= atom.t_d,
-                                  np.exp(0.5 * atom.gamma * atom.t_d), 0.0)
+            c_r, dc_r, c_r_markov = delta_pulse_rise(atom, kappa, grid)
             return (["t", "C_R", "dC_R_dt", "C_R_markov"], [grid.times, c_r, dc_r, c_r_markov],
                     {"saturation": float(c_r[-1])})
         outputs = {"delta_rise": rise}
@@ -364,7 +362,7 @@ def _plan(cfg: dict) -> dict:
 
     def joined(attr, runs):
         traces = [make() for _, make in runs.values()]
-        return (["t", *runs], [traces[0].times] + [getattr(x, attr) for x in traces],
+        return (["t", *runs], [traces[0].grid.times] + [getattr(x, attr) for x in traces],
                 {"config": {head: c for head, (c, _) in runs.items()}})
 
     plan = {}

@@ -9,7 +9,9 @@ in the Markov regime is that same trace under its own label. The
 coherently driven atom instead saturates: it follows the resonant optical
 Bloch equations with Rabi amplitude Omega(t) = 2 sqrt(gamma_p * n_bar) u(t),
 stepped by the solvers' RK4 tableau (`dynamics._rk4_step`), and its peak
-excitation for n_bar = 1 falls well below the Fock-pulse atom's.
+excitation for n_bar = 1 falls well below the Fock-pulse atom's. Every
+trace carries the grid it was computed on, and Omega is evaluated on the
+drive's pulse clock at the RK4 half steps, as the solvers' drive is.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .analysis import solve
 from .dynamics import _PROB_TOL, AtomParams, _affine_march, _rk4_step
 from .grids import ParameterError, TimeGrid
-from .pulses import DELTA, CoherentPulseSpec, PulseSpec, envelope
+from .pulses import DELTA, CoherentPulseSpec, PulseSpec, _envelope_at, _pulse_clock
 from .spectra import InteractionSpectrum
 
 LINEAR_OSCILLATOR = "linear_oscillator"
@@ -34,22 +36,17 @@ COHERENT = "coherent"
 
 @dataclass(frozen=True)
 class DetectorTrace:
-    """Mean detector excitation y(t) on a uniform grid.
+    """Mean detector excitation y(t) on the grid it was computed on.
 
     Atom traces are probabilities (y <= 1); the linear oscillator's mean
     occupation has no unit cap and scales linearly with n_bar.
     """
 
-    t0: float
-    dt: float
+    grid: TimeGrid
     y: np.ndarray
     detector: str
     statistics: str
     n_bar: float
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.y))
 
 
 def linear_response(atom: AtomParams, pulse: PulseSpec | CoherentPulseSpec, grid: TimeGrid,
@@ -71,7 +68,7 @@ def linear_response(atom: AtomParams, pulse: PulseSpec | CoherentPulseSpec, grid
     else:
         base, statistics, nb = pulse, FOCK, 1.0
     traj = solve(atom, spectrum, base, grid)
-    return DetectorTrace(t0=grid.t0, dt=grid.dt, y=nb * traj.p, detector=LINEAR_OSCILLATOR,
+    return DetectorTrace(grid=traj.grid, y=nb * traj.p, detector=LINEAR_OSCILLATOR,
                          statistics=statistics, n_bar=nb)
 
 
@@ -94,7 +91,8 @@ def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
         rho_ee' = -gamma rho_ee + Im(conj(Omega) rho_ge)
         rho_ge' = -(gamma/2) rho_ge - (i/2) Omega (2 rho_ee - 1)
 
-    with Omega(t) = 2 sqrt(gamma_p n_bar) u(t - t_a - t_d). The sign of the
+    with Omega = 2 sqrt(gamma_p n_bar) u(tau) on the pulse clock
+    tau_k = ((t0 - t_d) - t_a) + k dt/2 of the RK4 half steps. The sign of the
     coherence drive is fixed by the weak-drive limit, where rho_ee must
     approach n_bar |f|^2 of the linear response. A carrier is refused, so
     Omega is real and Re rho_ge stays exactly 0: the state is
@@ -110,7 +108,8 @@ def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
         raise ParameterError("delta0", "non-resonant carrier is unsupported for the Bloch detector")
     g = float(atom.gamma)
     amp = 2.0 * np.sqrt(atom.gamma_p * pulse.n_bar)
-    omega = amp * np.asarray(envelope(pulse.base, grid.half_step_times() - atom.t_d)).real
+    tau = _pulse_clock(pulse.base.t_a, grid.t0 - atom.t_d, 0.5 * grid.dt, 2 * grid.n - 1)
+    omega = amp * _envelope_at(pulse.base, tau).real
     o0, om, o1 = omega[:-1:2], omega[1::2], omega[2::2]
     dt = float(grid.dt)
     unit = np.eye(3)[:, :, None]
@@ -135,5 +134,5 @@ def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
 def bloch_response(atom: AtomParams, pulse: CoherentPulseSpec, grid: TimeGrid) -> DetectorTrace:
     """Coherently driven atom: y = rho_ee from the resonant Bloch equations."""
     pop, _ = bloch_trajectories(atom, pulse, grid)
-    return DetectorTrace(t0=grid.t0, dt=grid.dt, y=pop, detector=ATOM_BLOCH,
+    return DetectorTrace(grid=grid, y=pop, detector=ATOM_BLOCH,
                          statistics=COHERENT, n_bar=pulse.n_bar)

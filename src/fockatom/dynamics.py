@@ -36,8 +36,14 @@ The closed form, RK4 and the Volterra solver on a real memory column keep
 the parts through to the amplitude; the Markov reference and the double
 pole join them into one complex array (`_joined`). Each solver returns
 `Trajectory.from_amplitude(grid, c, solver, atom, pulse, **extra)`, which
-keeps those inputs as the trajectory's `params` (digested only when read)
-and guards P <= 1.
+carries the grid, keeps those inputs as the trajectory's `params` (digested
+only when read) and guards P <= 1.
+
+Every route places the pulse on the drive's clock, the pulse time
+tau_k = ((t0 - t_d) - t_a) + k*dt of `pulses._pulse_clock` (k*dt/2 at the
+RK4 half steps): the drive, the Markov delta response, the branch split and
+the delta-pulse rising edge, whose delta arrives at the grid start t0. A
+pulse has arrived at the first sample with tau_k >= 0 in each of them.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dtbtrs, dtrtrs, ztbtrs, ztrtrs
 
 from .grids import MIN_SCALE, ParameterError, TimeGrid, check_range, check_rates
-from .pulses import DELTA, PulseSpec
+from .pulses import DELTA, PulseSpec, _pulse_clock
 from .serialize import params_digest as _digest
 from .spectra import InteractionSpectrum, driving_term_uniform, exp_filter, memory_kernel
 
@@ -153,22 +159,17 @@ def branch_params(gamma: float, kappa: float) -> LorentzBranches:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Complex amplitude C and probability P = |C|^2 on a uniform grid.
+    """Complex amplitude C and probability P = |C|^2 on the grid it was computed on.
 
     `params` holds what the solver ran on: the solver, the atom, the pulse,
     the grid and the solver's own parameters; `params_digest` hashes it.
     """
 
-    t0: float
-    dt: float
+    grid: TimeGrid
     c: np.ndarray
     p: np.ndarray
     solver_id: str
     params: dict
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.p))
 
     @property
     def params_digest(self) -> str:
@@ -209,7 +210,7 @@ class Trajectory:
         if pulse is not None:
             params["pulse"] = {"shape": pulse.shape, "tau_f": pulse.tau_f,
                                "delta0": pulse.delta0, "t_a": pulse.t_a, "xi0": pulse.xi0}
-        return cls(t0=grid.t0, dt=grid.dt, c=c, p=p, solver_id=solver, params=params)
+        return cls(grid=grid, c=c, p=p, solver_id=solver, params=params)
 
 
 def _joined(parts, n: int) -> np.ndarray:
@@ -577,16 +578,17 @@ def _volterra_part(mem: np.ndarray, half: float, A_pair: np.ndarray, d, c, n: in
 def solve_markov(atom: AtomParams, pulse: PulseSpec | None, grid: TimeGrid) -> Trajectory:
     """Flat-spectrum (Wigner-Weisskopf) reference dynamics.
 
-    C' = -(gamma/2) C + sqrt(gamma_p) u(t - t_d - t_a). A delta pulse's u is
-    the Dirac mass of `exp_filter`: C jumps by sqrt(2 pi gamma_p) xi0 on arrival
-    and decays at gamma/2, the kappa -> inf limit of the Lorentzian response.
+    C' = -(gamma/2) C + sqrt(gamma_p) u(tau), tau the drive's pulse clock. A
+    delta pulse's u is the Dirac mass of `exp_filter`: C jumps by
+    sqrt(2 pi gamma_p) xi0 at the first sample with tau >= 0 and decays at
+    gamma/2, the kappa -> inf limit of the Lorentzian response.
     """
     g2 = 0.5 * atom.gamma
     dtt = grid.dt * np.arange(grid.n)
     C = np.exp(-g2 * dtt) * atom.c0
     if pulse is not None and pulse.shape == DELTA:
-        rel = grid.times - pulse.t_a - atom.t_d
-        C = C + np.sqrt(atom.gamma_p) * exp_filter(g2, pulse, rel)
+        tau = _pulse_clock(pulse.t_a, grid.t0 - atom.t_d, grid.dt, grid.n)
+        C = C + np.sqrt(atom.gamma_p) * exp_filter(g2, pulse, tau)
     elif pulse is not None:
         spectrum = InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
         D = _joined(_drive_on_grid(atom, spectrum, pulse, grid), grid.n)
@@ -607,11 +609,14 @@ def spontaneous_decay(atom: AtomParams, kappa: float, grid: TimeGrid) -> Traject
 
 
 def delta_pulse_rise(atom: AtomParams, kappa: float, grid: TimeGrid):
-    """Rising edge C_R(t) of the delta-pulse response and its speed dC_R/dt.
+    """Rising edge C_R(t) of the delta-pulse response, its speed dC_R/dt, and
+    the Markov edge e^{gamma t_d/2} H(t - t0 - t_d) of the kappa -> inf limit.
 
     C_R(t) = int_0^{t-t0} H(s - t_d) kappa e^{-kappa (s - t_d)} e^{gamma s/2} ds,
     the monotone window whose width sets the fastest possible rise of the
     excitation probability; its derivative has 1/e width 1/(kappa - gamma/2).
+    The delta arrives at the grid start t0, and all three switch on at the
+    first sample with pulse time tau >= 0 on the drive's clock.
     Weak coupling (gamma <= kappa) is required for the underlying form.
     """
     check_range("kappa", kappa, MIN_SCALE)
@@ -622,13 +627,14 @@ def delta_pulse_rise(atom: AtomParams, kappa: float, grid: TimeGrid):
     if 0.5 * g * td > math.log(np.finfo(float).max / kappa):
         raise ParameterError("t_d", f"kappa e^(gamma t_d/2) overflows at t_d={td:g}")
     rate = kappa - 0.5 * g
-    dtt = grid.dt * np.arange(grid.n)
-    rel = np.clip(dtt - td, 0.0, None)
-    active = dtt >= td
-    scale = kappa * np.exp(0.5 * g * td)
+    tau = _pulse_clock(grid.t0, grid.t0 - td, grid.dt, grid.n)
+    rel = np.clip(tau, 0.0, None)
+    active = tau >= 0.0
+    edge = np.exp(0.5 * g * td)
+    scale = kappa * edge
     c_r = np.where(active, scale * (1.0 - np.exp(-rate * rel)) / rate, 0.0)
     dc_r = np.where(active, scale * np.exp(-rate * rel), 0.0)
-    return c_r, dc_r
+    return c_r, dc_r, np.where(active, edge, 0.0)
 
 
 def branch_decomposition(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
@@ -648,7 +654,7 @@ def branch_decomposition(atom: AtomParams, kappa: float, pulse: PulseSpec | None
     if pulse is None:
         z = np.zeros(grid.n, dtype=complex)
         return z, z.copy()
-    tau = grid.t0 - pulse.t_a - atom.t_d + grid.dt * np.arange(grid.n)
+    tau = _pulse_clock(pulse.t_a, grid.t0 - atom.t_d, grid.dt, grid.n)
     amp = -1j * np.sqrt(atom.gamma_p) * kappa
     f_kappa = exp_filter(kappa, pulse, tau)
     return tuple(s * amp * (f_kappa - exp_filter(p, pulse, tau)) / (p - kappa)

@@ -19,6 +19,11 @@ Conventions (unit-norm shapes, t_a = 0, delta0 = 0):
 
 The unit rate is the Markov spontaneous decay rate of the atom, so tau_f
 is measured in 1/gamma.
+
+Every route places a pulse on one clock, the pulse time of `_pulse_clock`:
+tau_k = (t0 - t_a) + k*dt, with t0 the grid start less the atom's delay t_d.
+The pulse has arrived at the first sample with tau_k >= 0, and envelopes and
+drives are evaluated at tau itself.
 """
 
 from __future__ import annotations
@@ -113,6 +118,11 @@ def spectral_amplitude(spec: PulseSpec, delta) -> np.ndarray | complex:
     return out if out.ndim else complex(out)
 
 
+def _pulse_clock(t_a: float, t0: float, dt: float, n: int) -> np.ndarray:
+    """Pulse time tau_k = (t0 - t_a) + k*dt of the n samples t0 + k*dt."""
+    return (t0 - t_a) + dt * np.arange(n)
+
+
 def envelope(spec: PulseSpec, t) -> np.ndarray | complex:
     """Slowly-varying time envelope u(t - t_a), unit L2 norm.
 
@@ -120,8 +130,12 @@ def envelope(spec: PulseSpec, t) -> np.ndarray | complex:
     """
     if spec.shape == DELTA:
         raise ValueError("delta pulse has no square-integrable envelope")
-    t = np.asarray(t, dtype=float)
-    x = t - spec.t_a
+    out = _envelope_at(spec, np.asarray(t, dtype=float) - spec.t_a)
+    return out if out.ndim else complex(out)
+
+
+def _envelope_at(spec: PulseSpec, x: np.ndarray) -> np.ndarray:
+    """The envelope of a normalizable pulse at pulse time x = t - t_a, as a complex array."""
     tf = spec.tau_f
     if spec.shape == GAUSSIAN:
         mag = (1.0 / (2.0 * np.pi * tf**2)) ** 0.25 * np.exp(-(x**2) / (4.0 * tf**2))
@@ -129,5 +143,4 @@ def envelope(spec: PulseSpec, t) -> np.ndarray | complex:
         mag = np.where(x >= 0.0, np.sqrt(1.0 / tf) * np.exp(-np.abs(x) / (2.0 * tf)), 0.0)
     else:  # rising_exp
         mag = np.where(x <= 0.0, np.sqrt(1.0 / tf) * np.exp(-np.abs(x) / (2.0 * tf)), 0.0)
-    out = mag * np.exp(-1j * spec.delta0 * x) if spec.delta0 != 0.0 else mag + 0j
-    return out if out.ndim else complex(out)
+    return mag * np.exp(-1j * spec.delta0 * x) if spec.delta0 != 0.0 else mag + 0j

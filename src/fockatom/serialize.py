@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -75,13 +76,12 @@ def write_json(path, payload: dict) -> None:
 
 def write_trajectory(path_base, traj, metadata: dict | None = None) -> None:
     """trajectory CSV (t, re_C, im_C, P) plus JSON sidecar at path_base.{csv,json}."""
-    t = traj.times
     write_csv(f"{path_base}.csv", ["t", "re_C", "im_C", "P"],
-              [t, traj.c.real, traj.c.imag, traj.p])
+              [traj.grid.times, traj.c.real, traj.c.imag, traj.p])
     write_json(f"{path_base}.json", {
         "solver_id": traj.solver_id,
         "params_digest": traj.params_digest,
-        "grid": {"t0": traj.t0, "dt": traj.dt, "n": len(traj.p)},
+        "grid": asdict(traj.grid),
         **(metadata or {}),
     })
 
@@ -104,6 +104,6 @@ def write_sweep(path_base, sweep, metadata: dict | None = None) -> None:
 
 def write_detector_trace(path_base, trace, metadata: dict | None = None) -> None:
     """Detector trace CSV (t, y) + JSON metadata (detector, statistics, n_bar)."""
-    write_csv(f"{path_base}.csv", ["t", "y"], [trace.times, trace.y])
+    write_csv(f"{path_base}.csv", ["t", "y"], [trace.grid.times, trace.y])
     write_json(f"{path_base}.json", {"detector": trace.detector, "statistics": trace.statistics,
                                      "n_bar": trace.n_bar, **(metadata or {})})

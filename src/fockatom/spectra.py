@@ -49,7 +49,8 @@ from .pulses import (
     DELTA,
     RISING_EXP,
     PulseSpec,
-    envelope,
+    _envelope_at,
+    _pulse_clock,
     spectral_amplitude,
 )
 
@@ -241,28 +242,28 @@ def driving_term_uniform(spec: InteractionSpectrum, pulse: PulseSpec,
     """Driving term D(t) of the amplitude equation on the uniform grid t0 + k*dt,
     as its float64 parts (re, im), a part that is zero by construction given as None.
 
-    Times are absolute; the pulse reference enters through t - t_a. Flat
-    drives are the envelope, Lorentzian drives the closed-form cavity filter
-    (`exp_filter`), and tabulated drives the trapezoid quadrature over the
-    detuning window, summed by the Bluestein chirp-z transform. Without a
+    Times are absolute, and the pulse sits on its clock (`pulses._pulse_clock`),
+    tau_k = (t0 - t_a) + k*dt. Flat drives are the envelope at tau,
+    Lorentzian drives the closed-form cavity filter (`exp_filter`), and
+    tabulated drives the trapezoid quadrature over the detuning window,
+    summed by the Bluestein chirp-z transform from tau_0. Without a
     carrier (delta0 = 0) the flat drive is (sqrt(gamma_p) u, None) and the
     real filter F gives D = -1j sqrt(gamma_p) kappa F = (None, -sqrt(gamma_p)
     kappa F), each part formed as in the complex product; every other drive
     is split off its complex samples.
     """
-    tau0 = t0 - pulse.t_a
     if spec.kind == TABULATED:
         nodes, vals = _driving_quadrature_nodes(spec, pulse, tau_span=(n - 1) * dt)
-        return _parts(_phase_sum_uniform(vals, nodes, tau0, dt, n))
-    tau = tau0 + dt * np.arange(n)
+        return _parts(_phase_sum_uniform(vals, nodes, t0 - pulse.t_a, dt, n))
+    tau = _pulse_clock(pulse.t_a, t0, dt, n)
     if spec.kind == FLAT:
         if pulse.shape == DELTA:
             raise ValueError(
                 "delta pulse on the flat spectrum drives through a Dirac impulse; "
                 "use the analytic Markov delta response"
             )
-        # Markov short-circuit: D = sqrt(gamma_p) * u(t - t_a), real without a carrier
-        u = np.asarray(envelope(pulse, tau + pulse.t_a))
+        # Markov short-circuit: D = sqrt(gamma_p) * u(tau), real without a carrier
+        u = _envelope_at(pulse, tau)
         if pulse.delta0 == 0.0:
             return np.sqrt(spec.gamma_p) * u.real, None
         return _parts(np.sqrt(spec.gamma_p) * u)

@@ -100,8 +100,8 @@ def test_criterion_4_rise_time_bound():
     rises = []
     for kap in kappas:
         grid = TimeGrid.from_span(0.0, 4.0, 1e-4)
-        c_r, _ = delta_pulse_rise(AtomParams(), kap, grid)
-        traj = Trajectory(t0=grid.t0, dt=grid.dt, c=c_r.astype(complex), p=c_r**2,
+        c_r, _, _ = delta_pulse_rise(AtomParams(), kap, grid)
+        traj = Trajectory(grid=grid, c=c_r.astype(complex), p=c_r**2,
                           solver_id="rise_edge", params={})  # P is not bounded by 1
         rises.append(transduction_metrics(traj, kap, GAMMA).rise_10_90)
     rises = np.array(rises)

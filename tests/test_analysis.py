@@ -12,14 +12,13 @@ from fockatom import (
     Trajectory,
     delta_pulse_rise,
     linear_response,
-    probability_density,
     solve,
     solve_markov,
     sweep_pmax,
     transduction_metrics,
 )
 from fockatom import analysis
-from fockatom.analysis import SOLVERS, _argmax_with_tiebreak, _local_maxima
+from fockatom.analysis import SOLVERS, _argmax_with_tiebreak, _local_maxima, probability_density
 from fockatom.dynamics import check_ode_step
 from fockatom.grids import ParameterError
 
@@ -35,8 +34,8 @@ def _markov_delta_traj(gamma=1.0, t_arr=1.0, dt=1e-3, t_max=15.0):
 def _rise_edge_traj(gamma, kappa, dt=2e-4, t_max=4.0):
     """Trajectory whose P is the squared delta-pulse rising edge (not bounded by 1)."""
     grid = TimeGrid.from_span(0.0, t_max, dt)
-    c_r, _ = delta_pulse_rise(AtomParams(gamma=gamma, gamma_p=gamma), kappa, grid)
-    return Trajectory(t0=grid.t0, dt=grid.dt, c=c_r.astype(complex), p=c_r**2,
+    c_r, _, _ = delta_pulse_rise(AtomParams(gamma=gamma, gamma_p=gamma), kappa, grid)
+    return Trajectory(grid=grid, c=c_r.astype(complex), p=c_r**2,
                       solver_id="rise_edge", params={})
 
 
@@ -47,7 +46,7 @@ def _rise_edge_traj(gamma, kappa, dt=2e-4, t_max=4.0):
 def test_density_unit_integral():
     traj = _markov_delta_traj()
     dens = probability_density(traj)
-    w = np.full(len(dens), traj.dt)
+    w = np.full(len(dens), traj.grid.dt)
     w[0] *= 0.5
     w[-1] *= 0.5
     assert abs(np.sum(w * dens) - 1.0) < 1e-12
@@ -58,14 +57,14 @@ def test_density_markov_delta_is_exponential():
     # the probability jump at arrival
     traj = _markov_delta_traj(t_arr=1.0, dt=1e-4)
     dens = probability_density(traj)
-    t = traj.times
+    t = traj.grid.times
     expected = np.where(t >= 1.0, np.exp(-(t - 1.0)), 0.0)
     assert np.abs(dens - expected).max() < 1e-4
 
 
 def test_density_scale_invariance():
     traj = _markov_delta_traj()
-    scaled = Trajectory(t0=traj.t0, dt=traj.dt, c=np.sqrt(2.0) * traj.c,
+    scaled = Trajectory(grid=traj.grid, c=np.sqrt(2.0) * traj.c,
                         p=2.0 * traj.p, solver_id="x", params={})
     assert np.array_equal(probability_density(traj), probability_density(scaled))
 
@@ -115,7 +114,7 @@ def test_metrics_flags_oscillatory_trajectory_ambiguous():
     grid = TimeGrid.from_span(0.0, 10.0, 1e-3)
     t = grid.times
     p = np.exp(-((t - 3.0) ** 2)) + 0.9 * np.exp(-((t - 7.0) ** 2))
-    traj = Trajectory(t0=0.0, dt=1e-3, c=np.sqrt(p).astype(complex), p=p,
+    traj = Trajectory(grid=grid, c=np.sqrt(p).astype(complex), p=p,
                       solver_id="synthetic", params={})
     m = transduction_metrics(traj, kappa=1.0, gamma=1.0)
     assert m.ambiguous
@@ -358,16 +357,15 @@ def test_sweep_cell_is_the_refined_peak_of_its_solve(shape, c0):
             grid, t_a = analysis.cell_grid(shape, tau_f, kappa, atom.gamma)
             traj = solve(atom, InteractionSpectrum.lorentzian(kappa), PulseSpec(shape, tau_f=tau_f,
                                                                                 t_a=t_a), grid)
-            tp, pm = _refine_on_times(traj.times, traj.p, int(np.argmax(traj.p)))
+            tp, pm = _refine_on_times(traj.grid.times, traj.p, int(np.argmax(traj.p)))
             assert (sweep.p_max[i, j], sweep.t_peak[i, j]) == (pm, tp)
-            assert analysis._refine_peak(traj.t0, traj.dt, traj.p, int(np.argmax(traj.p))) \
-                == (tp, pm)
+            assert analysis._refine_peak(traj.grid, traj.p, int(np.argmax(traj.p))) == (tp, pm)
 
 
 @pytest.mark.parametrize("t0, dt", [(0.0, 1e-3), (0.3, 1e-3), (-7.1, 3e-3), (1e4, 1e-4)])
-def test_refine_peak_on_t0_and_dt_is_the_times_array_form(t0, dt):
+def test_refine_peak_on_the_grid_is_the_times_array_form(t0, dt):
     # the step (t0 + dt) - t0 and the time t0 + dt*i are those the times array holds
     y = np.exp(-((np.arange(101) - 40.3) / 9.0) ** 2)
-    times = t0 + dt * np.arange(y.size)
+    grid = TimeGrid(t0, dt, y.size)
     for i in (0, 39, 40, 41, 100):
-        assert analysis._refine_peak(t0, dt, y, i) == _refine_on_times(times, y, i)
+        assert analysis._refine_peak(grid, y, i) == _refine_on_times(grid.times, y, i)

@@ -464,6 +464,27 @@ def test_delta_rise_scenario(tmp_path, capsys):
     assert c_r[-1] == pytest.approx(20.0 / 19.5, rel=1e-3)
 
 
+def test_delta_rise_markov_edge_switches_on_with_the_rise(tmp_path, capsys):
+    # t0 + 0.1 - t0 rounds below t_d = 0.1, while the pulse clock (t0 - t_d) - t0 + 0.1 does not
+    path = _write_config(tmp_path, {"grid": {"t0": 100, "dt": 0.01}, "atom": {"t_d": 0.1}})
+    assert _run(["delta-rise", "--config", path, "--out", str(tmp_path)], capsys)[0] == 0
+    data = np.loadtxt(tmp_path / "delta_rise.csv", delimiter=",", skiprows=1)
+    assert np.flatnonzero(data[:, 2])[0] == 10
+    assert np.array_equal(data[:, 3] != 0.0, data[:, 2] != 0.0)
+
+
+def test_simulate_delta_arrives_on_one_row_markov_and_lorentzian(tmp_path, capsys):
+    # the pulse time ((0 - 0.16) - 1) + 116 * 0.01 is 0: the Dirac drive has arrived there
+    first = {}
+    for kind in ("flat", "lorentzian"):
+        path = _write_config(tmp_path, {"pulse": {"shape": "delta"}, "atom": {"t_d": 0.16},
+                                        "grid": {"dt": 0.01}, "spectrum": {"kind": kind}})
+        assert _run(["simulate", "--config", path, "--out", str(tmp_path / kind)], capsys)[0] == 0
+        p = np.loadtxt(tmp_path / kind / "trajectory.csv", delimiter=",", skiprows=1)[:, 3]
+        first[kind] = np.flatnonzero(p > 0.0)[0]
+    assert first == {"flat": 116, "lorentzian": 116}
+
+
 def test_detector_compare_scenario(tmp_path, capsys):
     out = str(tmp_path / "dc")
     code, _, _ = _run(["detector-compare", "--out", out, "--dt", "2e-3"], capsys)

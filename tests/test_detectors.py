@@ -173,4 +173,5 @@ def test_trace_metadata():
     assert trace.detector == "linear_oscillator"
     assert trace.statistics == "coherent"
     assert trace.n_bar == 2.0
-    assert len(trace.times) == len(trace.y)
+    assert trace.grid == grid
+    assert len(trace.grid.times) == len(trace.y)

@@ -7,6 +7,7 @@ from scipy.special import erf
 
 from fockatom import (
     AtomParams,
+    CoherentPulseSpec,
     InteractionSpectrum,
     PulseSpec,
     TimeGrid,
@@ -20,7 +21,8 @@ from fockatom import (
     solve_volterra,
     spontaneous_decay,
 )
-from fockatom import dynamics
+from fockatom import detectors, dynamics, pulses
+from fockatom.detectors import bloch_trajectories
 from fockatom.dynamics import (
     _TOEPLITZ_BLOCK,
     _TOEPLITZ_BLOCK_REAL,
@@ -571,6 +573,47 @@ def test_markov_delta_is_the_wide_lorentzian_limit():
     assert lorentzian / markov == pytest.approx(1.0, abs=0.02)
 
 
+@pytest.mark.parametrize("t0, dt, t_d, t_a", [(0.0, 0.01, 0.16, 1.0),
+                                              (12.345, 1e-3, 0.255, 13.345),
+                                              (100.0, 0.01, 0.1, 101.0)])
+@pytest.mark.parametrize("shape", ["delta", "decaying_exp", "rising_exp"])
+def test_every_route_places_the_pulse_on_the_drive_clock(monkeypatch, shape, t0, dt, t_d, t_a):
+    # The pulse is on where its pulse time tau = ((t0 - t_d) - t_a) + k dt is >= 0 (a rising
+    # exp: <= 0), at the samples and at the RK4 half steps. A delta and a decaying exp turn P
+    # on there in every solver, except that a cavity has filtered nothing of a decaying exp
+    # at tau = 0 exactly; a rising exp's cut-off ends the envelope routes' support, the
+    # Markov drive's and Bloch's Omega's. Each case puts one sample within rounding of tau = 0.
+    grid = TimeGrid.from_span(t0, t0 + 2.0, dt)
+    atom, pulse = AtomParams(t_d=t_d), PulseSpec(shape, tau_f=0.5, t_a=t_a)
+    tau_half = ((t0 - t_d) - t_a) + 0.5 * dt * np.arange(2 * grid.n - 1)
+    tau = tau_half[::2]
+    rising = shape == "rising_exp"
+    on = tau <= 0.0 if rising else tau >= 0.0
+    assert on.any() and not on.all()
+    if rising:
+        markov_drive = _drive_on_grid(atom, InteractionSpectrum.flat(), pulse, grid)[0]
+        assert np.array_equal(markov_drive != 0.0, on)
+    else:
+        lorentz = InteractionSpectrum.lorentzian(10.0)
+        routes = {"markov": solve_markov(atom, pulse, grid),
+                  "closed_form": solve_closed_form_lorentzian(atom, 10.0, pulse, grid),
+                  "ode_rk4": solve_ode_reduction(atom, 10.0, pulse, grid),
+                  "volterra": solve_volterra(atom, lorentz, pulse, grid)}
+        for name, traj in routes.items():
+            filtered = shape == "decaying_exp" and name != "markov"
+            assert np.array_equal(traj.p > 0.0, tau > 0.0 if filtered else on), name
+    if shape != "delta":
+        omegas = []
+
+        def spy(spec, x):
+            omegas.append(pulses._envelope_at(spec, x))
+            return omegas[-1]
+
+        monkeypatch.setattr(detectors, "_envelope_at", spy)
+        bloch_trajectories(atom, CoherentPulseSpec(pulse, n_bar=1.0), grid)
+        assert np.array_equal(omegas[0] != 0.0, tau_half <= 0.0 if rising else tau_half >= 0.0)
+
+
 def test_markov_gaussian_matches_erf_oracle():
     atom = AtomParams()
     grid = TimeGrid.from_span(0.0, 16.0, 1e-3)
@@ -646,7 +689,7 @@ def test_decay_degenerate_continuity():
 
 def test_rise_speed_width():
     grid = TimeGrid.from_span(0.0, 2.0, 1e-4)
-    _, dc_r = delta_pulse_rise(AtomParams(), 10.0, grid)
+    _, dc_r, _ = delta_pulse_rise(AtomParams(), 10.0, grid)
     peak = dc_r.max()
     t = grid.times
     below = np.nonzero(dc_r <= peak / np.e)[0]
@@ -657,7 +700,7 @@ def test_rise_speed_width():
 
 def test_rise_saturates_fast_at_huge_kappa():
     grid = TimeGrid.from_span(0.0, 0.01, 1e-6)
-    c_r, _ = delta_pulse_rise(AtomParams(), 1e4, grid)
+    c_r, _, _ = delta_pulse_rise(AtomParams(), 1e4, grid)
     sat = c_r[-1]
     t99 = grid.times[np.nonzero(c_r >= 0.99 * sat)[0][0]]
     assert t99 <= 5e-4
@@ -665,7 +708,7 @@ def test_rise_saturates_fast_at_huge_kappa():
 
 def test_rise_monotone_nondecreasing():
     grid = TimeGrid.from_span(0.0, 3.0, 1e-3)
-    c_r, _ = delta_pulse_rise(AtomParams(t_d=0.3), 5.0, grid)
+    c_r, _, _ = delta_pulse_rise(AtomParams(t_d=0.3), 5.0, grid)
     assert np.all(np.diff(c_r) >= -1e-15)
     assert c_r[grid.times < 0.3].max() == 0.0
 
@@ -875,8 +918,7 @@ def test_spontaneous_decay_csv_is_the_branch_sum(tmp_path, gamma, kappa):
     atom = AtomParams(gamma=gamma, gamma_p=0.6 * gamma, t_d=0.3, c0=1.0)
     grid = TimeGrid.from_span(0.5, 8.5, 1e-3)
     c = _branch_sum_decay(atom, kappa, grid)
-    oracle = Trajectory(t0=grid.t0, dt=grid.dt, c=c, p=np.abs(c) ** 2,
-                        solver_id="closed_form", params={})
+    oracle = Trajectory(grid=grid, c=c, p=np.abs(c) ** 2, solver_id="closed_form", params={})
     write_trajectory(tmp_path / "oracle", oracle)
     write_trajectory(tmp_path / "decay", spontaneous_decay(atom, kappa, grid))
     assert (tmp_path / "decay.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

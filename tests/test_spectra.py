@@ -17,10 +17,8 @@ from fockatom import (
     InteractionSpectrum,
     PulseSpec,
     branch_params,
-    coupling_amplitude,
     envelope,
     memory_kernel,
-    total_spectrum,
 )
 from fockatom.dynamics import _joined
 from fockatom.grids import ParameterError
@@ -28,8 +26,10 @@ from fockatom.spectra import (
     _driving_quadrature_nodes,
     _fft_size,
     _phase_sum_uniform,
+    coupling_amplitude,
     driving_term_uniform,
     exp_filter,
+    total_spectrum,
 )
 
 
