@@ -196,8 +196,10 @@ def solve(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | No
 
 def cell_span(shape: str, tau_f: float, kappa: float, gamma: float) -> tuple[float, float]:
     """Lead (grid start to arrival t_a) and trail (t_a to grid end) of a pulse: its support
-    plus ring-down, 1/gamma and 12/gamma for a delta, whose tau_f goes unchecked."""
-    check_range("kappa", kappa, MIN_SCALE)
+    plus ring-down, 1/gamma and 12/gamma for a delta, whose tau_f goes unchecked. kappa
+    enters only as min(kappa, 2 gamma), so a flat spectrum passes kappa = inf."""
+    if kappa != np.inf:
+        check_range("kappa", kappa, MIN_SCALE)
     if shape == DELTA:
         return 1.0 / gamma, 12.0 / gamma
     check_range("tau_f", tau_f, MIN_SCALE)

@@ -16,6 +16,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from typing import NamedTuple
 
@@ -210,10 +211,15 @@ def normalize_config(raw: dict) -> dict:
     return cfg
 
 
-def _grid(cfg, t_max: float | None) -> TimeGrid:
-    """The configured grid, ending at grid.t_max if set and at t_max otherwise."""
+def _grid(cfg, span: float) -> TimeGrid:
+    """The configured grid: from grid.t0 to grid.t_max if set, and otherwise the whole steps
+    that cover span, counted from 0 as `analysis.cell_grid` counts them and placed at grid.t0,
+    so that its length depends on neither grid.t0 nor the rounding of grid.t0 + span."""
     g = cfg["grid"]
-    return TimeGrid.from_span(g["t0"], t_max if g["t_max"] is None else g["t_max"], g["dt"])
+    if g["t_max"] is not None:
+        return TimeGrid.from_span(g["t0"], g["t_max"], g["dt"])
+    # a two-sample grid first: dt, then t0, are refused before the span, as from_span orders them
+    return replace(TimeGrid(g["t0"], g["dt"], 2), n=TimeGrid.from_span(0.0, span, g["dt"]).n)
 
 
 def _build_spectrum(cfg, atom: AtomParams, kind: str | None = None) -> InteractionSpectrum:
@@ -230,17 +236,19 @@ def _build_spectrum(cfg, atom: AtomParams, kind: str | None = None) -> Interacti
 
 def _build_pulse_and_grid(cfg, atom: AtomParams, spectrum: InteractionSpectrum):
     """Pulse arriving at pulse.t_a, else at grid.t0 + the `cell_span` lead, and a grid from
-    grid.t0 to grid.t_max, else to the arrival plus the trail, rounded once. A delta pulse is
-    its amplitude xi0, any other its length and carrier. The pulse is checked before the
-    grid and the grid before the arrival, so a refusal names the field the user set."""
+    grid.t0 to grid.t_max, else over the span from grid.t0 to the arrival plus the trail
+    (`_grid`): at the default arrival the `cell_grid` span lead + trail, at any grid.t0. A
+    flat spectrum takes the kappa -> infinity span. A delta pulse is its amplitude xi0, any
+    other its length and carrier. The pulse is checked before the grid and the grid before
+    the arrival, so a refusal names the field the user set."""
     p = cfg["pulse"]
     form = ("xi0",) if p["shape"] == DELTA else ("tau_f", "delta0")
     pulse = PulseSpec(shape=p["shape"], t_a=p["t_a"] or 0.0, **{key: p[key] for key in form})
     kappa = spectrum.kappa if spectrum.kind == "lorentzian" else np.inf
-    lead, trail = cell_span(pulse.shape, pulse.tau_f, min(kappa, 1e6), atom.gamma)
+    lead, trail = cell_span(pulse.shape, pulse.tau_f, kappa, atom.gamma)
     t_a = cfg["grid"]["t0"] + lead if p["t_a"] is None else p["t_a"]
-    grid = _grid(cfg, t_a + trail)
-    return pulse.with_arrival(t_a), grid
+    grid = _grid(cfg, lead + trail if p["t_a"] is None else (t_a - cfg["grid"]["t0"]) + trail)
+    return replace(pulse, t_a=t_a), grid
 
 
 def _axis(ax) -> np.ndarray:
@@ -292,10 +300,10 @@ def _outputs(cfg: dict) -> dict:
         solver = (cfg["solver"],) if spectrum.kind == "lorentzian" else ()  # others fix theirs
         outputs = {"trajectory": partial(solve, atom, spectrum, pulse, grid, *solver)}
     elif scenario == "decay":
-        grid = _grid(cfg, cfg["grid"]["t0"] + 8.0 / atom.gamma)
+        grid = _grid(cfg, 8.0 / atom.gamma)
         outputs = {"decay": partial(spontaneous_decay, atom, kappa, grid)}
     elif scenario == "delta_rise":
-        grid = _grid(cfg, cfg["grid"]["t0"] + 2.0 / atom.gamma)
+        grid = _grid(cfg, 2.0 / atom.gamma)
 
         def rise():
             c_r, dc_r, c_r_markov = delta_pulse_rise(atom, kappa, grid)

@@ -10,8 +10,9 @@ coherently driven atom instead saturates: it follows the resonant optical
 Bloch equations with Rabi amplitude Omega(t) = 2 sqrt(gamma_p * n_bar) u(t),
 stepped by the solvers' RK4 tableau (`dynamics._rk4_step`), and its peak
 excitation for n_bar = 1 falls well below the Fock-pulse atom's. Every
-trace carries the grid it was computed on, and Omega is evaluated on the
-drive's pulse clock at the RK4 half steps, as the solvers' drive is.
+trace carries the grid it was computed on, and Omega is 2 sqrt(n_bar) times
+the flat (Markov) drive at the RK4 half steps (`dynamics._drive_on_grid`),
+the drive the RK4 solver samples.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import solve
-from .dynamics import _PROB_TOL, AtomParams, _affine_march, _rk4_step
+from .dynamics import _PROB_TOL, AtomParams, _affine_march, _drive_on_grid, _rk4_step
 from .grids import ParameterError, TimeGrid
-from .pulses import DELTA, CoherentPulseSpec, PulseSpec, _envelope_at, _pulse_clock
+from .pulses import DELTA, CoherentPulseSpec, PulseSpec
 from .spectra import InteractionSpectrum
 
 LINEAR_OSCILLATOR = "linear_oscillator"
@@ -91,8 +92,9 @@ def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
         rho_ee' = -gamma rho_ee + Im(conj(Omega) rho_ge)
         rho_ge' = -(gamma/2) rho_ge - (i/2) Omega (2 rho_ee - 1)
 
-    with Omega = 2 sqrt(gamma_p n_bar) u(tau) on the pulse clock
-    tau_k = ((t0 - t_d) - t_a) + k dt/2 of the RK4 half steps. The sign of the
+    with Omega = 2 sqrt(gamma_p n_bar) u(tau) = 2 sqrt(n_bar) D_flat, D_flat the
+    atom's flat (Markov) drive sampled by `dynamics._drive_on_grid` at the RK4
+    half steps, tau_k = ((t0 - t_d) - t_a) + k dt/2 on the pulse clock. The sign of the
     coherence drive is fixed by the weak-drive limit, where rho_ee must
     approach n_bar |f|^2 of the linear response. A carrier is refused, so
     Omega is real and Re rho_ge stays exactly 0: the state is
@@ -107,9 +109,9 @@ def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
     if pulse.base.delta0 != 0.0:
         raise ParameterError("delta0", "non-resonant carrier is unsupported for the Bloch detector")
     g = float(atom.gamma)
-    amp = 2.0 * np.sqrt(atom.gamma_p * pulse.n_bar)
-    tau = _pulse_clock(pulse.base.t_a, grid.t0 - atom.t_d, 0.5 * grid.dt, 2 * grid.n - 1)
-    omega = amp * _envelope_at(pulse.base, tau).real
+    flat = InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
+    drive = _drive_on_grid(atom, flat, pulse.base, grid, half_step=True)[0]
+    omega = 2.0 * np.sqrt(pulse.n_bar) * drive
     o0, om, o1 = omega[:-1:2], omega[1::2], omega[2::2]
     dt = float(grid.dt)
     unit = np.eye(3)[:, :, None]

@@ -85,7 +85,3 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
-
-    def half_step_times(self) -> np.ndarray:
-        """All nodes and midpoints: 2n-1 samples at dt/2 spacing (RK4 stages)."""
-        return self.t0 + 0.5 * self.dt * np.arange(2 * self.n - 1)

@@ -28,7 +28,7 @@ drives are evaluated at tau itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,9 +78,6 @@ class PulseSpec:
             check_range("tau_f", self.tau_f, MIN_SCALE)
         for name in ("delta0", "t_a", "xi0"):
             check_range(name, getattr(self, name))
-
-    def with_arrival(self, t_a: float) -> "PulseSpec":
-        return replace(self, t_a=t_a)
 
 
 @dataclass(frozen=True)

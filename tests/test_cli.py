@@ -234,6 +234,17 @@ def test_simulate_grid_is_the_cell_grid():
         assert grid.n == cell.n, (shape, tau_f, kappa, dt)
         second_rounding_differs += fockatom.TimeGrid.from_span(0.0, cell.t_max, dt).n != cell.n
     assert second_rounding_differs == 0
+    # gamma = 1e7: the ring-down 4/min(kappa, 2 gamma) is 4/(2 gamma) for kappa = 1e8 and for
+    # the flat spectrum's kappa -> infinity
+    atom = fockatom.AtomParams(gamma=1e7, gamma_p=1e7)
+    for shape in ("gaussian", "decaying_exp", "rising_exp"):
+        cell = analysis.cell_grid(shape, 1e-6, 1e8, 1e7, 1e-9)[0]
+        for spectrum in ({"kappa": 1e8}, {"kind": "flat"}):
+            cfg = normalize_config({"atom": {"gamma": 1e7}, "spectrum": spectrum,
+                                    "pulse": {"shape": shape, "tau_f": 1e-6},
+                                    "grid": {"dt": 1e-9}})
+            _, grid = cli._build_pulse_and_grid(cfg, atom, cli._build_spectrum(cfg, atom))
+            assert grid.n == cell.n, (shape, spectrum)
 
 
 def test_simulate_grid_length_does_not_depend_on_t0():
@@ -243,6 +254,11 @@ def test_simulate_grid_length_does_not_depend_on_t0():
         cfg = normalize_config({"grid": {"t0": 0.01 * i}})
         _, grid = cli._build_pulse_and_grid(cfg, atom, cli._build_spectrum(cfg, atom))
         assert grid.n == 23001, grid.t0
+    # tau_f = 0.3 spans 13.9 = 13900 steps; at a large t0 the absolute end rounds a step long
+    for t0 in (1e6 + 0.3, 1e9 + 0.7):
+        cfg = normalize_config({"pulse": {"tau_f": 0.3}, "grid": {"t0": t0}})
+        _, grid = cli._build_pulse_and_grid(cfg, atom, cli._build_spectrum(cfg, atom))
+        assert (grid.t0, grid.n) == (t0, 13901)
 
 
 @pytest.mark.parametrize("argv", [["simulate"], ["simulate", "--pulse", "delta"],

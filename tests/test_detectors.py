@@ -88,11 +88,15 @@ def test_bloch_undriven_atom_stays_dark():
     assert np.abs(trace.y).max() == 0.0
 
 
-def test_bloch_weak_drive_matches_linear_response():
-    atom, grid, pulse = _setup()
+@pytest.mark.parametrize("gamma_p, t_d, t0", [(1.0, 0.0, 0.0), (0.7, 0.13, 3.25)])
+def test_bloch_weak_drive_matches_linear_response(gamma_p, t_d, t0):
+    # the shared flat drive carries the atom's gamma_p and delay on a grid from any t0
+    atom = AtomParams(gamma_p=gamma_p, t_d=t_d)
+    grid = TimeGrid.from_span(t0, t0 + 16.0, 1e-3)
+    pulse = PulseSpec("gaussian", tau_f=1.0, t_a=t0 + 7.0)
     n_bar = 1e-4
     bloch = bloch_response(atom, CoherentPulseSpec(base=pulse, n_bar=n_bar), grid)
-    flat = InteractionSpectrum.flat()
+    flat = InteractionSpectrum.flat(gamma_p=gamma_p)
     linear = linear_response(atom, pulse, grid, flat)
     rel = np.abs(bloch.y / n_bar - linear.y).max() / linear.y.max()
     assert rel < 0.01
@@ -117,7 +121,7 @@ def bloch_step_loop(atom, pulse, grid):
     """Oracle: the Bloch RK4 march on numpy scalars, its right-hand side rebuilt each step."""
     g = atom.gamma
     amp = 2.0 * np.sqrt(atom.gamma_p * pulse.n_bar)
-    th = grid.half_step_times()
+    th = grid.t0 + 0.5 * grid.dt * np.arange(2 * grid.n - 1)  # the samples and midpoints
     omega = amp * np.asarray(envelope(pulse.base, th - atom.t_d))
     dt = grid.dt
     ree = 0.0

@@ -21,7 +21,7 @@ from fockatom import (
     solve_volterra,
     spontaneous_decay,
 )
-from fockatom import detectors, dynamics, pulses
+from fockatom import detectors, dynamics
 from fockatom.detectors import bloch_trajectories
 from fockatom.dynamics import (
     _TOEPLITZ_BLOCK,
@@ -603,15 +603,16 @@ def test_every_route_places_the_pulse_on_the_drive_clock(monkeypatch, shape, t0,
             filtered = shape == "decaying_exp" and name != "markov"
             assert np.array_equal(traj.p > 0.0, tau > 0.0 if filtered else on), name
     if shape != "delta":
-        omegas = []
+        drives = []
 
-        def spy(spec, x):
-            omegas.append(pulses._envelope_at(spec, x))
-            return omegas[-1]
+        def spy(*args, **kwargs):
+            drives.append(_drive_on_grid(*args, **kwargs))
+            return drives[-1]
 
-        monkeypatch.setattr(detectors, "_envelope_at", spy)
+        monkeypatch.setattr(detectors, "_drive_on_grid", spy)
         bloch_trajectories(atom, CoherentPulseSpec(pulse, n_bar=1.0), grid)
-        assert np.array_equal(omegas[0] != 0.0, tau_half <= 0.0 if rising else tau_half >= 0.0)
+        omega = drives[0][0]  # Bloch's Omega is 2 sqrt(n_bar) times this flat drive
+        assert np.array_equal(omega != 0.0, tau_half <= 0.0 if rising else tau_half >= 0.0)
 
 
 def test_markov_gaussian_matches_erf_oracle():

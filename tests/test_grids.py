@@ -16,13 +16,6 @@ def test_time_grid_span_covers_endpoint():
     assert np.allclose(np.diff(grid.times), 0.3)
 
 
-def test_time_grid_half_steps():
-    grid = TimeGrid(1.0, 0.5, 4)
-    th = grid.half_step_times()
-    assert len(th) == 7
-    assert np.allclose(th[::2], grid.times)
-
-
 def test_time_grid_validation():
     with pytest.raises(ValueError, match="dt"):
         TimeGrid(0.0, 0.0, 10)
