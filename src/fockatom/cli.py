@@ -112,30 +112,38 @@ _DEFAULTS = {
 _NULLABLE = {"atom.gamma_p": float, "pulse.t_a": float, "grid.t_max": float,
              "atom.mode_fraction": (str, float), "spectrum.csv": str,
              "figure_id": str, "output_dir": str}
+# the names an enumerated field takes (atom.mode_fraction also takes a number)
+_CHOICES = {"scenario": SCENARIOS, "figure_id": FIGURE_IDS, "solver": SOLVERS,
+            "spectrum.kind": ("lorentzian", "flat", "tabulated"), "pulse.shape": PULSE_SHAPES,
+            "sweep.tau_f.spacing": ("log", "linear"), "sweep.kappa.spacing": ("log", "linear"),
+            "atom.mode_fraction": tuple(MODE_FRACTION_PRESETS)}
 
 
-def _merge_section(name, defaults, given):
+def _merged(name: str, defaults: dict, given) -> dict:
+    """A new dict of defaults with each field of given checked and set: the whole config at
+    name "", else the section at that path, a null section being all defaults."""
     if given is None:
-        return dict(defaults)
+        given = {}
     if not isinstance(given, dict):
         raise ParameterError(name, "must be an object")
-    out = dict(defaults)
-    for key, val in given.items():
+    prefix = name + "." if name else ""
+    for key in given:
         if key not in defaults:
-            raise ParameterError(f"{name}.{key}", "unknown key")
-        if isinstance(defaults[key], dict) and defaults[key]:
-            out[key] = _merge_section(f"{name}.{key}", defaults[key], val)
-        else:
-            out[key] = _typed(f"{name}.{key}", defaults[key], val)
-    return out
+            raise ParameterError(prefix + key, "unknown key")
+    return {key: _merged(prefix + key, val, given.get(key)) if isinstance(val, dict)
+            else _typed(prefix + key, val, given[key]) if key in given else val
+            for key, val in defaults.items()}
 
 
 def _typed(field: str, default, val):
-    """val checked against its field's type: the _NULLABLE entry or the default's."""
+    """val checked against its field's type, the _NULLABLE entry or the default's, and a
+    string against the field's _CHOICES."""
     kind = _NULLABLE.get(field, type(default))
     if val is None and field in _NULLABLE:
         return val
     if isinstance(val, str) and kind in (str, (str, float)):
+        if field in _CHOICES and val not in _CHOICES[field]:
+            raise ParameterError(field, f"must be one of {_CHOICES[field]}")
         return val
     if kind is str:
         raise ParameterError(field, "must be a string")
@@ -153,26 +161,9 @@ def normalize_config(raw: dict) -> dict:
     Ranges are left to the model constructors, which refuse by parameter
     name (`main` maps the name to its config field).
     """
-    cfg = {}
-    for key, default in _DEFAULTS.items():
-        if isinstance(default, dict):
-            cfg[key] = _merge_section(key, default, raw.get(key))
-        else:
-            cfg[key] = _typed(key, default, raw[key]) if key in raw else default
-    for key in raw:
-        if key not in _DEFAULTS:
-            raise ParameterError(key, "unknown key")
-
-    if cfg["scenario"] not in SCENARIOS:
-        raise ParameterError("scenario", f"must be one of {SCENARIOS}")
-    if cfg["solver"] not in SOLVERS:
-        raise ParameterError("solver", f"must be one of {SOLVERS}")
-
+    cfg = _merged("", _DEFAULTS, raw)
     atom = cfg["atom"]
     frac = atom["mode_fraction"]
-    if isinstance(frac, str) and frac not in MODE_FRACTION_PRESETS:
-        raise ParameterError("atom.mode_fraction",
-                             f"unknown preset; use one of {sorted(MODE_FRACTION_PRESETS)}")
     derived = float(1.0 if frac is None else MODE_FRACTION_PRESETS.get(frac, frac)) * atom["gamma"]
     if atom["gamma_p"] is None:
         atom["gamma_p"] = derived
@@ -180,19 +171,13 @@ def normalize_config(raw: dict) -> dict:
         raise ParameterError("atom.mode_fraction", "disagrees with atom.gamma_p; give one of them")
 
     spec = cfg["spectrum"]
-    if spec["kind"] not in ("lorentzian", "flat", "tabulated"):
-        raise ParameterError("spectrum.kind", "must be lorentzian, flat or tabulated")
     if spec["kind"] == "tabulated" and not spec["csv"]:
         raise ParameterError("spectrum.csv", "tabulated spectrum needs a CSV path")
-    if cfg["pulse"]["shape"] not in PULSE_SHAPES:
-        raise ParameterError("pulse.shape", f"must be one of {PULSE_SHAPES}")
 
     for axis in ("tau_f", "kappa"):
         ax = cfg["sweep"][axis]
         if ax["num"] < 1:
             raise ParameterError(f"sweep.{axis}.num", "must be >= 1")
-        if ax["spacing"] not in ("log", "linear"):
-            raise ParameterError(f"sweep.{axis}.spacing", "must be 'log' or 'linear'")
         if ax["start"] <= 0 and ax["spacing"] == "log":
             raise ParameterError(f"sweep.{axis}.start", "log spacing needs start > 0")
         if ax["stop"] < ax["start"]:
@@ -203,7 +188,7 @@ def normalize_config(raw: dict) -> dict:
                              f"{nums['tau_f']} x {nums['kappa']} cells exceed the budget "
                              f"of {MAX_GRID_SAMPLES}")
 
-    if cfg["scenario"] == "figure" and cfg["figure_id"] not in FIGURE_IDS:
+    if cfg["scenario"] == "figure" and cfg["figure_id"] is None:
         raise ParameterError("figure_id", f"must be one of {FIGURE_IDS}")
 
     if cfg["output_dir"] is None:
@@ -446,10 +431,9 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON scenario config")
     for flag, field in _FLAGS.items():
         common.add_argument("--" + flag.replace("_", "-"), dest=flag, help=f"sets {field}")
-    for name in ("simulate", "sweep", "decay", "delta-rise", "detector-compare"):
-        sub.add_parser(name, parents=[common])
-    fig = sub.add_parser("figure", parents=[common])
-    fig.add_argument("figure_id")
+    commands = {name: sub.add_parser(name.replace("_", "-"), parents=[common])
+                for name in SCENARIOS}
+    commands["figure"].add_argument("figure_id")
     val = sub.add_parser("validate")
     val.add_argument("config_path")
     return parser

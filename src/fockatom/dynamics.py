@@ -36,8 +36,8 @@ The closed form, RK4 and the Volterra solver on a real memory column keep
 the parts through to the amplitude; the Markov reference and the double
 pole join them into one complex array (`_joined`). Each solver returns
 `Trajectory.from_amplitude(grid, c, solver, atom, pulse, **extra)`, which
-carries the grid, keeps those inputs as the trajectory's `params` (digested
-only when read) and guards P <= 1.
+carries the grid, keeps those inputs as the trajectory's `params` (which
+`serialize.write_trajectory` digests) and guards P <= 1.
 
 Every route places the pulse on the drive's clock, the pulse time
 tau_k = ((t0 - t_d) - t_a) + k*dt of `pulses._pulse_clock` (k*dt/2 at the
@@ -57,7 +57,6 @@ from scipy.linalg.lapack import dtbtrs, dtrtrs, ztbtrs, ztrtrs
 
 from .grids import MIN_SCALE, ParameterError, TimeGrid, check_range, check_rates
 from .pulses import DELTA, PulseSpec, _pulse_clock
-from .serialize import params_digest as _digest
 from .spectra import InteractionSpectrum, driving_term_uniform, exp_filter, memory_kernel
 
 # Fraction gamma_p/gamma of pulse modes in the total field modes: perfect
@@ -162,7 +161,7 @@ class Trajectory:
     """Complex amplitude C and probability P = |C|^2 on the grid it was computed on.
 
     `params` holds what the solver ran on: the solver, the atom, the pulse,
-    the grid and the solver's own parameters; `params_digest` hashes it.
+    the grid and the solver's own parameters.
     """
 
     grid: TimeGrid
@@ -170,10 +169,6 @@ class Trajectory:
     p: np.ndarray
     solver_id: str
     params: dict
-
-    @property
-    def params_digest(self) -> str:
-        return _digest(self.params)
 
     @classmethod
     def from_amplitude(cls, grid: TimeGrid, c, solver: str, atom: AtomParams,

@@ -7,6 +7,7 @@ times in 1/gamma. Frequencies are detunings from the atomic transition
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,11 @@ def check_rates(gamma: float, gamma_p: float) -> None:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid t_k = t0 + k*dt, k = 0..n-1, at most MAX_GRID_SAMPLES long."""
+    """Uniform time grid t_k = t0 + k*dt, k = 0..n-1, at most MAX_GRID_SAMPLES long.
+
+    dt is at least 4 ulp of the largest |t_k|: each t_k then rounds by at most 1.5 ulp,
+    so the sample times stay distinct and increasing.
+    """
 
     t0: float
     dt: float
@@ -61,6 +66,9 @@ class TimeGrid:
         if self.n > MAX_GRID_SAMPLES:
             raise ParameterError("dt", f"{self.n:.3g} samples exceed the budget of "
                                        f"{MAX_GRID_SAMPLES}; raise dt or shorten the span")
+        if self.dt < 4 * math.ulp(max(abs(self.t0), abs(self.t_max))):
+            raise ParameterError("t0", f"t0={self.t0} is too far from 0 for distinct samples "
+                                       f"dt={self.dt} apart")
 
     @classmethod
     def from_span(cls, t0: float, t_max: float, dt: float) -> "TimeGrid":
@@ -76,7 +84,10 @@ class TimeGrid:
         if not t_max > t0:
             raise ParameterError("t_max", f"t_max={t_max} must exceed t0={t0}")
         q = (t_max - t0) / dt
-        return cls(t0=t0, dt=dt, n=int(np.ceil(q - 1e-12 * max(q, 1.0))) + 1)
+        n = int(np.ceil(q - 1e-12 * max(q, 1.0))) + 1
+        if n < 2:
+            raise ParameterError("dt", f"dt={dt} exceeds the span {t_max - t0} by over 1e12")
+        return cls(t0=t0, dt=dt, n=n)
 
     @property
     def t_max(self) -> float:

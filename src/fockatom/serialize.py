@@ -80,7 +80,7 @@ def write_trajectory(path_base, traj, metadata: dict | None = None) -> None:
               [traj.grid.times, traj.c.real, traj.c.imag, traj.p])
     write_json(f"{path_base}.json", {
         "solver_id": traj.solver_id,
-        "params_digest": traj.params_digest,
+        "params_digest": params_digest(traj.params),
         "grid": asdict(traj.grid),
         **(metadata or {}),
     })

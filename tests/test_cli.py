@@ -699,3 +699,8 @@ def test_normalize_config_direct():
     assert cfg["pulse"]["shape"] == "decaying_exp"
     with pytest.raises(Exception):
         normalize_config({"solver": "nope"})
+    # every section is a new dict, given, null or left out: the derived gamma_p stays
+    # out of the defaults
+    for raw, gamma_p in (({}, 1.0), ({"atom": None}, 1.0), ({"atom": {"gamma": 2.0}}, 2.0)):
+        assert normalize_config(raw)["atom"]["gamma_p"] == gamma_p
+    assert cli._DEFAULTS["atom"]["gamma_p"] is None

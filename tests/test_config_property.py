@@ -206,6 +206,9 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     ("simulate", {"atom": {"c0_re": 2}}, "atom.c0_re"),
     ("simulate", {"atom": {"c0_im": -2}}, "atom.c0_im"),
     ("simulate", {"grid": {"t_max": -1}}, "grid.t_max"),
+    # a grid whose sample times would repeat, and a span below one step of a grid.t_max unset
+    ("simulate", {"grid": {"t0": 1e13}}, "grid.t0"),
+    ("simulate", {"atom": {"gamma": 6e49}, "pulse": {"shape": "delta"}}, "grid.dt"),
     ("delta-rise", {"spectrum": {"kappa": 0.5}}, "spectrum.kappa"),
     ("detector-compare", {"pulse": {"shape": "delta"}}, "pulse.shape"),
     ("detector-compare", {"pulse": {"delta0": 0.5}}, "pulse.delta0"),
@@ -285,6 +288,10 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     ("simulate --pulse square", {}, "pulse.shape"),
     ("simulate --gamma-p-ratio bogus", {}, "atom.mode_fraction"),
     ("figure fig99", {}, "figure_id"),
+    # an enumerated field takes only its names, checked with its type in any scenario
+    ("sweep", {"sweep": {"tau_f": {"spacing": "cubic"}}}, "sweep.tau_f.spacing"),
+    ("simulate", {"spectrum": {"kind": "junk"}}, "spectrum.kind"),
+    ("simulate", {"figure_id": "fig99"}, "figure_id"),
 ])
 def test_refusal_names_the_config_field(tmp_path, capsys, work, command, cfg, field):
     if cfg.get("spectrum", {}).get("kind") == "tabulated":  # a table of the work directory

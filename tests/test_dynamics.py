@@ -37,7 +37,7 @@ from fockatom.dynamics import (
     _rk4_step,
 )
 from fockatom.grids import ParameterError
-from fockatom.serialize import params_digest, write_trajectory
+from fockatom.serialize import write_trajectory
 from fockatom.spectra import memory_kernel
 
 
@@ -842,7 +842,6 @@ def test_trajectory_digests_its_params_on_demand():
                  solve_ode_reduction(atom, 10.0, pulse, grid),
                  solve_volterra(atom, spec, pulse, grid),
                  solve_markov(atom, pulse, grid)):
-        assert traj.params_digest == params_digest(traj.params)
         assert traj.params["solver"] == traj.solver_id
         assert traj.params["grid"] == {"t0": grid.t0, "dt": grid.dt, "n": grid.n}
 
