@@ -1,7 +1,7 @@
 """Transduction metrics (rise/fall, jitter window) and spectral-matching sweeps.
 
 The absorption event is time-stamped only up to the width of the excitation
-probability density, so the metrics here quantify that width: 10-90%
+probability P(t), so the metrics here quantify that width: 10-90%
 threshold crossings of P relative to its peak, converted with ln 9 when
 compared to the analytic e-folding bound 1/kappa + 1/gamma.
 """
@@ -37,6 +37,7 @@ class TransductionMetrics:
     `analytic_bound` is the weak-coupling limit 1/kappa + 1/gamma reported
     alongside it, not asserted equal. Crossings that never happen inside
     the grid are NaN. `ambiguous` flags a secondary peak above 0.8*p_max.
+    Every field is a Python float or bool, ready for a JSON record.
     """
 
     p_max: float
@@ -45,7 +46,6 @@ class TransductionMetrics:
     fall_90_10: float
     window: float
     analytic_bound: float
-    density: np.ndarray
     ambiguous: bool
 
 
@@ -61,37 +61,24 @@ class SweepResult:
     argmax: tuple
 
 
-def probability_density(traj: Trajectory) -> np.ndarray:
-    """Excitation probability density: P normalized to unit time integral."""
-    w = np.full(len(traj.p), traj.grid.dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    total = float(np.sum(w * traj.p))
-    if total <= 0.0:
-        raise ValueError("no absorption event: trajectory is identically zero")
-    return traj.p / total
+def _crossing(t, y, level, start, rising):
+    """First crossing of level at or after index start, going up if rising, else down.
 
-
-def _cross_up(t, y, level, start=0):
-    """First upward crossing of `level` at or after index start, interpolated."""
-    idx = np.nonzero(y[start:] >= level)[0]
+    The crossing is the first sample i that reaches level, its time interpolated linearly
+    from sample i - 1 unless i is the first sample or y[i - 1] is already past level.
+    Returns (time, i), or (nan, None) when y never reaches level or start is None (no
+    earlier crossing to start from).
+    """
+    if start is None:
+        return np.nan, None
+    sign = 1.0 if rising else -1.0  # a downward crossing is an upward one of -y
+    idx = np.flatnonzero(sign * y[start:] >= sign * level)
     if idx.size == 0:
         return np.nan, None
     i = start + int(idx[0])
-    if i == 0 or y[i - 1] >= level:
+    if i == 0 or sign * y[i - 1] >= sign * level:
         return t[i], i
     frac = (level - y[i - 1]) / (y[i] - y[i - 1])
-    return t[i - 1] + frac * (t[i] - t[i - 1]), i
-
-
-def _cross_down(t, y, level, start):
-    idx = np.nonzero(y[start:] <= level)[0]
-    if idx.size == 0:
-        return np.nan, None
-    i = start + int(idx[0])
-    if i == start or y[i - 1] <= level:
-        return t[i], i
-    frac = (y[i - 1] - level) / (y[i - 1] - y[i])
     return t[i - 1] + frac * (t[i] - t[i - 1]), i
 
 
@@ -145,15 +132,11 @@ def transduction_metrics(traj: Trajectory, kappa: float, gamma: float) -> Transd
         raise ValueError("no absorption event: trajectory is identically zero")
     i_max = int(np.argmax(P))
     t_peak, p_max = _refine_peak(traj.grid, P, i_max)
-    t10, i10 = _cross_up(t, P, 0.1 * p_max)
-    t90, _ = _cross_up(t, P, 0.9 * p_max, start=i10 if i10 is not None else 0)
-    rise = t90 - t10
-    f90, j90 = _cross_down(t, P, 0.9 * p_max, start=i_max)
-    if j90 is not None:
-        f10, _ = _cross_down(t, P, 0.1 * p_max, start=j90)
-    else:
-        f10 = np.nan
-    fall = f10 - f90
+    t10, i10 = _crossing(t, P, 0.1 * p_max, 0, rising=True)
+    t90, _ = _crossing(t, P, 0.9 * p_max, i10, rising=True)
+    f90, j90 = _crossing(t, P, 0.9 * p_max, i_max, rising=False)
+    f10, _ = _crossing(t, P, 0.1 * p_max, j90, rising=False)
+    rise, fall = t90 - t10, f10 - f90
     peaks = _local_maxima(P, 0.8 * p_max)
     ambiguous = bool(np.any(peaks != i_max))
     return TransductionMetrics(
@@ -162,8 +145,7 @@ def transduction_metrics(traj: Trajectory, kappa: float, gamma: float) -> Transd
         rise_10_90=float(rise),
         fall_90_10=float(fall),
         window=float((rise + fall) / _LN9),
-        analytic_bound=1.0 / kappa + 1.0 / gamma,
-        density=probability_density(traj),
+        analytic_bound=float(1.0 / kappa + 1.0 / gamma),
         ambiguous=ambiguous,
     )
 

@@ -180,8 +180,8 @@ def normalize_config(raw: dict) -> dict:
             raise ParameterError(f"sweep.{axis}.num", "must be >= 1")
         if ax["start"] <= 0 and ax["spacing"] == "log":
             raise ParameterError(f"sweep.{axis}.start", "log spacing needs start > 0")
-        if ax["stop"] < ax["start"]:
-            raise ParameterError(f"sweep.{axis}.stop", "must be >= start")
+        if ax["stop"] < ax["start"] or (ax["num"] > 1 and ax["stop"] == ax["start"]):
+            raise ParameterError(f"sweep.{axis}.stop", "must be > start, or >= start if num is 1")
     nums = {axis: cfg["sweep"][axis]["num"] for axis in ("tau_f", "kappa")}
     if nums["tau_f"] * nums["kappa"] > MAX_GRID_SAMPLES:
         raise ParameterError(f"sweep.{max(nums, key=nums.get)}.num",
@@ -225,14 +225,18 @@ def _build_pulse_and_grid(cfg, atom: AtomParams, spectrum: InteractionSpectrum):
     (`_grid`): at the default arrival the `cell_grid` span lead + trail, at any grid.t0. A
     flat spectrum takes the kappa -> infinity span. A delta pulse is its amplitude xi0, any
     other its length and carrier. The pulse is checked before the grid and the grid before
-    the arrival, so a refusal names the field the user set."""
-    p = cfg["pulse"]
+    the arrival, so a refusal names the field the user set; a pulse.t_a whose pulse and
+    ring-down end by grid.t0 is refused on pulse.t_a."""
+    p, t0 = cfg["pulse"], cfg["grid"]["t0"]
     form = ("xi0",) if p["shape"] == DELTA else ("tau_f", "delta0")
     pulse = PulseSpec(shape=p["shape"], t_a=p["t_a"] or 0.0, **{key: p[key] for key in form})
     kappa = spectrum.kappa if spectrum.kind == "lorentzian" else np.inf
     lead, trail = cell_span(pulse.shape, pulse.tau_f, kappa, atom.gamma)
-    t_a = cfg["grid"]["t0"] + lead if p["t_a"] is None else p["t_a"]
-    grid = _grid(cfg, lead + trail if p["t_a"] is None else (t_a - cfg["grid"]["t0"]) + trail)
+    t_a = t0 + lead if p["t_a"] is None else p["t_a"]
+    span = lead + trail if p["t_a"] is None else (t_a - t0) + trail
+    if span <= 0:
+        raise ParameterError("t_a", f"pulse and ring-down end at {t_a + trail} <= grid.t0={t0}")
+    grid = _grid(cfg, span)
     return replace(pulse, t_a=t_a), grid
 
 

@@ -1,4 +1,6 @@
-"""Density, rise/fall metrics, jitter-bound scaling, sweeps."""
+"""Rise/fall metrics, jitter-bound scaling, sweeps."""
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from fockatom import (
     transduction_metrics,
 )
 from fockatom import analysis
-from fockatom.analysis import SOLVERS, _argmax_with_tiebreak, _local_maxima, probability_density
+from fockatom.analysis import SOLVERS, _argmax_with_tiebreak, _local_maxima
 from fockatom.dynamics import check_ode_step
 from fockatom.grids import ParameterError
 
@@ -37,43 +39,6 @@ def _rise_edge_traj(gamma, kappa, dt=2e-4, t_max=4.0):
     c_r, _, _ = delta_pulse_rise(AtomParams(gamma=gamma, gamma_p=gamma), kappa, grid)
     return Trajectory(grid=grid, c=c_r.astype(complex), p=c_r**2,
                       solver_id="rise_edge", params={})
-
-
-# ---------------------------------------------------------------------------
-# probability density
-# ---------------------------------------------------------------------------
-
-def test_density_unit_integral():
-    traj = _markov_delta_traj()
-    dens = probability_density(traj)
-    w = np.full(len(dens), traj.grid.dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    assert abs(np.sum(w * dens) - 1.0) < 1e-12
-
-
-def test_density_markov_delta_is_exponential():
-    # dt = 1e-4: the trapezoid normalization carries an O(dt/2) error from
-    # the probability jump at arrival
-    traj = _markov_delta_traj(t_arr=1.0, dt=1e-4)
-    dens = probability_density(traj)
-    t = traj.grid.times
-    expected = np.where(t >= 1.0, np.exp(-(t - 1.0)), 0.0)
-    assert np.abs(dens - expected).max() < 1e-4
-
-
-def test_density_scale_invariance():
-    traj = _markov_delta_traj()
-    scaled = Trajectory(grid=traj.grid, c=np.sqrt(2.0) * traj.c,
-                        p=2.0 * traj.p, solver_id="x", params={})
-    assert np.array_equal(probability_density(traj), probability_density(scaled))
-
-
-def test_density_rejects_zero_trajectory():
-    grid = TimeGrid.from_span(0.0, 1.0, 1e-2)
-    traj = solve_markov(AtomParams(), None, grid)
-    with pytest.raises(ValueError, match="no absorption event"):
-        probability_density(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +72,47 @@ def test_metrics_window_and_bound():
     # the jump sqrt(2 pi gamma_p) xi0 of the Dirac drive: P = 2 pi xi0^2
     assert m.p_max == pytest.approx(2 * np.pi * 0.01, rel=1e-3)
     assert not m.ambiguous
+    # plain scalars, ready for a JSON record
+    assert all(type(v) in (float, bool) for v in asdict(m).values()), asdict(m)
+
+
+def test_metrics_fall_crossings_in_one_step_interpolate_like_the_rise():
+    # P drops from the peak past both thresholds in one step: the 10% crossing, like the
+    # 90% one, is interpolated from the sample before it, the mirror of the rise rule
+    dt = 0.1
+    grid = TimeGrid.from_span(0.0, 2 * dt, dt)
+    p = np.array([0.0, 1.0, 0.05])
+    traj = Trajectory(grid=grid, c=np.sqrt(p).astype(complex), p=p,
+                      solver_id="synthetic", params={})
+    m = transduction_metrics(traj, kappa=1.0, gamma=1.0)
+    assert m.fall_90_10 == pytest.approx(0.8 / 0.95 * dt)
+    assert m.rise_10_90 == pytest.approx(0.8 * dt)
+
+
+def test_metrics_rise_from_first_sample_is_not_interpolated():
+    # P already past 10% at the first sample: that sample is the crossing, with no earlier
+    # sample to interpolate from; the 90% crossing still interpolates
+    dt = 0.1
+    grid = TimeGrid.from_span(0.0, 2 * dt, dt)
+    p = np.array([0.5, 1.0, 0.0])
+    traj = Trajectory(grid=grid, c=np.sqrt(p).astype(complex), p=p,
+                      solver_id="synthetic", params={})
+    m = transduction_metrics(traj, kappa=1.0, gamma=1.0)
+    assert m.rise_10_90 == pytest.approx(0.8 * dt)
+    assert m.fall_90_10 == pytest.approx(0.8 * dt)
+
+
+def test_metrics_fall_past_grid_end_is_nan():
+    # P still rising at the last sample: the rise is measured, both fall crossings never
+    # happen inside the grid, so the fall and the window are NaN
+    grid = TimeGrid.from_span(0.0, 1.0, 1e-2)
+    p = grid.times.copy()
+    traj = Trajectory(grid=grid, c=np.sqrt(p).astype(complex), p=p,
+                      solver_id="synthetic", params={})
+    m = transduction_metrics(traj, kappa=1.0, gamma=1.0)
+    assert m.rise_10_90 == pytest.approx(0.8)
+    assert np.isnan(m.fall_90_10) and np.isnan(m.window)
+    assert m.t_peak == pytest.approx(1.0)
 
 
 def test_metrics_flags_oscillatory_trajectory_ambiguous():

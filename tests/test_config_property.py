@@ -217,6 +217,7 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     # the field the user set, not the one derived from it
     ("simulate", {"grid": {"t0": 1e308}}, "grid.t0"),
     ("simulate", {"pulse": {"t_a": 1e308}}, "pulse.t_a"),
+    ("simulate", {"pulse": {"t_a": -50}}, "pulse.t_a"),
     ("simulate", {"atom": {"gamma": 1e308}}, "atom.gamma"),
     ("simulate", {"pulse": {"shape": "delta", "xi0": -1e308}}, "pulse.xi0"),
     ("simulate", {"pulse": {"shape": "delta"}, "spectrum": {"kind": "tabulated"}}, "pulse.shape"),
@@ -227,6 +228,8 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     ("sweep", {"sweep": {"tau_f": {"num": 1001}, "kappa": {"num": 1000}}}, "sweep.tau_f.num"),
     ("sweep", {"pulse": {"shape": "delta"}, "sweep": {"tau_f": {"num": 1}, "kappa": {"num": 1}}},
      "pulse.shape"),
+    # an axis of several cells needs stop > start: a single cell takes start alone
+    ("sweep", {"sweep": {"tau_f": {"num": 2, "start": 1, "stop": 1}}}, "sweep.tau_f.stop"),
     # validate builds every model input, so it reads the spectrum table
     ("validate", {"spectrum": {"kind": "tabulated", "csv": "missing.csv"}}, "spectrum.csv"),
     ("validate", {"scenario": "detector_compare", "pulse": {"n_bar": -1}}, "pulse.n_bar"),
