@@ -8,13 +8,14 @@ compared to the analytic e-folding bound 1/kappa + 1/gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import (
     AtomParams,
     Trajectory,
+    branch_params,
     check_rates_agree,
     max_ode_step,
     solve_closed_form_lorentzian,
@@ -27,6 +28,12 @@ from .pulses import DECAYING_EXP, DELTA, GAUSSIAN, NORMALIZABLE_SHAPES, RISING_E
 from .spectra import FLAT, TABULATED, InteractionSpectrum
 
 _LN9 = float(np.log(9.0))
+# The ring-down of `cell_span`'s trail, in 1/gamma, and how much of it a certified
+# prefix of a sweep cell keeps; the relative margin under sqrt(p_max) the tail bound
+# must clear, which covers the rounding of the recursions it bounds.
+_RING_DOWN = 8.0
+_RING_DOWN_KEPT = 1.0
+_TAIL_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,11 @@ class TransductionMetrics:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """max_t P over a (tau_f, kappa) grid, indexed [kappa, tau_f]; argmax = (tau_f*, kappa*, p*)."""
+    """max_t P over a (tau_f, kappa) grid, indexed [kappa, tau_f]; argmax = (tau_f*, kappa*, p*).
+
+    Over the ok cells, `samples_solved` counts the samples the solvers ran, `samples_grid`
+    those of the cell grids, and `cells_full_grid` the cells that solved their whole grid.
+    """
 
     tau_f_grid: np.ndarray
     kappa_grid: np.ndarray
@@ -59,6 +70,9 @@ class SweepResult:
     t_peak: np.ndarray
     status: list
     argmax: tuple
+    samples_solved: int
+    samples_grid: int
+    cells_full_grid: int
 
 
 def _crossing(t, y, level, start, rising):
@@ -185,7 +199,7 @@ def cell_span(shape: str, tau_f: float, kappa: float, gamma: float) -> tuple[flo
     if shape == DELTA:
         return 1.0 / gamma, 12.0 / gamma
     check_range("tau_f", tau_f, MIN_SCALE)
-    trail_decay = 8.0 / gamma + 4.0 / min(kappa, 2.0 * gamma)
+    trail_decay = _RING_DOWN / gamma + 4.0 / min(kappa, 2.0 * gamma)
     if shape == GAUSSIAN:
         return 7.0 * tau_f, 6.0 * tau_f + trail_decay
     if shape == DECAYING_EXP:
@@ -204,6 +218,34 @@ def cell_grid(shape: str, tau_f: float, kappa: float, gamma: float,
     return TimeGrid.from_span(0.0, lead + trail, dt), lead
 
 
+def _cell_peak(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec,
+               grid: TimeGrid, solver: str) -> tuple[float, float, int]:
+    """(t_peak, p_max, samples solved) of one sweep cell on its grid.
+
+    The closed form away from the double pole first solves the prefix that ends
+    _RING_DOWN_KEPT after the pulse and cavity terms of `cell_span`. It keeps the
+    prefix peak when that peak is below the prefix's last sample, the prefix passes
+    the P <= 1 guard, and the trajectory's `tail_bound` puts every later sample of
+    the whole grid below sqrt(p_max) (1 - _TAIL_MARGIN). The drive, the recursions
+    and P are causal and elementwise, so the prefix is the whole grid's first
+    samples bit for bit, and the peak is the whole grid's. Otherwise, and on the
+    RK4 and Volterra routes, the cell solves its whole grid.
+    """
+    solved = 0
+    if solver == "closed_form" and not branch_params(atom.gamma, spectrum.kappa).degenerate:
+        solved = grid.n - int((_RING_DOWN - _RING_DOWN_KEPT) / (atom.gamma * grid.dt))
+        try:
+            traj = solve(atom, spectrum, pulse, replace(grid, n=solved))
+        except ValueError:  # the guard: the whole grid gives the cell its status
+            pass
+        else:
+            i = int(np.argmax(traj.p))
+            if i < solved - 1 and traj.tail_bound < np.sqrt(traj.p[i]) * (1.0 - _TAIL_MARGIN):
+                return (*_refine_peak(traj.grid, traj.p, i), solved)
+    traj = solve(atom, spectrum, pulse, grid, solver)
+    return (*_refine_peak(grid, traj.p, int(np.argmax(traj.p))), solved + grid.n)
+
+
 def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
                solver: str = "closed_form") -> SweepResult:
     """max_t P over the (tau_f, kappa) grid for one normalizable pulse shape.
@@ -211,8 +253,10 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
     Cells are independent; a failing cell is recorded as NaN with its error
     message in `status` and the sweep continues. Each cell takes the
     `cell_grid` step, capped at `max_ode_step` for the RK4 solver; a cell
-    grid over the sample budget fails its cell. The argmax tie-break is
-    toward smaller tau_f, then smaller kappa.
+    grid over the sample budget fails its cell. A closed-form cell stops at a
+    certified prefix of its grid, before the ring-down (`_cell_peak`); RK4,
+    Volterra and the double pole kappa = 2 gamma solve the whole grid. The
+    argmax tie-break is toward smaller tau_f, then smaller kappa.
     """
     tau_f_grid = np.asarray(tau_f_grid, dtype=float)
     kappa_grid = np.asarray(kappa_grid, dtype=float)
@@ -228,6 +272,7 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
     p_max = np.full((nk, nt), np.nan)
     t_peak = np.full((nk, nt), np.nan)
     status = [["ok"] * nt for _ in range(nk)]
+    solved = samples = full = 0
     for i, kappa in enumerate(kappa_grid):
         for j, tau_f in enumerate(tau_f_grid):
             try:
@@ -239,15 +284,14 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
                 pulse = PulseSpec(shape=shape, tau_f=tau_f, t_a=t_a)
                 spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p,
                                                           gamma=atom.gamma)
-                traj = solve(atom, spectrum, pulse, grid, solver)
-                tp, pm = _refine_peak(traj.grid, traj.p, int(np.argmax(traj.p)))
-                p_max[i, j] = pm
-                t_peak[i, j] = tp
+                t_peak[i, j], p_max[i, j], n = _cell_peak(atom, spectrum, pulse, grid, solver)
+                solved, samples, full = solved + n, samples + grid.n, full + (n >= grid.n)
             except (ValueError, MemoryError) as exc:
                 status[i][j] = f"error: {exc}"
     argmax = _argmax_with_tiebreak(tau_f_grid, kappa_grid, p_max)
     return SweepResult(tau_f_grid=tau_f_grid, kappa_grid=kappa_grid,
-                       p_max=p_max, t_peak=t_peak, status=status, argmax=argmax)
+                       p_max=p_max, t_peak=t_peak, status=status, argmax=argmax,
+                       samples_solved=solved, samples_grid=samples, cells_full_grid=full)
 
 
 def _argmax_with_tiebreak(tau_f_grid, kappa_grid, p_max):

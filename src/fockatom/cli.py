@@ -180,13 +180,17 @@ def normalize_config(raw: dict) -> dict:
             raise ParameterError(f"sweep.{axis}.num", "must be >= 1")
         if ax["start"] <= 0 and ax["spacing"] == "log":
             raise ParameterError(f"sweep.{axis}.start", "log spacing needs start > 0")
-        if ax["stop"] < ax["start"] or (ax["num"] > 1 and ax["stop"] == ax["start"]):
+        if ax["stop"] < ax["start"]:
             raise ParameterError(f"sweep.{axis}.stop", "must be > start, or >= start if num is 1")
     nums = {axis: cfg["sweep"][axis]["num"] for axis in ("tau_f", "kappa")}
     if nums["tau_f"] * nums["kappa"] > MAX_GRID_SAMPLES:
         raise ParameterError(f"sweep.{max(nums, key=nums.get)}.num",
                              f"{nums['tau_f']} x {nums['kappa']} cells exceed the budget "
                              f"of {MAX_GRID_SAMPLES}")
+    for axis in ("tau_f", "kappa"):  # built once the budget bounds num
+        if not np.all(np.diff(_axis(cfg["sweep"][axis])) > 0):
+            raise ParameterError(f"sweep.{axis}.stop", "must exceed start far enough that the "
+                                                      "num axis values strictly ascend")
 
     if cfg["scenario"] == "figure" and cfg["figure_id"] is None:
         raise ParameterError("figure_id", f"must be one of {FIGURE_IDS}")

@@ -12,7 +12,10 @@ is solved three ways that share nothing but the driving term:
   as one unit lower-bidiagonal banded system. The convolution is linear in
   the drive, so the real and imaginary parts of D run as real sequences:
   float64 recursions for real poles, and one complex recursion standing for
-  both branches of a complex-conjugate pair.
+  both branches of a complex-conjugate pair. From the recursions' end
+  states it bounds |C| past its grid (`Trajectory.tail_bound`), so a sweep
+  cell stops at a certified prefix of its grid; RK4, Volterra and the
+  double pole give no bound, and their cells solve the whole grid.
 * `solve_ode_reduction`: the exponential kernel embedded exactly as the
   auxiliary variable M' = -kappa*M + C, integrated with fixed-step RK4
   (`_rk4_step`, the tableau the Bloch detector runs too). The step is a
@@ -56,7 +59,7 @@ from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dtbtrs, dtrtrs, ztbtrs, ztrtrs
 
 from .grids import MIN_SCALE, ParameterError, TimeGrid, check_range, check_rates
-from .pulses import DELTA, PulseSpec, _pulse_clock
+from .pulses import DELTA, PulseSpec, _pulse_clock, envelope_tail
 from .spectra import InteractionSpectrum, driving_term_uniform, exp_filter, memory_kernel
 
 # Fraction gamma_p/gamma of pulse modes in the total field modes: perfect
@@ -161,7 +164,9 @@ class Trajectory:
     """Complex amplitude C and probability P = |C|^2 on the grid it was computed on.
 
     `params` holds what the solver ran on: the solver, the atom, the pulse,
-    the grid and the solver's own parameters.
+    the grid and the solver's own parameters. `tail_bound` bounds |C| from
+    the last sample on, should the same solve run on a longer grid of the
+    same t0 and dt; inf where the solver gives no bound.
     """
 
     grid: TimeGrid
@@ -169,10 +174,12 @@ class Trajectory:
     p: np.ndarray
     solver_id: str
     params: dict
+    tail_bound: float = math.inf
 
     @classmethod
     def from_amplitude(cls, grid: TimeGrid, c, solver: str, atom: AtomParams,
-                       pulse: PulseSpec | None, **extra) -> "Trajectory":
+                       pulse: PulseSpec | None, tail_bound: float = math.inf,
+                       **extra) -> "Trajectory":
         """The trajectory a solver computed, with the solver, the atom, the
         pulse, the grid and the solver's own parameters `extra` as its params.
 
@@ -205,7 +212,7 @@ class Trajectory:
         if pulse is not None:
             params["pulse"] = {"shape": pulse.shape, "tau_f": pulse.tau_f,
                                "delta0": pulse.delta0, "t_a": pulse.t_a, "xi0": pulse.xi0}
-        return cls(grid=grid, c=c, p=p, solver_id=solver, params=params)
+        return cls(grid=grid, c=c, p=p, solver_id=solver, params=params, tail_bound=tail_bound)
 
 
 def _joined(parts, n: int) -> np.ndarray:
@@ -275,8 +282,9 @@ def _exp_conv_trapezoid(p, D: np.ndarray, dt: float) -> np.ndarray:
     return _first_order_recursion(e, b)
 
 
-def _branch_sum(br: LorentzBranches, D: tuple, dt: float) -> tuple:
-    """sum_j s_j J_{p_j}[D], the two-branch response to the drive D, as parts.
+def _branch_sum(br: LorentzBranches, D: tuple, dt: float) -> tuple[tuple, float]:
+    """sum_j s_j J_{p_j}[D], the two-branch response to the drive D, as parts, and
+    sum_parts sum_j |s_j| |J_{p_j}| at the last sample.
 
     J is linear, so the float64 parts (re, im) of D are convolved as
     separate real sequences, and a part that is absent (None) stays absent.
@@ -286,14 +294,44 @@ def _branch_sum(br: LorentzBranches, D: tuple, dt: float) -> tuple:
     2 Re(s1 J_{p1}[x]): one complex recursion for both branches.
     """
     (p1, s1), (p2, s2) = br.pairs
+    ends = []
 
     def response(x):
         if p1.imag == 0.0:
-            return (s1.real * _exp_conv_trapezoid(p1.real, x, dt)
-                    + s2.real * _exp_conv_trapezoid(p2.real, x, dt))
-        return 2.0 * (s1 * _exp_conv_trapezoid(p1, x, dt)).real
+            j1, j2 = (_exp_conv_trapezoid(p.real, x, dt) for p in (p1, p2))
+            ends.append(abs(s1) * abs(j1[-1]) + abs(s2) * abs(j2[-1]))
+            return s1.real * j1 + s2.real * j2
+        j1 = _exp_conv_trapezoid(p1, x, dt)
+        ends.append(2.0 * abs(s1) * abs(j1[-1]))
+        return 2.0 * (s1 * j1).real
 
-    return tuple(None if x is None else response(x) for x in D)
+    return tuple(None if x is None else response(x) for x in D), sum(ends)
+
+
+def _tail_bound(atom: AtomParams, kappa: float, pulse: PulseSpec | None, grid: TimeGrid,
+                br: LorentzBranches, D: tuple, ends: float) -> float:
+    """A bound on |C_k| at every sample k >= q = n - 1 of the closed form on a longer grid
+    of the same t0 and dt, from the branch end states `ends` of `_branch_sum`.
+
+    Past q, each recursion of `_exp_conv_trapezoid` (e = e^{-p dt}, |e| <= 1) gives
+    |J_k| <= |J_q| + (dt/2)(1 + |e|) S with S >= sum_{i>=q} |x_i| for each part x of
+    the drive, and the free decay of c0 is at most |e|^q |c0|, so
+    |C_k| <= sum_parts sum_j |s_j| (|J_{j,q}| + (dt/2)(1 + |e_j|) S) + sum_j |s_j| |e_j|^q |c0|.
+    S is bounded without evaluating the drive past the grid: |D| = sqrt(gamma_p) kappa
+    |F_kappa[u]|, and F_kappa at tau >= tau_q is F_kappa(tau_q) decayed plus the filtered
+    envelope after tau_q, so S = (|D_q| + sqrt(gamma_p) kappa U(tau_q)) / (1 - e^{-kappa dt}),
+    U = `pulses.envelope_tail` and tau_q the pulse time of sample q.
+    """
+    dt, q = grid.dt, grid.n - 1
+    parts = [x[-1] for x in D if x is not None]
+    drive = 0.0
+    if parts:
+        tau_q = ((grid.t0 - atom.t_d) - pulse.t_a) + dt * q
+        tail = math.hypot(*parts) + math.sqrt(atom.gamma_p) * kappa * envelope_tail(pulse, tau_q)
+        drive = len(parts) * 0.5 * dt * tail / -math.expm1(-kappa * dt)
+    return ends + sum(abs(s) * (drive * (1.0 + math.exp(-p.real * dt))
+                                + math.exp(-p.real * dt * q) * abs(atom.c0))
+                      for p, s in br.pairs)
 
 
 def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
@@ -328,14 +366,16 @@ def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpe
         else:
             dtt = grid.dt * np.arange(grid.n)
             C = (1.0 + g * dtt) * np.exp(-g * dtt) * atom.c0 + Ja + g * Jb
+        tail = math.inf
     else:
-        C = _branch_sum(br, D, grid.dt)
+        C, ends = _branch_sum(br, D, grid.dt)
+        tail = _tail_bound(atom, kappa, pulse, grid, br, D, ends)
         if atom.c0 != 0:
             C = _joined(C, grid.n)
             dtt = grid.dt * np.arange(grid.n)
             for p, s in br.pairs:
                 C += s * (np.exp(-p * dtt) * atom.c0)
-    return Trajectory.from_amplitude(grid, C, "closed_form", atom, pulse, kappa=kappa)
+    return Trajectory.from_amplitude(grid, C, "closed_form", atom, pulse, tail, kappa=kappa)
 
 
 def max_ode_step(gamma: float, kappa: float) -> float:

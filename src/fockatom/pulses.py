@@ -28,6 +28,7 @@ drives are evaluated at tau itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,25 @@ def envelope(spec: PulseSpec, t) -> np.ndarray | complex:
         raise ValueError("delta pulse has no square-integrable envelope")
     out = _envelope_at(spec, np.asarray(t, dtype=float) - spec.t_a)
     return out if out.ndim else complex(out)
+
+
+def envelope_tail(spec: PulseSpec, tau: float) -> float:
+    """U(tau) = int_tau^inf |u(s)| ds, the envelope's L1 mass after pulse time tau = t - t_a.
+
+    In closed form: the Gaussian's (2 pi tau_f^2)^(-1/4) sqrt(pi) tau_f erfc(tau/(2 tau_f)),
+    the decaying exp's 2 sqrt(tau_f) e^(-max(tau, 0)/(2 tau_f)) and the rising exp's
+    2 sqrt(tau_f) (1 - e^(min(tau, 0)/(2 tau_f))); the delta's Dirac mass sqrt(2 pi) |xi0|
+    counts while tau <= 0. The carrier does not change |u|.
+    """
+    tf = spec.tau_f
+    if spec.shape == GAUSSIAN:
+        amp = (2.0 * math.pi * tf**2) ** -0.25 * math.sqrt(math.pi) * tf
+        return amp * math.erfc(0.5 * tau / tf)
+    if spec.shape == DECAYING_EXP:
+        return 2.0 * math.sqrt(tf) * math.exp(-0.5 * max(tau, 0.0) / tf)
+    if spec.shape == RISING_EXP:
+        return -2.0 * math.sqrt(tf) * math.expm1(0.5 * min(tau, 0.0) / tf)
+    return math.sqrt(2.0 * math.pi) * abs(spec.xi0) if tau <= 0.0 else 0.0
 
 
 def _envelope_at(spec: PulseSpec, x: np.ndarray) -> np.ndarray:

@@ -87,7 +87,9 @@ def write_trajectory(path_base, traj, metadata: dict | None = None) -> None:
 
 
 def write_sweep(path_base, sweep, metadata: dict | None = None) -> None:
-    """Long-format sweep CSV (tau_f, kappa, p_max, t_peak, status) + summary JSON."""
+    """Long-format sweep CSV (tau_f, kappa, p_max, t_peak, status) + summary JSON: the argmax,
+    the axes and the sample counts (`SweepResult`'s samples_solved, samples_grid and
+    cells_full_grid)."""
     nk, nt = sweep.p_max.shape
     status = [st.replace(",", ";") for row in sweep.status for st in row]
     write_csv(f"{path_base}.csv", ["tau_f", "kappa", "p_max", "t_peak", "status"],
@@ -98,6 +100,9 @@ def write_sweep(path_base, sweep, metadata: dict | None = None) -> None:
         "argmax": {"tau_f": tf_star, "kappa": kap_star, "p_max": p_star},
         "tau_f_grid": [float(x) for x in sweep.tau_f_grid],
         "kappa_grid": [float(x) for x in sweep.kappa_grid],
+        "samples_solved": sweep.samples_solved,
+        "samples_grid": sweep.samples_grid,
+        "cells_full_grid": sweep.cells_full_grid,
         **(metadata or {}),
     })
 

@@ -1,9 +1,11 @@
 """Rise/fall metrics, jitter-bound scaling, sweeps."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from fockatom import (
@@ -23,6 +25,7 @@ from fockatom import analysis
 from fockatom.analysis import SOLVERS, _argmax_with_tiebreak, _local_maxima
 from fockatom.dynamics import check_ode_step
 from fockatom.grids import ParameterError
+from fockatom.pulses import NORMALIZABLE_SHAPES
 
 LN9 = np.log(9.0)
 
@@ -366,6 +369,82 @@ def test_sweep_cell_is_the_refined_peak_of_its_solve(shape, c0):
             tp, pm = _refine_on_times(traj.grid.times, traj.p, int(np.argmax(traj.p)))
             assert (sweep.p_max[i, j], sweep.t_peak[i, j]) == (pm, tp)
             assert analysis._refine_peak(traj.grid, traj.p, int(np.argmax(traj.p))) == (tp, pm)
+
+
+def _full_grid_cell(atom, shape, tau_f, kappa):
+    """The cell's grid, pulse, spectrum and its (t_peak, p_max) from the whole grid, or the
+    error the whole grid's solve raises."""
+    grid, t_a = analysis.cell_grid(shape, tau_f, kappa, atom.gamma)
+    pulse = PulseSpec(shape, tau_f=tau_f, t_a=t_a)
+    spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p)
+    try:
+        traj = solve(atom, spectrum, pulse, grid)
+    except ValueError as exc:
+        return grid, pulse, spectrum, None, str(exc)
+    return grid, pulse, spectrum, traj, analysis._refine_peak(grid, traj.p, int(np.argmax(traj.p)))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(shape=st.sampled_from(NORMALIZABLE_SHAPES), tau_f=_log_uniform(0.01, 10.0),
+       kappa=st.one_of(_log_uniform(0.1, 100.0), st.floats(2.0 - 1e-6, 2.0 + 1e-6)),
+       c0_abs=st.floats(0.0, 1.0), c0_arg=st.floats(0.0, 2.0 * np.pi),
+       t_d=st.floats(0.0, 0.5), mode_fraction=st.floats(0.01, 1.0))
+@example(shape="gaussian", tau_f=0.1, kappa=10.0, c0_abs=1.0, c0_arg=1.5 * np.pi, t_d=0.0,
+         mode_fraction=1.0)  # c0 = -1j adds to the pulse's amplitude: P > 1 + 1e-6
+def test_stopped_sweep_cell_is_the_full_grid_peak(shape, tau_f, kappa, c0_abs, c0_arg, t_d,
+                                                   mode_fraction):
+    # a closed-form cell that stops at its prefix reports the whole grid's refined peak and
+    # status, bit for bit; the prefix is the whole grid's first samples, and its tail_bound
+    # holds |C| down at every later sample
+    atom = AtomParams(gamma_p=mode_fraction, t_d=t_d, c0=c0_abs * np.exp(1j * c0_arg))
+    grid, pulse, spectrum, full, expected = _full_grid_cell(atom, shape, tau_f, kappa)
+    if full is None:  # the guard fails the cell, with the whole grid's message (a sweep of
+        with pytest.raises(ValueError) as err:  # this one failed cell would refuse itself)
+            analysis._cell_peak(atom, spectrum, pulse, grid, "closed_form")
+        assert str(err.value) == expected
+        return
+    sweep = sweep_pmax(atom, shape, [tau_f], [kappa])
+    assert sweep.status == [["ok"]]
+    assert (sweep.t_peak[0, 0], sweep.p_max[0, 0]) == expected
+    m = sweep.samples_solved - sweep.cells_full_grid * grid.n  # the prefix, 0 at the double pole
+    if m:
+        prefix = solve(atom, spectrum, pulse, replace(grid, n=m))
+        assert np.array_equal(prefix.p, full.p[:m])
+        assert np.abs(full.c[m - 1:]).max() <= prefix.tail_bound
+
+
+@pytest.mark.parametrize("t_d, kappa", [(9.0, 10.0), (0.0, 2.0 * (1.0 + 1e-7))],
+                         ids=["peak_past_prefix", "loose_bound_by_double_pole"])
+def test_uncertified_sweep_cell_solves_its_whole_grid(t_d, kappa):
+    # a delay that moves the peak past the prefix, or branch weights |s_j| ~ 1e3 near the
+    # double pole that loosen the tail bound past sqrt(p_max): the whole grid is solved
+    atom = AtomParams(t_d=t_d)
+    grid, pulse, spectrum, _, expected = _full_grid_cell(atom, "gaussian", 1.0, kappa)
+    m = grid.n - int(7.0 / grid.dt)
+    prefix = solve(atom, spectrum, pulse, replace(grid, n=m))
+    i = int(np.argmax(prefix.p))
+    assert i == m - 1 or prefix.tail_bound >= np.sqrt(prefix.p[i])
+    sweep = sweep_pmax(atom, "gaussian", [1.0], [kappa])
+    assert (sweep.samples_solved, sweep.samples_grid, sweep.cells_full_grid) == (m + grid.n,
+                                                                                grid.n, 1)
+    assert (sweep.t_peak[0, 0], sweep.p_max[0, 0]) == expected
+
+
+def test_sweep_counts_the_samples_it_solves():
+    # closed-form cells stop 7/gamma before their grid ends, the double pole and every RK4
+    # cell solve the whole grid
+    kappas = [1.0, 2.0, 10.0]
+    grids = [analysis.cell_grid("gaussian", 1.0, k, 1.0)[0].n for k in kappas]
+    cut = int(7.0 / analysis.cell_grid("gaussian", 1.0, 1.0, 1.0)[0].dt)
+    sweep = sweep_pmax(AtomParams(), "gaussian", [1.0], kappas)
+    assert (sweep.samples_solved, sweep.samples_grid, sweep.cells_full_grid) == (
+        sum(grids) - 2 * cut, sum(grids), 1)
+    rk4 = sweep_pmax(AtomParams(), "gaussian", [1.0], [1.0, 10.0], solver="ode_rk4")
+    assert rk4.samples_solved == rk4.samples_grid and rk4.cells_full_grid == 2
 
 
 @pytest.mark.parametrize("t0, dt", [(0.0, 1e-3), (0.3, 1e-3), (-7.1, 3e-3), (1e4, 1e-4)])

@@ -230,6 +230,12 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
      "pulse.shape"),
     # an axis of several cells needs stop > start: a single cell takes start alone
     ("sweep", {"sweep": {"tau_f": {"num": 2, "start": 1, "stop": 1}}}, "sweep.tau_f.stop"),
+    # and its values must strictly ascend: three cells an ulp apart repeat a value
+    ("sweep", {"sweep": {"tau_f": {"num": 3, "start": 1, "stop": 1.0000000000000002},
+                         "kappa": {"num": 1}}}, "sweep.tau_f.stop"),
+    ("sweep", {"sweep": {"tau_f": {"num": 1},
+                         "kappa": {"num": 3, "start": 1, "stop": 1.0000000000000002,
+                                   "spacing": "linear"}}}, "sweep.kappa.stop"),
     # validate builds every model input, so it reads the spectrum table
     ("validate", {"spectrum": {"kind": "tabulated", "csv": "missing.csv"}}, "spectrum.csv"),
     ("validate", {"scenario": "detector_compare", "pulse": {"n_bar": -1}}, "pulse.n_bar"),

@@ -163,7 +163,7 @@ def _closed_form_with_c0_term(atom, kappa, pulse, grid):
         return _closed_form_two_recursions(atom, kappa, pulse, grid)
     D = _drive_on_grid(atom, InteractionSpectrum.lorentzian(kappa), pulse, grid)
     dtt = grid.dt * np.arange(grid.n)
-    C = _joined(_branch_sum(br, D, grid.dt), grid.n)
+    C = _joined(_branch_sum(br, D, grid.dt)[0], grid.n)
     for p, s in br.pairs:
         C += s * (np.exp(-p * dtt) * atom.c0)
     return C

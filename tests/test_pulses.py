@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fockatom import CoherentPulseSpec, PulseSpec, envelope, spectral_amplitude
-from fockatom.pulses import NORMALIZABLE_SHAPES
+from fockatom.pulses import NORMALIZABLE_SHAPES, envelope_tail
 
 
 def _spectral_norm(spec, half_width, n, n_bar=1.0):
@@ -142,3 +143,25 @@ def test_pulse_spec_validation():
         PulseSpec("gaussian", tau_f=-1.0)
     with pytest.raises(ValueError, match="photon number"):
         CoherentPulseSpec(base=PulseSpec("gaussian"), n_bar=-0.5)
+
+
+@pytest.mark.parametrize("tau_f", [0.01, 1.0, 10.0])
+@pytest.mark.parametrize("shape", NORMALIZABLE_SHAPES)
+def test_envelope_tail_bounds_the_envelope_mass_after_tau(shape, tau_f):
+    # U(tau) = int_tau^inf |u| in closed form, against quadrature of |envelope| up to 80 tau_f
+    # (past which |u| < 1e-17 of its peak); a carrier leaves |u| alone
+    spec = PulseSpec(shape, tau_f=tau_f, delta0=3.0 / tau_f, t_a=0.7)
+    for tau in tau_f * np.array([-8.0, -1.5, -0.2, 0.0, 0.3, 2.0, 9.0]):
+        end = 80.0 * tau_f
+        mass, _ = quad(lambda s: abs(envelope(spec, spec.t_a + s)), tau, end,
+                       points=[0.0] if tau < 0.0 else None, epsabs=0.0, epsrel=1e-12, limit=200)
+        bound = envelope_tail(spec, tau)
+        assert mass <= bound * (1.0 + 1e-10)
+        assert bound <= mass * (1.0 + 1e-10) + 1e-300
+
+
+def test_envelope_tail_of_a_delta_is_its_mass_until_it_arrives():
+    # the Dirac mass sqrt(2 pi) |xi0| lies ahead of pulse time tau up to and at tau = 0
+    spec = PulseSpec("delta", xi0=-0.3)
+    mass = np.sqrt(2.0 * np.pi) * 0.3
+    assert [envelope_tail(spec, tau) for tau in (-1.0, 0.0, 1e-12)] == [mass, mass, 0.0]

@@ -42,12 +42,15 @@ def test_csv_bytes_pinned(tmp_path):
     # a sweep row: failed cells keep NaN and their status, commas turned into ';'
     sweep = SweepResult(tau_f_grid=np.array([0.1, 1.0]), kappa_grid=np.array([2**53 + 1]),
                         p_max=np.array([[np.nan, 1.0 / 3.0]]), t_peak=np.array([[np.nan, -0.0]]),
-                        status=[["error: bad cell, dt=0.1, kappa=2", "ok"]], argmax=(1.0, 2.0, 0.5))
+                        status=[["error: bad cell, dt=0.1, kappa=2", "ok"]], argmax=(1.0, 2.0, 0.5),
+                        samples_solved=80, samples_grid=101, cells_full_grid=0)
     write_sweep(tmp_path / "sweep", sweep)
     assert (tmp_path / "sweep.csv").read_bytes() == (
         b"tau_f,kappa,p_max,t_peak,status\n"
         b"0.10000000000000001,9007199254740992,nan,nan,error: bad cell; dt=0.1; kappa=2\n"
         b"1,9007199254740992,0.33333333333333331,-0,ok\n")
+    meta = json.loads((tmp_path / "sweep.json").read_text())
+    assert (meta["samples_solved"], meta["samples_grid"], meta["cells_full_grid"]) == (80, 101, 0)
 
 
 def test_csv_chunks_match_per_cell_format(tmp_path):
