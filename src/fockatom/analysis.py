@@ -210,12 +210,13 @@ def cell_span(shape: str, tau_f: float, kappa: float, gamma: float) -> tuple[flo
 
 
 def cell_grid(shape: str, tau_f: float, kappa: float, gamma: float,
-              dt: float | None = None) -> tuple[TimeGrid, float]:
-    """Per-cell time grid over the `cell_span`, and the pulse arrival t_a = lead."""
+              dt: float | None = None, t_d: float = 0.0) -> tuple[TimeGrid, float]:
+    """Per-cell time grid over the `cell_span` and an atom's delay t_d, and the pulse arrival
+    t_a = lead."""
     lead, trail = cell_span(shape, tau_f, kappa, gamma)
     if dt is None:
         dt = min(4e-3 / gamma, tau_f / 10.0)
-    return TimeGrid.from_span(0.0, lead + trail, dt), lead
+    return TimeGrid.from_span(0.0, lead + trail + t_d, dt), lead
 
 
 def _cell_peak(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec,
@@ -252,8 +253,9 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
 
     Cells are independent; a failing cell is recorded as NaN with its error
     message in `status` and the sweep continues. Each cell takes the
-    `cell_grid` step, capped at `max_ode_step` for the RK4 solver; a cell
-    grid over the sample budget fails its cell. A closed-form cell stops at a
+    `cell_grid` step, capped at `max_ode_step` for the RK4 solver, over the
+    `cell_grid` span extended by the atom's delay t_d; a cell grid over the
+    sample budget fails its cell. A closed-form cell stops at a
     certified prefix of its grid, before the ring-down (`_cell_peak`); RK4,
     Volterra and the double pole kappa = 2 gamma solve the whole grid. The
     argmax tie-break is toward smaller tau_f, then smaller kappa.
@@ -276,11 +278,11 @@ def sweep_pmax(atom: AtomParams, shape: str, tau_f_grid, kappa_grid,
     for i, kappa in enumerate(kappa_grid):
         for j, tau_f in enumerate(tau_f_grid):
             try:
-                grid, t_a = cell_grid(shape, tau_f, kappa, atom.gamma)
+                grid, t_a = cell_grid(shape, tau_f, kappa, atom.gamma, t_d=atom.t_d)
                 if solver == "ode_rk4":
                     # the RK4 step must also resolve the stiffest rate
                     stiff_dt = min(grid.dt, max_ode_step(atom.gamma, kappa))
-                    grid, t_a = cell_grid(shape, tau_f, kappa, atom.gamma, stiff_dt)
+                    grid, t_a = cell_grid(shape, tau_f, kappa, atom.gamma, stiff_dt, atom.t_d)
                 pulse = PulseSpec(shape=shape, tau_f=tau_f, t_a=t_a)
                 spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p,
                                                           gamma=atom.gamma)

@@ -2,8 +2,9 @@
 
 Commands: simulate, sweep, decay, delta-rise, detector-compare, figure <id>, validate.
 Configs are strict JSON: an unknown key, or a field set away from its default that the
-run builds no input from, exits 2 naming it. Each command-line flag sets one config field
-(`_FLAGS`), overriding the file, and its value is checked and refused as that field's value.
+run builds no input from or a figure preset sets to another value, exits 2 naming it. Each
+command-line flag sets one config field (`_FLAGS`), overriding the file, and its value is
+checked and refused as that field's value.
 Outputs are deterministic: identical configs produce byte-identical CSVs, with timestamps
 confined to the JSON sidecars. The default output directory comes from the FOCKATOM_OUT
 environment variable (falling back to ./out).
@@ -31,7 +32,7 @@ from .dynamics import (
     delta_pulse_rise,
     spontaneous_decay,
 )
-from .grids import MAX_GRID_SAMPLES, ParameterError, TimeGrid
+from .grids import MAX_GRID_SAMPLES, MIN_SCALE, ParameterError, TimeGrid, check_range
 from .pulses import DELTA, PULSE_SHAPES, CoherentPulseSpec, PulseSpec
 from .serialize import (
     write_csv,
@@ -69,7 +70,7 @@ _FIG5_PULSE = {"shape": "gaussian", "tau_f": 1.0, "n_bar": 1.0}
 # Figure presets, gamma = 1 literals: figure id -> {file name: contents}. A
 # file is one run, written as its scenario writes it, or _Columns joining one
 # column of several runs. Config fields a preset does not set keep their
-# configured values.
+# configured values; one it sets refuses another value the user set.
 FIGURES = {
     "fig2a": _fig2(0.1, [10.0]),
     "fig2b": _fig2(0.05, [10.0]),
@@ -137,7 +138,8 @@ def _merged(name: str, defaults: dict, given) -> dict:
 
 def _typed(field: str, default, val):
     """val checked against its field's type, the _NULLABLE entry or the default's, and a
-    string against the field's _CHOICES."""
+    string against the field's _CHOICES; a number field's value as a float, so that a
+    config merged over this one (a figure preset's) types it as the defaults do."""
     kind = _NULLABLE.get(field, type(default))
     if val is None and field in _NULLABLE:
         return val
@@ -152,7 +154,7 @@ def _typed(field: str, default, val):
         raise ParameterError(field, "must be an integer" if integer else "must be a number")
     if not abs(val) <= sys.float_info.max:  # NaN, +-Infinity, or an int beyond float range
         raise ParameterError(field, "must be a finite number within the float range")
-    return val
+    return val if integer else float(val)
 
 
 def normalize_config(raw: dict) -> dict:
@@ -174,23 +176,18 @@ def normalize_config(raw: dict) -> dict:
     if spec["kind"] == "tabulated" and not spec["csv"]:
         raise ParameterError("spectrum.csv", "tabulated spectrum needs a CSV path")
 
-    for axis in ("tau_f", "kappa"):
-        ax = cfg["sweep"][axis]
-        if ax["num"] < 1:
-            raise ParameterError(f"sweep.{axis}.num", "must be >= 1")
-        if ax["start"] <= 0 and ax["spacing"] == "log":
-            raise ParameterError(f"sweep.{axis}.start", "log spacing needs start > 0")
-        if ax["stop"] < ax["start"]:
-            raise ParameterError(f"sweep.{axis}.stop", "must be > start, or >= start if num is 1")
-    nums = {axis: cfg["sweep"][axis]["num"] for axis in ("tau_f", "kappa")}
-    if nums["tau_f"] * nums["kappa"] > MAX_GRID_SAMPLES:
+    nums = {axis: ax["num"] for axis, ax in cfg["sweep"].items()}
+    if min(nums.values()) >= 1 and nums["tau_f"] * nums["kappa"] > MAX_GRID_SAMPLES:
         raise ParameterError(f"sweep.{max(nums, key=nums.get)}.num",
                              f"{nums['tau_f']} x {nums['kappa']} cells exceed the budget "
                              f"of {MAX_GRID_SAMPLES}")
-    for axis in ("tau_f", "kappa"):  # built once the budget bounds num
-        if not np.all(np.diff(_axis(cfg["sweep"][axis])) > 0):
-            raise ParameterError(f"sweep.{axis}.stop", "must exceed start far enough that the "
-                                                      "num axis values strictly ascend")
+    for axis, ax in cfg["sweep"].items():  # its values built once the budget bounds num
+        if ax["num"] < 1:
+            raise ParameterError(f"sweep.{axis}.num", "must be >= 1")
+        for end in ("start", "stop"):
+            check_range(f"sweep.{axis}.{end}", ax[end], MIN_SCALE)
+        if ax["stop"] < ax["start"] or not np.all(np.diff(_axis(ax)) > 0):
+            raise ParameterError(f"sweep.{axis}.stop", "must be >= start, num values ascending")
 
     if cfg["scenario"] == "figure" and cfg["figure_id"] is None:
         raise ParameterError("figure_id", f"must be one of {FIGURE_IDS}")
@@ -211,9 +208,9 @@ def _grid(cfg, span: float) -> TimeGrid:
     return replace(TimeGrid(g["t0"], g["dt"], 2), n=TimeGrid.from_span(0.0, span, g["dt"]).n)
 
 
-def _build_spectrum(cfg, atom: AtomParams, kind: str | None = None) -> InteractionSpectrum:
+def _build_spectrum(cfg, atom: AtomParams) -> InteractionSpectrum:
     s, rates = cfg["spectrum"], {"gamma_p": atom.gamma_p, "gamma": atom.gamma}
-    if (kind or s["kind"]) == "lorentzian":
+    if s["kind"] == "lorentzian":
         return InteractionSpectrum.lorentzian(s["kappa"], **rates)
     if s["kind"] == "flat":
         return InteractionSpectrum.flat(**rates)
@@ -276,17 +273,18 @@ def _fields(cfg: dict) -> dict:
                for key, val in cfg[name].items()}, "solver": cfg["solver"]}
 
 
-def _outputs(cfg: dict) -> dict:
-    """Named outputs of a non-figure scenario, each a thunk of inputs built, and so checked,
-    here. A field set away from its `normalize_config({})` default that none read is refused."""
-    read = set()
-    cfg, given = _Recording(cfg, read), cfg
+def _outputs(cfg: dict, given: dict) -> dict:
+    """Named outputs of the scenario run cfg, each a thunk of inputs built, and so checked,
+    here. A field of the user's config given set away from its `normalize_config({})` default
+    is refused unless the run read it and took that value (a figure preset sets its own)."""
+    read, ran = set(), _fields(cfg)
+    cfg = _Recording(cfg, read)
     a, scenario = cfg["atom"], cfg["scenario"]
     c0 = {"decay": 1.0, "delta_rise": 0j}.get(scenario)  # decay's excited atom; no amplitude
     atom = AtomParams(gamma=a["gamma"], gamma_p=a["gamma_p"], t_d=a["t_d"],
                       c0=complex(a["c0_re"], a["c0_im"]) if c0 is None else c0)
     if scenario in ("decay", "delta_rise"):  # closed forms of a Lorentzian spectrum
-        kappa = _build_spectrum(cfg, atom, "lorentzian").kappa
+        check_range("kappa", kappa := cfg["spectrum"]["kappa"], MIN_SCALE)
     if scenario == "simulate":
         spectrum = _build_spectrum(cfg, atom)
         pulse, grid = _build_pulse_and_grid(cfg, atom, spectrum)
@@ -307,10 +305,10 @@ def _outputs(cfg: dict) -> dict:
         axes = [_axis(cfg["sweep"][name]) for name in ("tau_f", "kappa")]
         outputs = {"sweep": partial(sweep_pmax, atom, cfg["pulse"]["shape"], *axes,
                                     solver=cfg["solver"])}
-    else:  # detector_compare: the configured spectrum sets only the grid
-        pulse, grid = _build_pulse_and_grid(cfg, atom, _build_spectrum(cfg, atom))
-        coherent = CoherentPulseSpec(base=pulse, n_bar=cfg["pulse"]["n_bar"])
+    else:  # detector_compare: every trace, and so the window, is of the flat spectrum
         flat = InteractionSpectrum.flat(gamma_p=atom.gamma_p, gamma=atom.gamma)
+        pulse, grid = _build_pulse_and_grid(cfg, atom, flat)
+        coherent = CoherentPulseSpec(base=pulse, n_bar=cfg["pulse"]["n_bar"])
         outputs = {
             "linear_fock": partial(linear_response, atom, pulse, grid, flat),
             "linear_coherent": partial(linear_response, atom, coherent, grid, flat),
@@ -323,6 +321,8 @@ def _outputs(cfg: dict) -> dict:
     for field, val in _fields(given).items():
         if val != defaults[field] and field not in read:
             raise ParameterError(field, f"set, but {scenario} builds no input from it")
+        if val not in (defaults[field], ran[field]):  # a figure preset's value
+            raise ParameterError(field, f"set, but the run takes the preset's value {ran[field]}")
     return outputs
 
 
@@ -348,18 +348,18 @@ def _write(base: str, item, meta: dict) -> list[str]:
 def _plan(cfg: dict) -> dict:
     """Output path base -> (thunk computing the output, sidecar fields) of a config.
 
-    A figure runs its FIGURES preset through `_outputs`; its sidecars record
-    the effective config of each run.
+    A figure merges each run of its FIGURES preset over cfg, as `normalize_config`
+    merges a config over the defaults, and runs it through `_outputs`; its
+    sidecars record the effective config of each run.
     """
     if cfg["scenario"] != "figure":
         return {os.path.join(cfg["output_dir"], name): (make, {"config": cfg})
-                for name, make in sorted(_outputs(cfg).items())}
+                for name, make in sorted(_outputs(cfg, cfg).items())}
     fig_id = cfg["figure_id"]
 
-    def run(overrides, output):  # overrides replace fields of cfg, section by section
-        run_cfg = {key: {**val, **overrides.get(key, {})} if isinstance(val, dict)
-                   else overrides.get(key, val) for key, val in cfg.items()}
-        return run_cfg, _outputs(run_cfg)[output]
+    def run(overrides, output):
+        run_cfg = _merged("", cfg, overrides)
+        return run_cfg, _outputs(run_cfg, cfg)[output]
 
     def joined(attr, runs):
         traces = [make() for _, make in runs.values()]

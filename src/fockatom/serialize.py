@@ -1,4 +1,4 @@
-"""Deterministic serialization: CSV outputs, JSON sidecars, parameter digests.
+"""Deterministic serialization: CSV outputs and JSON sidecars.
 
 CSV numeric format is 17 significant digits so doubles round-trip losslessly,
 and all writes are atomic (temp file + rename) so concurrent figure runs
@@ -8,7 +8,6 @@ are a pure function of the input data.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -21,12 +20,6 @@ from . import __version__ as _code_version
 
 
 _CSV_CHUNK = 1 << 14  # rows formatted by one printf-style %
-
-
-def params_digest(params: dict) -> str:
-    """sha256 of the canonical JSON encoding of a parameter dict."""
-    blob = json.dumps(params, sort_keys=True, separators=(",", ":"), allow_nan=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _atomic_write(path, chunks) -> None:
@@ -80,7 +73,7 @@ def write_trajectory(path_base, traj, metadata: dict | None = None) -> None:
               [traj.grid.times, traj.c.real, traj.c.imag, traj.p])
     write_json(f"{path_base}.json", {
         "solver_id": traj.solver_id,
-        "params_digest": params_digest(traj.params),
+        "params": traj.params,
         "grid": asdict(traj.grid),
         **(metadata or {}),
     })

@@ -374,7 +374,7 @@ def test_sweep_cell_is_the_refined_peak_of_its_solve(shape, c0):
 def _full_grid_cell(atom, shape, tau_f, kappa):
     """The cell's grid, pulse, spectrum and its (t_peak, p_max) from the whole grid, or the
     error the whole grid's solve raises."""
-    grid, t_a = analysis.cell_grid(shape, tau_f, kappa, atom.gamma)
+    grid, t_a = analysis.cell_grid(shape, tau_f, kappa, atom.gamma, t_d=atom.t_d)
     pulse = PulseSpec(shape, tau_f=tau_f, t_a=t_a)
     spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p)
     try:
@@ -420,18 +420,37 @@ def test_stopped_sweep_cell_is_the_full_grid_peak(shape, tau_f, kappa, c0_abs, c
 @pytest.mark.parametrize("t_d, kappa", [(9.0, 10.0), (0.0, 2.0 * (1.0 + 1e-7))],
                          ids=["peak_past_prefix", "loose_bound_by_double_pole"])
 def test_uncertified_sweep_cell_solves_its_whole_grid(t_d, kappa):
-    # a delay that moves the peak past the prefix, or branch weights |s_j| ~ 1e3 near the
-    # double pole that loosen the tail bound past sqrt(p_max): the whole grid is solved
+    # a delay that moves the peak past the prefix of a grid that does not span it (a sweep's
+    # own cell grid spans it), or branch weights |s_j| ~ 1e3 near the double pole that
+    # loosen the tail bound past sqrt(p_max): the whole grid is solved
     atom = AtomParams(t_d=t_d)
-    grid, pulse, spectrum, _, expected = _full_grid_cell(atom, "gaussian", 1.0, kappa)
+    grid, t_a = analysis.cell_grid("gaussian", 1.0, kappa, atom.gamma)  # spans no delay
+    pulse = PulseSpec("gaussian", tau_f=1.0, t_a=t_a)
+    spectrum = InteractionSpectrum.lorentzian(kappa)
+    full = solve(atom, spectrum, pulse, grid)
+    expected = analysis._refine_peak(grid, full.p, int(np.argmax(full.p)))
     m = grid.n - int(7.0 / grid.dt)
     prefix = solve(atom, spectrum, pulse, replace(grid, n=m))
     i = int(np.argmax(prefix.p))
     assert i == m - 1 or prefix.tail_bound >= np.sqrt(prefix.p[i])
-    sweep = sweep_pmax(atom, "gaussian", [1.0], [kappa])
-    assert (sweep.samples_solved, sweep.samples_grid, sweep.cells_full_grid) == (m + grid.n,
-                                                                                grid.n, 1)
-    assert (sweep.t_peak[0, 0], sweep.p_max[0, 0]) == expected
+    assert analysis._cell_peak(atom, spectrum, pulse, grid, "closed_form") == (*expected,
+                                                                                m + grid.n)
+    if not t_d:  # the sweep's own cell grid: it counts the prefix and the whole grid
+        sweep = sweep_pmax(atom, "gaussian", [1.0], [kappa])
+        assert (sweep.samples_solved, sweep.samples_grid, sweep.cells_full_grid) == (
+            m + grid.n, grid.n, 1)
+        assert (sweep.t_peak[0, 0], sweep.p_max[0, 0]) == expected
+
+
+def test_sweep_cells_span_the_atom_delay():
+    # a delay moves each cell's response later by t_d, and its grid spans the delay: every
+    # cell keeps its peak and stops at its certified prefix
+    taus, kappas = [0.3, 1.0, 3.0], [1.0, 4.5, 20.0]
+    base = sweep_pmax(AtomParams(), "gaussian", taus, kappas)
+    late = sweep_pmax(AtomParams(t_d=30.0), "gaussian", taus, kappas)
+    assert np.abs(late.p_max - base.p_max).max() <= 1e-6
+    assert np.abs(late.t_peak - base.t_peak - 30.0).max() <= 1e-6
+    assert late.cells_full_grid == base.cells_full_grid == 0
 
 
 def test_sweep_counts_the_samples_it_solves():

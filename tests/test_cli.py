@@ -644,7 +644,9 @@ def test_fig4_small_sweep_argmax(tmp_path, capsys):
                   "kappa": {"start": 0.5, "stop": 50.0, "num": 5, "spacing": "log"}},
         "output_dir": out,
     }
-    code, _, _ = _run(["figure", "fig4d", "--config", _write_config(tmp_path, cfg)], capsys)
+    # --pulse gaussian sets the value the preset runs
+    code, _, _ = _run(["figure", "fig4d", "--pulse", "gaussian", "--config",
+                       _write_config(tmp_path, cfg)], capsys)
     assert code == 0
     meta = json.loads((tmp_path / "f4" / "fig4d" / "sweep_gaussian.json").read_text())
     assert 0.5 <= meta["argmax"]["tau_f"] <= 2.0

@@ -301,6 +301,20 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     ("sweep", {"sweep": {"tau_f": {"spacing": "cubic"}}}, "sweep.tau_f.spacing"),
     ("simulate", {"spectrum": {"kind": "junk"}}, "spectrum.kind"),
     ("simulate", {"figure_id": "fig99"}, "figure_id"),
+    # both ends of an axis lie in its model parameter's range, linear spacing too
+    ("sweep", {"sweep": {"kappa": {"start": 0, "stop": 10, "num": 3, "spacing": "linear"}}},
+     "sweep.kappa.start"),
+    ("sweep", {"sweep": {"kappa": {"start": -10, "stop": -1, "num": 3, "spacing": "linear"}}},
+     "sweep.kappa.start"),
+    ("sweep", {"sweep": {"tau_f": {"stop": 1e60}}}, "sweep.tau_f.stop"),
+    # a count below 1 is refused as such, though the product of two is over the budget
+    ("sweep", {"sweep": {"tau_f": {"num": -3000}, "kappa": {"num": -2000}}}, "sweep.tau_f.num"),
+    # a field a figure preset sets runs the preset's value, so another value set is refused
+    ("figure fig2a", {"pulse": {"tau_f": 5.0}}, "pulse.tau_f"),
+    ("figure fig3", {"spectrum": {"kappa": 20.0}}, "spectrum.kappa"),
+    ("figure fig2d", {"grid": {"t_max": 30.0}}, "grid.t_max"),
+    # every detector-compare trace, and so its window, is of the flat spectrum
+    ("detector-compare", {"spectrum": {"kappa": 1.0}}, "spectrum.kappa"),
 ])
 def test_refusal_names_the_config_field(tmp_path, capsys, work, command, cfg, field):
     if cfg.get("spectrum", {}).get("kind") == "tabulated":  # a table of the work directory
@@ -319,6 +333,17 @@ def test_fig3_and_fig6_accept_atom_fields(tmp_path, capsys):
         assert code == 0 and csvs, (fig, capsys.readouterr().err)
 
 
+def test_figure_accepts_the_value_its_preset_sets(tmp_path, capsys):
+    # a field set to the value the preset runs is read and taken, so it is accepted, also
+    # when the config gives a number as an integer
+    small = {"tau_f": {"start": 0.5, "stop": 2.0, "num": 2}, "kappa": {"num": 1}}
+    for command, cfg in [("figure fig4e --pulse decaying_exp", {"sweep": small}),
+                         ("figure fig2a", {"pulse": {"tau_f": 0.1}, "grid": {"dt": 0.01}}),
+                         ("figure fig3", {"spectrum": {"kappa": 10}})]:
+        code, csvs = _run(str(tmp_path), command, cfg)
+        assert code == 0 and csvs, (command, capsys.readouterr().err)
+
+
 # one valid value per settable field, away from its default and from each base config's
 ALTERNATES = {
     "atom.gamma": 1.5, "atom.gamma_p": 0.5, "atom.mode_fraction": 0.5, "atom.t_d": 0.1,
@@ -327,13 +352,12 @@ ALTERNATES = {
     "pulse.delta0": 0.5, "pulse.t_a": 5.0, "pulse.xi0": 0.3, "pulse.n_bar": 2.0,
     "grid.t0": 1.0, "grid.t_max": 30.0, "grid.dt": 0.02, "solver": "ode_rk4",
 }
-# each scenario's base config: a coarse grid, a small sweep, and a detector-compare
-# spectrum (kappa = 1 < 2 gamma) that moves its grid
+# each scenario's base config: a coarse grid, or a small sweep
 BASES = {
     "simulate": {"grid": {"dt": 0.01}},
     "decay": {"grid": {"dt": 0.01}},
     "delta-rise": {"grid": {"dt": 0.01}},
-    "detector-compare": {"grid": {"dt": 0.01}, "spectrum": {"kappa": 1.0}},
+    "detector-compare": {"grid": {"dt": 0.01}},
     "sweep": {"sweep": {"tau_f": {"start": 0.5, "stop": 2.0, "num": 2},
                         "kappa": {"start": 1.0, "stop": 10.0, "num": 2}}},
 }

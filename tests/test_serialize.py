@@ -1,4 +1,4 @@
-"""Deterministic output files: digests, lossless floats, atomic writes."""
+"""Deterministic output files: sidecars, lossless floats, atomic writes."""
 
 import json
 
@@ -8,18 +8,10 @@ from fockatom import AtomParams, PulseSpec, SweepResult, TimeGrid, solve_markov
 from fockatom.serialize import (
     _CSV_CHUNK,
     _csv_chunks,
-    params_digest,
     write_csv,
     write_sweep,
     write_trajectory,
 )
-
-
-def test_params_digest_is_stable_and_order_free():
-    a = params_digest({"x": 1.0, "y": [1, 2]})
-    b = params_digest({"y": [1, 2], "x": 1.0})
-    assert a == b
-    assert params_digest({"x": 1.0000001}) != a
 
 
 def test_csv_floats_round_trip_losslessly(tmp_path):
@@ -84,6 +76,7 @@ def test_trajectory_bundle(tmp_path):
     meta = json.loads((tmp_path / "traj.json").read_text())
     assert meta["solver_id"] == "markov"
     assert meta["grid"]["n"] == grid.n
+    assert meta["params"] == json.loads(json.dumps(traj.params))
     assert "created_at" in meta and "code_version" in meta
 
 
