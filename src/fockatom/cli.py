@@ -138,8 +138,10 @@ def _merged(name: str, defaults: dict, given) -> dict:
 
 def _typed(field: str, default, val):
     """val checked against its field's type, the _NULLABLE entry or the default's, and a
-    string against the field's _CHOICES; a number field's value as a float, so that a
-    config merged over this one (a figure preset's) types it as the defaults do."""
+    string against the field's _CHOICES. A float field's value is returned as a float, the
+    type of its _DEFAULTS entry: a figure preset is merged over the user's config,
+    whose values then type the preset's, so an integer given for a float field (kappa 10)
+    must not make the preset's 10.0 "not an integer". Sidecars write such values as floats."""
     kind = _NULLABLE.get(field, type(default))
     if val is None and field in _NULLABLE:
         return val
@@ -160,8 +162,10 @@ def _typed(field: str, default, val):
 def normalize_config(raw: dict) -> dict:
     """Apply defaults, reject unknown keys, and check types and enumerations.
 
-    Ranges are left to the model constructors, which refuse by parameter
-    name (`main` maps the name to its config field).
+    The sweep axes are checked here: each count >= 1, the cell budget, both
+    ends in the model's scale range and the values ascending. Other ranges are
+    left to the model constructors, which refuse by parameter name (`main`
+    maps the name to its config field).
     """
     cfg = _merged("", _DEFAULTS, raw)
     atom = cfg["atom"]
@@ -177,13 +181,13 @@ def normalize_config(raw: dict) -> dict:
         raise ParameterError("spectrum.csv", "tabulated spectrum needs a CSV path")
 
     nums = {axis: ax["num"] for axis, ax in cfg["sweep"].items()}
-    if min(nums.values()) >= 1 and nums["tau_f"] * nums["kappa"] > MAX_GRID_SAMPLES:
-        raise ParameterError(f"sweep.{max(nums, key=nums.get)}.num",
-                             f"{nums['tau_f']} x {nums['kappa']} cells exceed the budget "
-                             f"of {MAX_GRID_SAMPLES}")
-    for axis, ax in cfg["sweep"].items():  # its values built once the budget bounds num
-        if ax["num"] < 1:
+    for axis, num in nums.items():  # both counts, before the budget multiplies them
+        if num < 1:
             raise ParameterError(f"sweep.{axis}.num", "must be >= 1")
+    if nums["tau_f"] * nums["kappa"] > MAX_GRID_SAMPLES:
+        raise ParameterError(f"sweep.{max(nums, key=nums.get)}.num", f"{nums['tau_f']} x "
+                             f"{nums['kappa']} cells exceed the budget of {MAX_GRID_SAMPLES}")
+    for axis, ax in cfg["sweep"].items():  # its values built once the budget bounds num
         for end in ("start", "stop"):
             check_range(f"sweep.{axis}.{end}", ax[end], MIN_SCALE)
         if ax["stop"] < ax["start"] or not np.all(np.diff(_axis(ax)) > 0):
@@ -276,7 +280,9 @@ def _fields(cfg: dict) -> dict:
 def _outputs(cfg: dict, given: dict) -> dict:
     """Named outputs of the scenario run cfg, each a thunk of inputs built, and so checked,
     here. A field of the user's config given set away from its `normalize_config({})` default
-    is refused unless the run read it and took that value (a figure preset sets its own)."""
+    is refused unless the run read it and took that value (a figure preset sets its own). A
+    value equal to the default cannot be told from an unset one, so a preset replaces it
+    unrefused: `figure fig4e --pulse gaussian` runs decaying_exp."""
     read, ran = set(), _fields(cfg)
     cfg = _Recording(cfg, read)
     a, scenario = cfg["atom"], cfg["scenario"]

@@ -309,6 +309,8 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     ("sweep", {"sweep": {"tau_f": {"stop": 1e60}}}, "sweep.tau_f.stop"),
     # a count below 1 is refused as such, though the product of two is over the budget
     ("sweep", {"sweep": {"tau_f": {"num": -3000}, "kappa": {"num": -2000}}}, "sweep.tau_f.num"),
+    # ... and before an axis is built: a huge first axis is not allocated for a count-0 second
+    ("sweep", {"sweep": {"tau_f": {"num": 10_000_000_000}, "kappa": {"num": 0}}}, "sweep.kappa.num"),
     # a field a figure preset sets runs the preset's value, so another value set is refused
     ("figure fig2a", {"pulse": {"tau_f": 5.0}}, "pulse.tau_f"),
     ("figure fig3", {"spectrum": {"kappa": 20.0}}, "spectrum.kappa"),
