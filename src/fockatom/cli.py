@@ -2,7 +2,8 @@
 
 Commands: simulate, sweep, decay, delta-rise, detector-compare, figure <id>, validate.
 Configs are strict JSON: an unknown key, or a field set away from its default that the
-run builds no input from or a figure preset sets to another value, exits 2 naming it. Each
+run builds no input from or a figure preset sets to another value, exits 2 naming it, as
+does a file's scenario or figure_id other than the command's. Each
 command-line flag sets one config field (`_FLAGS`), overriding the file, and its value is
 checked and refused as that field's value.
 Outputs are deterministic: identical configs produce byte-identical CSVs, with timestamps
@@ -95,8 +96,7 @@ FIGURE_IDS = tuple(FIGURES)
 _DEFAULTS = {
     "scenario": "simulate",
     "figure_id": None,
-    "atom": {"gamma": 1.0, "gamma_p": None, "mode_fraction": None, "t_d": 0.0,
-             "c0_re": 0.0, "c0_im": 0.0},
+    "atom": {"gamma": 1.0, "mode_fraction": None, "t_d": 0.0, "c0_re": 0.0, "c0_im": 0.0},
     "spectrum": {"kind": "lorentzian", "kappa": 10.0, "csv": None},
     "pulse": {"shape": "gaussian", "tau_f": 1.0, "delta0": 0.0, "t_a": None,
               "xi0": 0.1, "n_bar": 1.0},
@@ -110,9 +110,8 @@ _DEFAULTS = {
 }
 
 # fields that may be null, with their type; the others are typed by their default
-_NULLABLE = {"atom.gamma_p": float, "pulse.t_a": float, "grid.t_max": float,
-             "atom.mode_fraction": (str, float), "spectrum.csv": str,
-             "figure_id": str, "output_dir": str}
+_NULLABLE = {"pulse.t_a": float, "grid.t_max": float, "atom.mode_fraction": (str, float),
+             "spectrum.csv": str, "figure_id": str, "output_dir": str}
 # the names an enumerated field takes (atom.mode_fraction also takes a number)
 _CHOICES = {"scenario": SCENARIOS, "figure_id": FIGURE_IDS, "solver": SOLVERS,
             "spectrum.kind": ("lorentzian", "flat", "tabulated"), "pulse.shape": PULSE_SHAPES,
@@ -168,14 +167,6 @@ def normalize_config(raw: dict) -> dict:
     maps the name to its config field).
     """
     cfg = _merged("", _DEFAULTS, raw)
-    atom = cfg["atom"]
-    frac = atom["mode_fraction"]
-    derived = float(1.0 if frac is None else MODE_FRACTION_PRESETS.get(frac, frac)) * atom["gamma"]
-    if atom["gamma_p"] is None:
-        atom["gamma_p"] = derived
-    elif frac is not None and atom["gamma_p"] != derived:  # a sidecar records both, agreeing
-        raise ParameterError("atom.mode_fraction", "disagrees with atom.gamma_p; give one of them")
-
     spec = cfg["spectrum"]
     if spec["kind"] == "tabulated" and not spec["csv"]:
         raise ParameterError("spectrum.csv", "tabulated spectrum needs a CSV path")
@@ -287,7 +278,9 @@ def _outputs(cfg: dict, given: dict) -> dict:
     cfg = _Recording(cfg, read)
     a, scenario = cfg["atom"], cfg["scenario"]
     c0 = {"decay": 1.0, "delta_rise": 0j}.get(scenario)  # decay's excited atom; no amplitude
-    atom = AtomParams(gamma=a["gamma"], gamma_p=a["gamma_p"], t_d=a["t_d"],
+    frac = a["mode_fraction"]  # the share of gamma into the pulse modes; null is matched
+    frac = 1.0 if frac is None else MODE_FRACTION_PRESETS.get(frac, frac)
+    atom = AtomParams(gamma=a["gamma"], gamma_p=float(frac) * a["gamma"], t_d=a["t_d"],
                       c0=complex(a["c0_re"], a["c0_im"]) if c0 is None else c0)
     if scenario in ("decay", "delta_rise"):  # closed forms of a Lorentzian spectrum
         check_range("kappa", kappa := cfg["spectrum"]["kappa"], MIN_SCALE)
@@ -321,8 +314,6 @@ def _outputs(cfg: dict, given: dict) -> dict:
             "atom_fock": partial(fock_atom_response, atom, pulse, grid),
             "atom_bloch_coherent": partial(bloch_response, atom, coherent, grid),
         }
-    if "atom.gamma_p" in read:
-        read.add("atom.mode_fraction")  # normalize_config derives gamma_p from it
     defaults = _fields(normalize_config({}))
     for field, val in _fields(given).items():
         if val != defaults[field] and field not in read:
@@ -456,8 +447,8 @@ def _make_parser() -> argparse.ArgumentParser:
 def _config_field(name: str, raw: dict) -> str:
     """Config path of a field or model parameter name, as set in the raw config."""
     atom = raw.get("atom") or {}
-    if name == "gamma_p" and atom.get("gamma_p") is None and atom.get("mode_fraction") is not None:
-        return "atom.mode_fraction"  # gamma_p was derived from it
+    if name == "gamma_p":  # the model's rate, set by mode_fraction
+        return "atom.mode_fraction"
     if name == "c0":  # the larger part
         return max(("atom.c0_re", "atom.c0_im"), key=lambda f: abs(atom.get(f[5:], 0)))
     return next((f"{section}.{name}" for section, keys in _DEFAULTS.items()
@@ -476,9 +467,13 @@ def main(argv=None) -> int:
             sys.stdout.write("\n")
             return 0
         raw = _apply_overrides(_load_config(args.config), args)
-        raw["scenario"] = args.command.replace("-", "_")
-        if args.command == "figure":
-            raw["figure_id"] = args.figure_id
+        command = {"scenario": args.command.replace("-", "_")}
+        if args.command == "figure":  # another command runs a figure sidecar's config
+            command["figure_id"] = args.figure_id
+        for key, val in command.items():  # a file value set away from its default must agree
+            if raw.get(key, _DEFAULTS[key]) not in (_DEFAULTS[key], val):
+                raise ParameterError(key, f"set to {raw[key]!r}, but the command runs {val!r}")
+        raw.update(command)
         for path in run_scenario(normalize_config(raw)):
             print(path)
         return 0

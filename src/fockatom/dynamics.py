@@ -40,7 +40,7 @@ the parts through to the amplitude; the Markov reference and the double
 pole join them into one complex array (`_joined`). Each solver returns
 `Trajectory.from_amplitude(grid, c, solver, atom, pulse, **extra)`, which
 carries the grid, keeps those inputs as the trajectory's `params` (which
-`serialize.write_trajectory` digests) and guards P <= 1.
+`serialize.write_trajectory` writes to its sidecar) and guards P <= 1.
 
 Every route places the pulse on the drive's clock, the pulse time
 tau_k = ((t0 - t_d) - t_a) + k*dt of `pulses._pulse_clock` (k*dt/2 at the

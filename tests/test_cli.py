@@ -30,32 +30,37 @@ def _write_config(tmp_path, cfg, name="config.json"):
 # validation
 # ---------------------------------------------------------------------------
 
+def _rate_ratio(tmp_path, path, capsys):
+    """gamma_p / gamma of the atom a simulate run of the config at path solves with."""
+    out = tmp_path / "out"
+    assert _run(["simulate", "--config", path, "--dt", "1e-2", "--out", str(out)], capsys)[0] == 0
+    params = json.loads((out / "trajectory.json").read_text())["params"]
+    return params["gamma_p"] / params["gamma"]
+
+
 def test_validate_minimal_config_defaults(tmp_path, capsys):
     path = _write_config(tmp_path, {})
     code, out, _ = _run(["validate", path], capsys)
     assert code == 0
     cfg = json.loads(out)
-    assert cfg["atom"]["gamma_p"] / cfg["atom"]["gamma"] == 1.0
+    assert cfg["atom"]["mode_fraction"] is None
     assert cfg["solver"] == "closed_form"
     assert cfg["grid"]["dt"] == 1e-3
+    assert _rate_ratio(tmp_path, path, capsys) == 1.0
 
 
 def test_validate_free_space_preset(tmp_path, capsys):
     path = _write_config(tmp_path, {"atom": {"mode_fraction": "free_space"}})
-    code, out, _ = _run(["validate", path], capsys)
-    assert code == 0
-    cfg = json.loads(out)
-    ratio = cfg["atom"]["gamma_p"] / cfg["atom"]["gamma"]
+    assert _run(["validate", path], capsys)[0] == 0
+    ratio = _rate_ratio(tmp_path, path, capsys)
     assert ratio == pytest.approx(3.0 / (8.0 * np.pi), abs=1e-10)
     assert abs(ratio - 0.11937) < 1e-5
 
 
 def test_validate_waveguide_preset(tmp_path, capsys):
     path = _write_config(tmp_path, {"atom": {"mode_fraction": "waveguide_1d"}})
-    code, out, _ = _run(["validate", path], capsys)
-    assert code == 0
-    cfg = json.loads(out)
-    assert cfg["atom"]["gamma_p"] / cfg["atom"]["gamma"] == 0.5
+    assert _run(["validate", path], capsys)[0] == 0
+    assert _rate_ratio(tmp_path, path, capsys) == 0.5
 
 
 def test_invalid_dt_exits_2_with_field(tmp_path, capsys):
@@ -605,7 +610,7 @@ def test_fig3_is_delta_rise_with_pulse_delay(tmp_path, capsys):
 
 
 def test_figure_sidecar_config_reproduces_its_csv(tmp_path, capsys):
-    # with a mode fraction the sidecar records it beside the gamma_p derived from it
+    # the sidecar records the mode fraction, the one field that sets gamma_p
     for name, flags in (("plain", []), ("ratio", ["--gamma-p-ratio", "0.5"])):
         out = tmp_path / name
         code, _, _ = _run(["figure", "fig2a", "--dt", "2e-3", "--out", str(out / "f")] + flags,
@@ -616,8 +621,8 @@ def test_figure_sidecar_config_reproduces_its_csv(tmp_path, capsys):
         cfg = meta["config"]
         assert (cfg["scenario"], cfg["spectrum"]["kind"], cfg["pulse"]["tau_f"]) == (
             "simulate", "flat", 0.1)
-        assert (cfg["atom"]["mode_fraction"], cfg["atom"]["gamma_p"]) == (
-            (0.5, 0.5) if flags else (None, 1.0))
+        assert "gamma_p" not in cfg["atom"]
+        assert cfg["atom"]["mode_fraction"] == (0.5 if flags else None)
         cfg["output_dir"] = str(out / "replay")
         out.mkdir(exist_ok=True)
         code, _, _ = _run(["simulate", "--config", _write_config(out, cfg)], capsys)
@@ -701,8 +706,9 @@ def test_normalize_config_direct():
     assert cfg["pulse"]["shape"] == "decaying_exp"
     with pytest.raises(Exception):
         normalize_config({"solver": "nope"})
-    # every section is a new dict, given, null or left out: the derived gamma_p stays
-    # out of the defaults
-    for raw, gamma_p in (({}, 1.0), ({"atom": None}, 1.0), ({"atom": {"gamma": 2.0}}, 2.0)):
-        assert normalize_config(raw)["atom"]["gamma_p"] == gamma_p
-    assert cli._DEFAULTS["atom"]["gamma_p"] is None
+    # every section is a new dict, given, null or left out, and mode_fraction alone sets
+    # gamma_p: no config holds a gamma_p field
+    for raw in ({}, {"atom": None}, {"atom": {"gamma": 2.0}}):
+        atom = normalize_config(raw)["atom"]
+        assert atom is not cli._DEFAULTS["atom"] and "gamma_p" not in atom
+    assert "gamma_p" not in cli._DEFAULTS["atom"]

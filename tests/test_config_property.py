@@ -286,9 +286,9 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     ("decay", {"sweep": {"kappa": {"start": 1.0}}}, "sweep.kappa"),
     ("detector-compare", {"solver": "volterra"}, "solver"),
     ("validate", {"scenario": "decay", "solver": "volterra"}, "solver"),
-    # gamma_p fixes the rate mode_fraction would derive; markov is the flat spectrum's
-    # solver, reached only through its kind
-    ("simulate", {"atom": {"gamma_p": 0.5, "mode_fraction": 0.7}}, "atom.mode_fraction"),
+    # mode_fraction alone sets the pulse-mode rate, so a config has no gamma_p; markov is
+    # the flat spectrum's solver, reached only through its kind
+    ("simulate", {"atom": {"gamma_p": 0.5, "mode_fraction": 0.7}}, "atom.gamma_p"),
     ("simulate", {"solver": "markov"}, "solver"),
     ("validate", {"scenario": "sweep", "solver": "markov"}, "solver"),
     # a flag is its config field: its value is checked, and refused, as that field's
@@ -317,6 +317,9 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     ("figure fig2d", {"grid": {"t_max": 30.0}}, "grid.t_max"),
     # every detector-compare trace, and so its window, is of the flat spectrum
     ("detector-compare", {"spectrum": {"kappa": 1.0}}, "spectrum.kappa"),
+    # the command sets the scenario and figure id: a file may not set another
+    ("simulate", {"scenario": "decay"}, "scenario"),
+    ("figure fig3", {"figure_id": "fig6"}, "figure_id"),
 ])
 def test_refusal_names_the_config_field(tmp_path, capsys, work, command, cfg, field):
     if cfg.get("spectrum", {}).get("kind") == "tabulated":  # a table of the work directory
@@ -328,7 +331,8 @@ def test_refusal_names_the_config_field(tmp_path, capsys, work, command, cfg, fi
 
 
 def test_fig3_and_fig6_accept_atom_fields(tmp_path, capsys):
-    # fig3 reads atom.t_d and not atom.mode_fraction, fig6's decay runs read neither
+    # every run builds the atom from both; fig3's output takes atom.t_d and not
+    # atom.mode_fraction, fig6's decay runs take neither
     for fig in ("fig3", "fig6"):
         code, csvs = _run(str(tmp_path), f"figure {fig}",
                           {"atom": {"mode_fraction": 0.7, "t_d": 0.1}})
@@ -348,12 +352,15 @@ def test_figure_accepts_the_value_its_preset_sets(tmp_path, capsys):
 
 # one valid value per settable field, away from its default and from each base config's
 ALTERNATES = {
-    "atom.gamma": 1.5, "atom.gamma_p": 0.5, "atom.mode_fraction": 0.5, "atom.t_d": 0.1,
+    "atom.gamma": 1.5, "atom.mode_fraction": 0.5, "atom.t_d": 0.1,
     "atom.c0_re": 0.5, "atom.c0_im": 0.5, "spectrum.kind": "flat", "spectrum.kappa": 5.0,
     "spectrum.csv": "s.csv", "pulse.shape": "decaying_exp", "pulse.tau_f": 2.0,
     "pulse.delta0": 0.5, "pulse.t_a": 5.0, "pulse.xi0": 0.3, "pulse.n_bar": 2.0,
     "grid.t0": 1.0, "grid.t_max": 30.0, "grid.dt": 0.02, "solver": "ode_rk4",
 }
+# a field the config no longer has, with a value it once took: every scenario refuses it
+# as an unknown key on that field, so no run drops it unread
+GONE = {"atom.gamma_p": 0.5}
 # each scenario's base config: a coarse grid, or a small sweep
 BASES = {
     "simulate": {"grid": {"dt": 0.01}},
@@ -363,11 +370,11 @@ BASES = {
     "sweep": {"sweep": {"tau_f": {"start": 0.5, "stop": 2.0, "num": 2},
                         "kappa": {"start": 1.0, "stop": 10.0, "num": 2}}},
 }
-# the atom is built from gamma, gamma_p (or atom.mode_fraction) and t_d in every scenario,
+# the atom is built from gamma, atom.mode_fraction (its gamma_p) and t_d in every scenario,
 # though decay's excited atom has no drive to take gamma_p or delay, and the delta-rise
 # window has no gamma_p
-UNMOVED = {("decay", "atom.gamma_p"), ("decay", "atom.mode_fraction"), ("decay", "atom.t_d"),
-           ("delta-rise", "atom.gamma_p"), ("delta-rise", "atom.mode_fraction")}
+UNMOVED = {("decay", "atom.mode_fraction"), ("decay", "atom.t_d"),
+           ("delta-rise", "atom.mode_fraction")}
 
 
 def _csv_bytes(work, command, cfg):
@@ -382,17 +389,19 @@ def base_csvs(work):
     return {command: _csv_bytes(work, command, cfg) for command, cfg in BASES.items()}
 
 
-@pytest.mark.parametrize("field", sorted(ALTERNATES))
+@pytest.mark.parametrize("field", sorted({**ALTERNATES, **GONE}))
 @pytest.mark.parametrize("command", sorted(BASES))
 def test_a_field_set_moves_the_output_or_is_refused(work, base_csvs, capsys, command, field):
     # a run that accepts a field must compute from it: some CSV differs from the base run's
     assert base_csvs[command][0] == 0
     *section, key = field.split(".")
     cfg = json.loads(json.dumps(BASES[command]))
-    (cfg.setdefault(section[0], {}) if section else cfg)[key] = ALTERNATES[field]
+    (cfg.setdefault(section[0], {}) if section else cfg)[key] = {**ALTERNATES, **GONE}[field]
     code, csvs = _csv_bytes(work, command, cfg)
     err = capsys.readouterr().err
-    if code == 2:
+    if field in GONE:
+        assert (code, json.loads(err)["field"]) == (2, field), err
+    elif code == 2:
         assert json.loads(err)["field"] in FIELDS, err
     else:
         assert code == 0, err
