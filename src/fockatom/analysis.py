@@ -28,11 +28,15 @@ from .pulses import DECAYING_EXP, DELTA, GAUSSIAN, NORMALIZABLE_SHAPES, RISING_E
 from .spectra import FLAT, TABULATED, InteractionSpectrum
 
 _LN9 = float(np.log(9.0))
-# The ring-down of `cell_span`'s trail, in 1/gamma, and how much of it a certified
-# prefix of a sweep cell keeps; the relative margin under sqrt(p_max) the tail bound
-# must clear, which covers the rounding of the recursions it bounds.
-_RING_DOWN = 8.0
-_RING_DOWN_KEPT = 1.0
+# The window rule of a sweep cell past its pulse arrival t_a, as (the pulse's part by shape,
+# in tau_f; a cavity fill, in 1/min(kappa, 2 gamma); a ring-down, in 1/gamma). `cell_span`'s
+# trail spans the whole pulse. A certified prefix (`_cell_peak`) ends where the pulse has all
+# but arrived, ~2% of its L1 mass (`pulses.envelope_tail`) still to come: erfc(1.5)/2 for a
+# Gaussian, e^-4 for a decaying exp, and none for a rising exp, which ends at t_a.
+_CELL_TRAIL = ({GAUSSIAN: 6.0, DECAYING_EXP: 14.0, RISING_EXP: 0.0}, 4.0, 8.0)
+_PREFIX_TRAIL = ({GAUSSIAN: 3.0, DECAYING_EXP: 8.0, RISING_EXP: 0.0}, 3.0, 1.0)
+# The relative margin under sqrt(p_max) the tail bound must clear, which covers the
+# rounding of the recursions it bounds.
 _TAIL_MARGIN = 1e-9
 
 
@@ -199,14 +203,20 @@ def cell_span(shape: str, tau_f: float, kappa: float, gamma: float) -> tuple[flo
     if shape == DELTA:
         return 1.0 / gamma, 12.0 / gamma
     check_range("tau_f", tau_f, MIN_SCALE)
-    trail_decay = _RING_DOWN / gamma + 4.0 / min(kappa, 2.0 * gamma)
+    if shape not in NORMALIZABLE_SHAPES:
+        raise ParameterError("shape", f"unknown pulse shape {shape!r}")
+    trail = _trail(_CELL_TRAIL, shape, tau_f, kappa, gamma)
     if shape == GAUSSIAN:
-        return 7.0 * tau_f, 6.0 * tau_f + trail_decay
+        return 7.0 * tau_f, trail
     if shape == DECAYING_EXP:
-        return 1.0 / gamma, 14.0 * tau_f + trail_decay
-    if shape == RISING_EXP:
-        return 16.0 * tau_f, trail_decay
-    raise ParameterError("shape", f"unknown pulse shape {shape!r}")
+        return 1.0 / gamma, trail
+    return 16.0 * tau_f, trail
+
+
+def _trail(rule: tuple, shape: str, tau_f: float, kappa: float, gamma: float) -> float:
+    """The time past the arrival t_a that a window rule (`_CELL_TRAIL`, `_PREFIX_TRAIL`) spans."""
+    pulse, fill, ring_down = rule
+    return pulse[shape] * tau_f + (ring_down / gamma + fill / min(kappa, 2.0 * gamma))
 
 
 def cell_grid(shape: str, tau_f: float, kappa: float, gamma: float,
@@ -223,26 +233,30 @@ def _cell_peak(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec
                grid: TimeGrid, solver: str) -> tuple[float, float, int]:
     """(t_peak, p_max, samples solved) of one sweep cell on its grid.
 
-    The closed form away from the double pole first solves the prefix that ends
-    _RING_DOWN_KEPT after the pulse and cavity terms of `cell_span`. It keeps the
-    prefix peak when that peak is below the prefix's last sample, the prefix passes
-    the P <= 1 guard, and the trajectory's `tail_bound` puts every later sample of
-    the whole grid below sqrt(p_max) (1 - _TAIL_MARGIN). The drive, the recursions
-    and P are causal and elementwise, so the prefix is the whole grid's first
-    samples bit for bit, and the peak is the whole grid's. Otherwise, and on the
-    RK4 and Volterra routes, the cell solves its whole grid.
+    The closed form away from the double pole first solves the prefix of the grid
+    up to the first sample at or past t_d + t_a + the `_PREFIX_TRAIL` time. It keeps
+    the prefix peak when that peak is below the prefix's last sample, the prefix
+    passes the P <= 1 guard, and the trajectory's `tail_bound` puts every later
+    sample of the whole grid below sqrt(p_max) (1 - _TAIL_MARGIN). The drive, the
+    recursions and P are causal and elementwise, so the prefix is the whole grid's
+    first samples bit for bit, and the peak is the whole grid's. Otherwise, and on
+    the RK4 and Volterra routes, the cell solves its whole grid.
     """
     solved = 0
     if solver == "closed_form" and not branch_params(atom.gamma, spectrum.kappa).degenerate:
-        solved = grid.n - int((_RING_DOWN - _RING_DOWN_KEPT) / (atom.gamma * grid.dt))
-        try:
-            traj = solve(atom, spectrum, pulse, replace(grid, n=solved))
-        except ValueError:  # the guard: the whole grid gives the cell its status
-            pass
-        else:
-            i = int(np.argmax(traj.p))
-            if i < solved - 1 and traj.tail_bound < np.sqrt(traj.p[i]) * (1.0 - _TAIL_MARGIN):
-                return (*_refine_peak(traj.grid, traj.p, i), solved)
+        end = atom.t_d + pulse.t_a + _trail(_PREFIX_TRAIL, pulse.shape, pulse.tau_f,
+                                            spectrum.kappa, atom.gamma)
+        m = int(np.ceil((end - grid.t0) / grid.dt)) + 1
+        if m < grid.n:  # always so on a sweep's own cell grid
+            solved = m
+            try:
+                traj = solve(atom, spectrum, pulse, replace(grid, n=m))
+            except ValueError:  # the guard: the whole grid gives the cell its status
+                pass
+            else:
+                i = int(np.argmax(traj.p))
+                if i < m - 1 and traj.tail_bound < np.sqrt(traj.p[i]) * (1.0 - _TAIL_MARGIN):
+                    return (*_refine_peak(traj.grid, traj.p, i), m)
     traj = solve(atom, spectrum, pulse, grid, solver)
     return (*_refine_peak(grid, traj.p, int(np.argmax(traj.p))), solved + grid.n)
 

@@ -374,7 +374,10 @@ def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpe
             C = _joined(C, grid.n)
             dtt = grid.dt * np.arange(grid.n)
             for p, s in br.pairs:
-                C += s * (np.exp(-p * dtt) * atom.c0)
+                # s on the left at every n: `s * temporary` lets numpy reuse a temporary of
+                # 16384 or more samples with the operands swapped, which rounds the complex
+                # product differently, so a prefix would not be the longer grid's first samples
+                C += np.multiply(s, np.exp(-p * dtt) * atom.c0)
     return Trajectory.from_amplitude(grid, C, "closed_form", atom, pulse, tail, kappa=kappa)
 
 

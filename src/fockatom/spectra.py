@@ -290,45 +290,58 @@ def _real_if_exact(x: complex) -> complex | float:
 def exp_filter(rate: complex, pulse: PulseSpec, tau) -> np.ndarray:
     """F_r[u](tau) = int_{-inf}^tau exp(-r (tau - s)) u(s) ds in closed form, Re r > 0.
 
-    u is the pulse envelope, tau counted from t_a; the delta pulse is
-    sqrt(2 pi) xi0 times a Dirac mass at 0. The Gaussian form uses erfcx(z),
-    z = (r - 1j delta0) tau_f - tau/(2 tau_f), and where Re z < 0 would make
-    it overflow, the reflection erfcx(z) = 2 exp(z^2) - erfcx(-z).
+    u is the pulse envelope, tau the pulse times, ascending (a pulse clock), counted
+    from t_a; the delta pulse is sqrt(2 pi) xi0 times a Dirac mass at 0. Each piece of
+    the form is evaluated only on its own samples, found by `np.searchsorted`: before and
+    from tau = 0, and for the Gaussian, which uses erfcx(z), z = (r - 1j delta0) tau_f -
+    tau/(2 tau_f), before and from the first sample with Re z < 0 (Re z descends), where
+    erfcx(z) would overflow and the reflection erfcx(z) = 2 exp(z^2) - erfcx(-z) is used.
+    A product with a temporary array is an `np.multiply`, which keeps its operands'
+    order at any length (numpy may reuse a long temporary in place with the operands
+    swapped, and a complex product rounds by their order).
 
-    A rate with an exactly zero imaginary part (kappa, a real branch pole)
-    and the carrier 1j delta0 at delta0 = 0 are carried as floats, so with
-    both real, exp and erfcx run in real arithmetic and the result is a
-    float64 array, the real part of the complex one; otherwise it is complex.
+    A rate with an exactly zero imaginary part (kappa, a real branch pole) and the
+    carrier 1j delta0 at delta0 = 0 are carried as floats, so with both real, exp and
+    erfcx run in real arithmetic and the result is a float64 array, the real part of
+    the complex one; otherwise it is complex.
     """
     tau = np.asarray(tau, dtype=float)
     rate = _real_if_exact(rate)
+    on = int(np.searchsorted(tau, 0.0))  # the first sample at tau >= 0
     if pulse.shape == DELTA:
-        return np.where(tau >= 0.0,
-                        pulse.xi0 * np.sqrt(2.0 * np.pi) * np.exp(-rate * np.clip(tau, 0.0, None)),
-                        0.0)
+        body = pulse.xi0 * np.sqrt(2.0 * np.pi) * np.exp(-rate * tau[on:])
+        out = np.zeros(tau.shape, body.dtype)
+        out[on:] = body
+        return out
     tf, carrier = pulse.tau_f, _real_if_exact(1j * pulse.delta0)
     if pulse.shape == DECAYING_EXP:
-        tpos = np.clip(tau, 0.0, None)
+        tpos = tau[on:]
         a = 0.5 / tf + carrier
         if abs(rate - a) < _POLE_TOL * abs(rate):
-            body = tpos * np.exp(-rate * tpos)
+            body = np.multiply(tpos, np.exp(-rate * tpos))
         else:
             body = (np.exp(-a * tpos) - np.exp(-rate * tpos)) / (rate - a)
-        return np.where(tau >= 0.0, body / np.sqrt(tf), 0.0)
+        out = np.zeros(tau.shape, body.dtype)
+        out[on:] = body / np.sqrt(tf)
+        return out
     if pulse.shape == RISING_EXP:
         b = 0.5 / tf - carrier  # the pulse tail before cut-off grows as e^{b tau}
-        before = np.exp(b * np.clip(tau, None, 0.0))
-        return (np.where(tau >= 0.0, np.exp(-rate * np.clip(tau, 0.0, None)), before)
-                / ((rate + b) * np.sqrt(tf)))
+        out = np.empty(tau.shape, np.result_type(rate, b))
+        out[:on] = np.exp(b * tau[:on])
+        out[on:] = np.exp(-rate * tau[on:])
+        out /= (rate + b) * np.sqrt(tf)
+        return out
     # gaussian: erfcx(z) at Re z >= 0, the reflection at the tail Re z < 0
     amp = (2.0 * np.pi * tf**2) ** -0.25 * tf * np.sqrt(np.pi)
     q = (rate - carrier) * tf
-    z = np.asarray(q - tau / (2.0 * tf))
+    x = tau / (2.0 * tf)
+    z = q - x
+    tail = int(np.searchsorted(x, q.real, side="right"))  # Re z = q.real - x < 0 from here
     gauss = np.exp(-carrier * tau - tau**2 / (4.0 * tf**2))
-    tail = z.real < 0.0
-    e = erfcx(np.where(tail, -z, z))
-    out = amp * gauss * e
-    out[tail] = amp * (2.0 * np.exp(q * q - rate * tau[tail]) - gauss[tail] * e[tail])
+    out = np.empty(tau.shape, np.result_type(z, gauss))
+    out[:tail] = np.multiply(amp * gauss[:tail], erfcx(z[:tail]))
+    out[tail:] = amp * (2.0 * np.exp(q * q - rate * tau[tail:])
+                        - np.multiply(gauss[tail:], erfcx(-z[tail:])))
     return out
 
 

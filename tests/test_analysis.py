@@ -395,6 +395,8 @@ def _log_uniform(lo, hi):
        t_d=st.floats(0.0, 0.5), mode_fraction=st.floats(0.01, 1.0))
 @example(shape="gaussian", tau_f=0.1, kappa=10.0, c0_abs=1.0, c0_arg=1.5 * np.pi, t_d=0.0,
          mode_fraction=1.0)  # c0 = -1j adds to the pulse's amplitude: P > 1 + 1e-6
+@example(shape="gaussian", tau_f=10.0 ** 0.75, kappa=10.0 ** 0.25, c0_abs=1.0, c0_arg=0.0,
+         t_d=0.0, mode_fraction=1.0)  # a prefix below 16384 samples of a grid above it
 def test_stopped_sweep_cell_is_the_full_grid_peak(shape, tau_f, kappa, c0_abs, c0_arg, t_d,
                                                    mode_fraction):
     # a closed-form cell that stops at its prefix reports the whole grid's refined peak and
@@ -417,29 +419,51 @@ def test_stopped_sweep_cell_is_the_full_grid_peak(shape, tau_f, kappa, c0_abs, c
         assert np.abs(full.c[m - 1:]).max() <= prefix.tail_bound
 
 
-@pytest.mark.parametrize("t_d, kappa", [(9.0, 10.0), (0.0, 2.0 * (1.0 + 1e-7))],
-                         ids=["peak_past_prefix", "loose_bound_by_double_pole"])
-def test_uncertified_sweep_cell_solves_its_whole_grid(t_d, kappa):
-    # a delay that moves the peak past the prefix of a grid that does not span it (a sweep's
-    # own cell grid spans it), or branch weights |s_j| ~ 1e3 near the double pole that
-    # loosen the tail bound past sqrt(p_max): the whole grid is solved
-    atom = AtomParams(t_d=t_d)
-    grid, t_a = analysis.cell_grid("gaussian", 1.0, kappa, atom.gamma)  # spans no delay
+def _prefix_n(grid, t_a, tau_f, kappa, t_d=0.0):
+    """Samples of a Gaussian cell's certified prefix: up to the first sample at or past
+    t_d + t_a + 3 tau_f + 3/min(kappa, 2 gamma) + 1/gamma, gamma = 1."""
+    end = t_d + t_a + (3.0 * tau_f + (1.0 + 3.0 / min(kappa, 2.0)))
+    return int(np.ceil(end / grid.dt)) + 1
+
+
+@pytest.mark.parametrize("kappa", [2.0 * (1.0 + 1e-7)], ids=["loose_bound_by_double_pole"])
+def test_uncertified_sweep_cell_solves_its_whole_grid(kappa):
+    # branch weights |s_j| ~ 1e3 near the double pole loosen the tail bound past sqrt(p_max):
+    # the prefix is solved, then the whole grid
+    atom = AtomParams()
+    grid, t_a = analysis.cell_grid("gaussian", 1.0, kappa, atom.gamma)
     pulse = PulseSpec("gaussian", tau_f=1.0, t_a=t_a)
     spectrum = InteractionSpectrum.lorentzian(kappa)
     full = solve(atom, spectrum, pulse, grid)
     expected = analysis._refine_peak(grid, full.p, int(np.argmax(full.p)))
-    m = grid.n - int(7.0 / grid.dt)
+    m = _prefix_n(grid, t_a, 1.0, kappa)
     prefix = solve(atom, spectrum, pulse, replace(grid, n=m))
     i = int(np.argmax(prefix.p))
-    assert i == m - 1 or prefix.tail_bound >= np.sqrt(prefix.p[i])
+    assert i < m - 1 and prefix.tail_bound >= np.sqrt(prefix.p[i])
     assert analysis._cell_peak(atom, spectrum, pulse, grid, "closed_form") == (*expected,
                                                                                 m + grid.n)
-    if not t_d:  # the sweep's own cell grid: it counts the prefix and the whole grid
-        sweep = sweep_pmax(atom, "gaussian", [1.0], [kappa])
-        assert (sweep.samples_solved, sweep.samples_grid, sweep.cells_full_grid) == (
-            m + grid.n, grid.n, 1)
-        assert (sweep.t_peak[0, 0], sweep.p_max[0, 0]) == expected
+    sweep = sweep_pmax(atom, "gaussian", [1.0], [kappa])  # counts the prefix and the grid
+    assert (sweep.samples_solved, sweep.samples_grid, sweep.cells_full_grid) == (
+        m + grid.n, grid.n, 1)
+    assert (sweep.t_peak[0, 0], sweep.p_max[0, 0]) == expected
+
+
+@pytest.mark.parametrize("t_d, certified", [(9.0, True), (14.0, False)],
+                         ids=["prefix_past_the_delay", "prefix_past_the_grid"])
+def test_cell_prefix_ends_after_the_atom_delay(t_d, certified):
+    # on a grid that spans no delay, the prefix still ends t_d after the arrival and keeps
+    # the delayed peak; where that end lies past the grid, the cell solves its grid once
+    atom = AtomParams(t_d=t_d)
+    grid, t_a = analysis.cell_grid("gaussian", 1.0, 10.0, atom.gamma)
+    pulse = PulseSpec("gaussian", tau_f=1.0, t_a=t_a)
+    spectrum = InteractionSpectrum.lorentzian(10.0)
+    full = solve(atom, spectrum, pulse, grid)
+    expected = analysis._refine_peak(grid, full.p, int(np.argmax(full.p)))
+    assert expected[0] > t_a + t_d
+    m = _prefix_n(grid, t_a, 1.0, 10.0, t_d)
+    assert (m < grid.n) == certified
+    assert analysis._cell_peak(atom, spectrum, pulse, grid, "closed_form") == (
+        *expected, m if certified else grid.n)
 
 
 def test_sweep_cells_span_the_atom_delay():
@@ -454,14 +478,15 @@ def test_sweep_cells_span_the_atom_delay():
 
 
 def test_sweep_counts_the_samples_it_solves():
-    # closed-form cells stop 7/gamma before their grid ends, the double pole and every RK4
-    # cell solve the whole grid
+    # closed-form cells stop at their certified prefix, the double pole and every RK4 cell
+    # solve the whole grid
     kappas = [1.0, 2.0, 10.0]
-    grids = [analysis.cell_grid("gaussian", 1.0, k, 1.0)[0].n for k in kappas]
-    cut = int(7.0 / analysis.cell_grid("gaussian", 1.0, 1.0, 1.0)[0].dt)
+    cells = [analysis.cell_grid("gaussian", 1.0, k, 1.0) for k in kappas]
+    prefixes = [_prefix_n(grid, t_a, 1.0, k) for (grid, t_a), k in zip(cells, kappas)]
+    grids = [grid.n for grid, _ in cells]
     sweep = sweep_pmax(AtomParams(), "gaussian", [1.0], kappas)
     assert (sweep.samples_solved, sweep.samples_grid, sweep.cells_full_grid) == (
-        sum(grids) - 2 * cut, sum(grids), 1)
+        prefixes[0] + grids[1] + prefixes[2], sum(grids), 1)
     rk4 = sweep_pmax(AtomParams(), "gaussian", [1.0], [1.0, 10.0], solver="ode_rk4")
     assert rk4.samples_solved == rk4.samples_grid and rk4.cells_full_grid == 2
 

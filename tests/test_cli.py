@@ -657,6 +657,21 @@ def test_fig4_small_sweep_argmax(tmp_path, capsys):
     assert 0.5 <= meta["argmax"]["tau_f"] <= 2.0
 
 
+def test_shipped_sweeps_stop_every_cell_at_its_prefix(tmp_path, capsys):
+    # the fig4d-f sweeps as shipped: no cell falls back to its whole grid, and together they
+    # solve at most 0.63 of their grid samples (0.625 with the prefix ending once the pulse
+    # has all but arrived; 0.79 with it ending 1/gamma into the ring-down)
+    solved = samples = 0
+    for fig, shape in (("fig4d", "gaussian"), ("fig4e", "decaying_exp"),
+                       ("fig4f", "rising_exp")):
+        code, _, _ = _run(["figure", fig, "--out", str(tmp_path)], capsys)
+        assert code == 0
+        meta = json.loads((tmp_path / fig / f"sweep_{shape}.json").read_text())
+        assert meta["cells_full_grid"] == 0, fig
+        solved, samples = solved + meta["samples_solved"], samples + meta["samples_grid"]
+    assert solved <= 0.63 * samples
+
+
 def test_sweep_ode_rk4_resolves_stiff_cells(tmp_path, capsys):
     # the default cell step 4e-3 exceeds RK4's 0.1/kappa = 2e-3 at kappa = 50
     out = tmp_path / "sw"

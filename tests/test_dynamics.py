@@ -1,5 +1,7 @@
 """Solver cross-validation, branch algebra, decay laws, rising edges."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -177,6 +179,21 @@ def test_closed_form_skips_a_zero_c0_term(kappa, shape):
     pulse = PulseSpec(shape, tau_f=1.0, t_a=8.0, xi0=0.1)
     got = solve_closed_form_lorentzian(atom, kappa, pulse, grid).c
     assert np.abs(got - _closed_form_with_c0_term(atom, kappa, pulse, grid)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("delta0", [0.0, 0.4])
+@pytest.mark.parametrize("kappa", [10.0, 2.0, 0.5], ids=["real", "double_pole", "complex"])
+def test_closed_form_prefix_is_the_longer_grids_first_samples(kappa, delta0):
+    # numpy reuses a temporary of 16384 or more samples in place, operands swapped; the
+    # closed form rounds alike on both sides of that size, so with c0 set a prefix below it
+    # is, bit for bit, the first samples of a grid above it, as a sweep cell's prefix must be
+    atom = AtomParams(gamma_p=0.7, t_d=0.2, c0=0.3 + 0.2j)
+    pulse = PulseSpec("gaussian", tau_f=4.0, t_a=28.0, delta0=delta0)
+    grid = TimeGrid(0.0, 4e-3, 17001)
+    full = solve_closed_form_lorentzian(atom, kappa, pulse, grid)
+    prefix = solve_closed_form_lorentzian(atom, kappa, pulse, replace(grid, n=15251))
+    for got, want in ((prefix.c, full.c), (prefix.p, full.p)):
+        assert np.array_equal(got.view(np.int64), want[:15251].view(np.int64))
 
 
 def _closed_form_longdouble(atom, kappa, pulse, grid):

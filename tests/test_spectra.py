@@ -277,31 +277,61 @@ def test_exp_filter_matches_all_complex_oracle(shape, delta0, rate):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("delta0", [0.0, 0.4])
-@pytest.mark.parametrize("rate", [10.0, branch_params(1.0, 0.5).p1], ids=["real", "complex"])
-def test_gaussian_filter_is_the_head_and_tail_evaluation(delta0, rate):
-    # one erfcx call on where(tail, -z, z) gives, bit for bit, erfcx(z) on the head and the
-    # reflection 2 exp(z^2) - erfcx(-z) on the tail, each evaluated on its own samples
-    pulse = PulseSpec("gaussian", tau_f=0.7, delta0=delta0)
-    tau = np.linspace(-12.0, 30.0, 4201)
-    rate = rate.real if complex(rate).imag == 0.0 else rate
-    carrier = 1j * delta0 if delta0 else 0.0
-    tf = pulse.tau_f
-    amp = (2.0 * np.pi * tf**2) ** -0.25 * tf * np.sqrt(np.pi)
-    q = (rate - carrier) * tf
-    z = q - tau / (2.0 * tf)
-    gauss = np.exp(-carrier * tau - tau**2 / (4.0 * tf**2))
-    head, tail = z.real >= 0.0, z.real < 0.0
-    want = np.empty(tau.shape, dtype=complex)
-    want[head] = amp * gauss[head] * erfcx(z[head])
-    want[tail] = amp * (2.0 * np.exp(q * q - rate * tau[tail]) - gauss[tail] * erfcx(-z[tail]))
-    assert head.any() and tail.any()
-    got = exp_filter(rate, pulse, tau)
-    assert np.array_equal(got.astype(complex).view(np.int64), want.view(np.int64))
-
-
 def _bits(x):
     return np.asarray(x, dtype=complex).view(np.int64)
+
+
+def _exp_filter_masks(rate, pulse, tau):
+    """`exp_filter` as a mask formula: each piece on every sample, where() picking the samples
+    it holds on, and the rate and the carrier carried as floats where their imaginary part
+    is exactly zero."""
+    tau = np.asarray(tau, dtype=float)
+    rate = rate.real if complex(rate).imag == 0.0 else complex(rate)
+    if pulse.shape == "delta":
+        return np.where(tau >= 0.0,
+                        pulse.xi0 * np.sqrt(2.0 * np.pi) * np.exp(-rate * np.clip(tau, 0.0, None)),
+                        0.0)
+    tf, carrier = pulse.tau_f, 1j * pulse.delta0 if pulse.delta0 else 0.0
+    if pulse.shape == "decaying_exp":
+        tpos = np.clip(tau, 0.0, None)
+        a = 0.5 / tf + carrier
+        if abs(rate - a) < 1e-7 * abs(rate):
+            body = tpos * np.exp(-rate * tpos)
+        else:
+            body = (np.exp(-a * tpos) - np.exp(-rate * tpos)) / (rate - a)
+        return np.where(tau >= 0.0, body / np.sqrt(tf), 0.0)
+    if pulse.shape == "rising_exp":
+        b = 0.5 / tf - carrier
+        before = np.exp(b * np.clip(tau, None, 0.0))
+        return (np.where(tau >= 0.0, np.exp(-rate * np.clip(tau, 0.0, None)), before)
+                / ((rate + b) * np.sqrt(tf)))
+    amp = (2.0 * np.pi * tf**2) ** -0.25 * tf * np.sqrt(np.pi)
+    q = (rate - carrier) * tf
+    z = np.asarray(q - tau / (2.0 * tf))
+    gauss = np.exp(-carrier * tau - tau**2 / (4.0 * tf**2))
+    tail = z.real < 0.0
+    e = erfcx(np.where(tail, -z, z))
+    out = amp * gauss * e
+    out[tail] = amp * (2.0 * np.exp(q * q - rate * tau[tail]) - gauss[tail] * e[tail])
+    return out
+
+
+@pytest.mark.parametrize("delta0", [0.0, 0.4])
+@pytest.mark.parametrize("shape", ["gaussian", "decaying_exp", "rising_exp", "delta"])
+@pytest.mark.parametrize("rate", [10.0, branch_params(1.0, 10.0).p1, branch_params(1.0, 0.5).p1,
+                                  0.5 / 0.7], ids=["kappa", "real_pole", "complex_pole",
+                                                   "decaying_exp_pole"])
+def test_exp_filter_is_the_mask_formula_bit_for_bit(rate, shape, delta0):
+    # each piece evaluated on its own samples, found by searchsorted on the ascending clock,
+    # is the mask formula bit for bit, in its dtype; the clock starts before the pulse, has
+    # a sample at tau = 0 and, for the Gaussian, runs past the switch to the reflection
+    pulse = PulseSpec(shape, tau_f=0.7, delta0=delta0, xi0=0.1)
+    tau = -12.0 + 2.0**-9 * np.arange(21505)
+    re_z = complex(rate).real * pulse.tau_f - tau / (2.0 * pulse.tau_f)
+    assert tau[6144] == 0.0 and (re_z >= 0.0).any() and (re_z < 0.0).any()
+    got, want = exp_filter(rate, pulse, tau), _exp_filter_masks(rate, pulse, tau)
+    assert got.dtype == want.dtype
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("delta0", [0.0, 0.4])
