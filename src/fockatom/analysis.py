@@ -28,13 +28,20 @@ from .pulses import DECAYING_EXP, DELTA, GAUSSIAN, NORMALIZABLE_SHAPES, RISING_E
 from .spectra import FLAT, TABULATED, InteractionSpectrum
 
 _LN9 = float(np.log(9.0))
-# The window rule of a sweep cell past its pulse arrival t_a, as (the pulse's part by shape,
-# in tau_f; a cavity fill, in 1/min(kappa, 2 gamma); a ring-down, in 1/gamma). `cell_span`'s
-# trail spans the whole pulse. A certified prefix (`_cell_peak`) ends where the pulse has all
-# but arrived, ~2% of its L1 mass (`pulses.envelope_tail`) still to come: erfc(1.5)/2 for a
-# Gaussian, e^-4 for a decaying exp, and none for a rising exp, which ends at t_a.
-_CELL_TRAIL = ({GAUSSIAN: 6.0, DECAYING_EXP: 14.0, RISING_EXP: 0.0}, 4.0, 8.0)
-_PREFIX_TRAIL = ({GAUSSIAN: 3.0, DECAYING_EXP: 8.0, RISING_EXP: 0.0}, 3.0, 1.0)
+# The window of a pulse around its arrival t_a, by shape (`pulse_window`): the lead from the
+# grid start to t_a, a part in tau_f plus a part in 1/gamma, then the pulse's part, in tau_f,
+# of the certified prefix (`_cell_peak`) and of the trail past t_a. The trail spans the whole
+# pulse. The prefix ends where the pulse has all but arrived, ~2% of its L1 mass
+# (`pulses.envelope_tail`) still to come: erfc(1.5)/2 for a Gaussian and e^-4 for a decaying
+# exp; a rising exp ends at t_a, and a delta arrives whole there. Past the pulse, the prefix
+# adds a cavity fill 3/min(kappa, 2 gamma) and a ring-down 1/gamma, the trail 4/min(kappa,
+# 2 gamma) and 8/gamma.
+_WINDOWS = {
+    GAUSSIAN: (7.0, 0.0, 3.0, 6.0),
+    DECAYING_EXP: (0.0, 1.0, 8.0, 14.0),
+    RISING_EXP: (16.0, 0.0, 0.0, 0.0),
+    DELTA: (0.0, 1.0, 0.0, 0.0),
+}
 # The relative margin under sqrt(p_max) the tail bound must clear, which covers the
 # rounding of the recursions it bounds.
 _TAIL_MARGIN = 1e-9
@@ -194,36 +201,27 @@ def solve(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | No
     return _SOLVERS[name](atom, *args, pulse, grid)
 
 
-def cell_span(shape: str, tau_f: float, kappa: float, gamma: float) -> tuple[float, float]:
-    """Lead (grid start to arrival t_a) and trail (t_a to grid end) of a pulse: its support
-    plus ring-down, 1/gamma and 12/gamma for a delta, whose tau_f goes unchecked. kappa
-    enters only as min(kappa, 2 gamma), so a flat spectrum passes kappa = inf."""
+def pulse_window(shape: str, tau_f: float, kappa: float,
+                 gamma: float) -> tuple[float, float, float]:
+    """The `_WINDOWS` row of a pulse as times: its lead (grid start to arrival t_a), and the
+    certified prefix and the trail past t_a. kappa enters only as min(kappa, 2 gamma), so a
+    flat spectrum passes kappa = inf."""
     if kappa != np.inf:
         check_range("kappa", kappa, MIN_SCALE)
-    if shape == DELTA:
-        return 1.0 / gamma, 12.0 / gamma
     check_range("tau_f", tau_f, MIN_SCALE)
-    if shape not in NORMALIZABLE_SHAPES:
+    if shape not in _WINDOWS:
         raise ParameterError("shape", f"unknown pulse shape {shape!r}")
-    trail = _trail(_CELL_TRAIL, shape, tau_f, kappa, gamma)
-    if shape == GAUSSIAN:
-        return 7.0 * tau_f, trail
-    if shape == DECAYING_EXP:
-        return 1.0 / gamma, trail
-    return 16.0 * tau_f, trail
-
-
-def _trail(rule: tuple, shape: str, tau_f: float, kappa: float, gamma: float) -> float:
-    """The time past the arrival t_a that a window rule (`_CELL_TRAIL`, `_PREFIX_TRAIL`) spans."""
-    pulse, fill, ring_down = rule
-    return pulse[shape] * tau_f + (ring_down / gamma + fill / min(kappa, 2.0 * gamma))
+    lead_tau, lead_gamma, prefix, trail = _WINDOWS[shape]
+    rate = min(kappa, 2.0 * gamma)
+    return (lead_tau * tau_f + lead_gamma / gamma, prefix * tau_f + (1.0 / gamma + 3.0 / rate),
+            trail * tau_f + (8.0 / gamma + 4.0 / rate))
 
 
 def cell_grid(shape: str, tau_f: float, kappa: float, gamma: float,
               dt: float | None = None, t_d: float = 0.0) -> tuple[TimeGrid, float]:
-    """Per-cell time grid over the `cell_span` and an atom's delay t_d, and the pulse arrival
-    t_a = lead."""
-    lead, trail = cell_span(shape, tau_f, kappa, gamma)
+    """Per-cell time grid over the `pulse_window` lead and trail and an atom's delay t_d, and
+    the pulse arrival t_a = lead."""
+    lead, _, trail = pulse_window(shape, tau_f, kappa, gamma)
     if dt is None:
         dt = min(4e-3 / gamma, tau_f / 10.0)
     return TimeGrid.from_span(0.0, lead + trail + t_d, dt), lead
@@ -234,7 +232,7 @@ def _cell_peak(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec
     """(t_peak, p_max, samples solved) of one sweep cell on its grid.
 
     The closed form away from the double pole first solves the prefix of the grid
-    up to the first sample at or past t_d + t_a + the `_PREFIX_TRAIL` time. It keeps
+    up to the first sample at or past t_d + t_a + the `pulse_window` prefix. It keeps
     the prefix peak when that peak is below the prefix's last sample, the prefix
     passes the P <= 1 guard, and the trajectory's `tail_bound` puts every later
     sample of the whole grid below sqrt(p_max) (1 - _TAIL_MARGIN). The drive, the
@@ -244,8 +242,8 @@ def _cell_peak(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec
     """
     solved = 0
     if solver == "closed_form" and not branch_params(atom.gamma, spectrum.kappa).degenerate:
-        end = atom.t_d + pulse.t_a + _trail(_PREFIX_TRAIL, pulse.shape, pulse.tau_f,
-                                            spectrum.kappa, atom.gamma)
+        prefix = pulse_window(pulse.shape, pulse.tau_f, spectrum.kappa, atom.gamma)[1]
+        end = atom.t_d + pulse.t_a + prefix
         m = int(np.ceil((end - grid.t0) / grid.dt)) + 1
         if m < grid.n:  # always so on a sweep's own cell grid
             solved = m

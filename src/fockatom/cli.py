@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import SOLVERS, SweepResult, cell_span, solve, sweep_pmax
+from .analysis import SOLVERS, SweepResult, pulse_window, solve, sweep_pmax
 from .detectors import DetectorTrace, bloch_response, fock_atom_response, linear_response
 from .dynamics import (
     MODE_FRACTION_PRESETS,
@@ -216,22 +216,26 @@ def _build_spectrum(cfg, atom: AtomParams) -> InteractionSpectrum:
 
 
 def _build_pulse_and_grid(cfg, atom: AtomParams, spectrum: InteractionSpectrum):
-    """Pulse arriving at pulse.t_a, else at grid.t0 + the `cell_span` lead, and a grid from
+    """Pulse arriving at pulse.t_a, else at grid.t0 + the `pulse_window` lead, and a grid from
     grid.t0 to grid.t_max, else over the span from grid.t0 to the arrival plus the trail
     (`_grid`): at the default arrival the `cell_grid` span lead + trail, at any grid.t0. A
-    flat spectrum takes the kappa -> infinity span. A delta pulse is its amplitude xi0, any
+    flat spectrum takes the kappa -> infinity window. A delta pulse is its amplitude xi0, any
     other its length and carrier. The pulse is checked before the grid and the grid before
     the arrival, so a refusal names the field the user set; a pulse.t_a whose pulse and
-    ring-down end by grid.t0 is refused on pulse.t_a."""
+    ring-down end by grid.t0 is refused on pulse.t_a. A derived grid does not span atom.t_d,
+    so a delay that puts the end of the certified prefix past it is refused on atom.t_d."""
     p, t0 = cfg["pulse"], cfg["grid"]["t0"]
     form = ("xi0",) if p["shape"] == DELTA else ("tau_f", "delta0")
     pulse = PulseSpec(shape=p["shape"], t_a=p["t_a"] or 0.0, **{key: p[key] for key in form})
     kappa = spectrum.kappa if spectrum.kind == "lorentzian" else np.inf
-    lead, trail = cell_span(pulse.shape, pulse.tau_f, kappa, atom.gamma)
+    lead, prefix, trail = pulse_window(pulse.shape, pulse.tau_f, kappa, atom.gamma)
     t_a = t0 + lead if p["t_a"] is None else p["t_a"]
     span = lead + trail if p["t_a"] is None else (t_a - t0) + trail
     if span <= 0:
         raise ParameterError("t_a", f"pulse and ring-down end at {t_a + trail} <= grid.t0={t0}")
+    if cfg["grid"]["t_max"] is None and atom.t_d > trail - prefix:
+        raise ParameterError("t_d", f"t_d={atom.t_d:g} > {trail - prefix:g} moves the response "
+                                    f"past the derived grid; set grid.t_max to span it")
     grid = _grid(cfg, span)
     return replace(pulse, t_a=t_a), grid
 

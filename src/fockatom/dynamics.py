@@ -95,7 +95,7 @@ class AtomParams:
 
     def __post_init__(self):
         check_rates(self.gamma, self.gamma_p)
-        check_range("t_d", self.t_d)
+        check_range("t_d", self.t_d, 0.0)
         c0 = complex(self.c0)
         if not math.hypot(c0.real, c0.imag) <= 1.0 + 1e-12:
             raise ParameterError("c0", f"|c0| must be <= 1, got {math.hypot(c0.real, c0.imag)}")
@@ -163,8 +163,8 @@ def branch_params(gamma: float, kappa: float) -> LorentzBranches:
 class Trajectory:
     """Complex amplitude C and probability P = |C|^2 on the grid it was computed on.
 
-    `params` holds what the solver ran on: the solver, the atom, the pulse,
-    the grid and the solver's own parameters. `tail_bound` bounds |C| from
+    `params` holds what the solver ran on besides the grid: the solver, the
+    atom, the pulse and the solver's own parameters. `tail_bound` bounds |C| from
     the last sample on, should the same solve run on a longer grid of the
     same t0 and dt; inf where the solver gives no bound.
     """
@@ -180,8 +180,8 @@ class Trajectory:
     def from_amplitude(cls, grid: TimeGrid, c, solver: str, atom: AtomParams,
                        pulse: PulseSpec | None, tail_bound: float = math.inf,
                        **extra) -> "Trajectory":
-        """The trajectory a solver computed, with the solver, the atom, the
-        pulse, the grid and the solver's own parameters `extra` as its params.
+        """The trajectory a solver computed on grid, with the solver, the atom,
+        the pulse and the solver's own parameters `extra` as its params.
 
         c is the complex amplitude or its float64 parts (re, im), a part that
         is zero by construction given as None. With no real part P is im*im,
@@ -207,8 +207,7 @@ class Trajectory:
                 "dt", f"probability bound violated: max P = {p_max:.6g} > 1 + {_PROB_TOL}"
             )
         params = {"solver": solver, "gamma": atom.gamma, "gamma_p": atom.gamma_p,
-                  "t_d": atom.t_d, "c0": [atom.c0.real, atom.c0.imag],
-                  "grid": {"t0": grid.t0, "dt": grid.dt, "n": grid.n}, **extra}
+                  "t_d": atom.t_d, "c0": [atom.c0.real, atom.c0.imag], **extra}
         if pulse is not None:
             params["pulse"] = {"shape": pulse.shape, "tau_f": pulse.tau_f,
                                "delta0": pulse.delta0, "t_a": pulse.t_a, "xi0": pulse.xi0}

@@ -222,27 +222,57 @@ def test_set_arrival_moves_the_grid_end(tmp_path, capsys):
     assert late == pytest.approx(0.8006558, abs=1e-6)
 
 
+def test_delay_past_the_derived_grid_is_refused(tmp_path, capsys):
+    # t_d = 30 put the response past the derived grid (max P 6.9e-46, exit 0); a grid.t_max
+    # that spans the delay keeps the undelayed peak
+    path = _write_config(tmp_path, {"atom": {"t_d": 30.0}})
+    code, _, err = _run(["simulate", "--config", path, "--out", str(tmp_path / "o")], capsys)
+    payload = json.loads(err)
+    assert (code, payload["field"]) == (2, "atom.t_d")
+    assert "grid.t_max" in payload["error"]
+    spanned = _max_p(tmp_path, capsys, "spanned", {"atom": {"t_d": 30.0}, "grid": {"t_max": 60.0}})
+    assert spanned == pytest.approx(_max_p(tmp_path, capsys, "undelayed", {}), abs=1e-6)
+
+
+def test_delta_pulse_trail_spans_the_cavity(tmp_path, capsys):
+    # the delta's trail is 4/min(kappa, 2 gamma) + 8/gamma, as every shape's: at kappa = 0.1
+    # its 12/gamma trail ended 13001 rows at 15% of the peak
+    out = tmp_path / "o"
+    assert _run(["simulate", "--pulse", "delta", "--kappa", "0.1", "--out", str(out)],
+                capsys)[0] == 0
+    p = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 3]
+    assert p.size == 49001
+    assert p[-1] <= 0.02 * p.max()
+
+
 def test_simulate_grid_is_the_cell_grid():
-    # one rounding of [0, lead + trail]; rounding the cell grid's whole-step end a
-    # second time gives the same grid
+    # both windows are the pulse's `_WINDOWS` row, the delta's included: the arrival at the
+    # lead (a tau_f part plus a 1/gamma part), then one rounding of [0, lead + trail], the
+    # trail the pulse's part plus 4/min(kappa, 2 gamma) + 8/gamma; rounding the cell grid's
+    # whole-step end a second time gives the same grid
     rng = np.random.default_rng(9)
     atom, second_rounding_differs = fockatom.AtomParams(), 0
     for _ in range(2000):
         shape = PULSE_SHAPES[rng.integers(4)]
         tau_f, kappa = 10.0 ** rng.uniform(-2, 1), 10.0 ** rng.uniform(-1, 3)
-        lead, trail = analysis.cell_span(shape, tau_f, kappa, 1.0)
+        lead_tau, lead_gamma, prefix_tau, trail_tau = analysis._WINDOWS[shape]
+        lead = lead_tau * tau_f + lead_gamma
+        prefix = prefix_tau * tau_f + (1.0 + 3.0 / min(kappa, 2.0))
+        trail = trail_tau * tau_f + (8.0 + 4.0 / min(kappa, 2.0))
+        assert analysis.pulse_window(shape, tau_f, kappa, 1.0) == (lead, prefix, trail)
         dt = (lead + trail) / 10.0 ** rng.uniform(1, 5.9)
         cfg = normalize_config({"pulse": {"shape": shape, "tau_f": tau_f},
                                 "spectrum": {"kappa": kappa}, "grid": {"dt": dt}})
-        _, grid = cli._build_pulse_and_grid(cfg, atom, cli._build_spectrum(cfg, atom))
-        cell = analysis.cell_grid(shape, tau_f, kappa, 1.0, dt)[0]
-        assert grid.n == cell.n, (shape, tau_f, kappa, dt)
+        pulse, grid = cli._build_pulse_and_grid(cfg, atom, cli._build_spectrum(cfg, atom))
+        cell, t_a = analysis.cell_grid(shape, tau_f, kappa, 1.0, dt)
+        assert (grid.n, pulse.t_a) == (cell.n, t_a) == (
+            fockatom.TimeGrid.from_span(0.0, lead + trail, dt).n, lead), (shape, tau_f, kappa, dt)
         second_rounding_differs += fockatom.TimeGrid.from_span(0.0, cell.t_max, dt).n != cell.n
     assert second_rounding_differs == 0
     # gamma = 1e7: the ring-down 4/min(kappa, 2 gamma) is 4/(2 gamma) for kappa = 1e8 and for
     # the flat spectrum's kappa -> infinity
     atom = fockatom.AtomParams(gamma=1e7, gamma_p=1e7)
-    for shape in ("gaussian", "decaying_exp", "rising_exp"):
+    for shape in PULSE_SHAPES:
         cell = analysis.cell_grid(shape, 1e-6, 1e8, 1e7, 1e-9)[0]
         for spectrum in ({"kappa": 1e8}, {"kind": "flat"}):
             cfg = normalize_config({"atom": {"gamma": 1e7}, "spectrum": spectrum,

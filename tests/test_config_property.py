@@ -196,6 +196,12 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
      "sweep.tau_f.start"),
     ("simulate", {"spectrum": {"kappa": math.inf}}, "spectrum.kappa"),
     ("simulate", {"atom": {"t_d": 10**400}}, "atom.t_d"),
+    # a delay: the response of t_d = 30 would lie past the derived grid (max P 6.9e-46), and
+    # t_d = -5 would cut the Gaussian's lead (p_max 0.7627 for 0.8007), in a sweep cell too
+    ("simulate", {"atom": {"t_d": 30.0}}, "atom.t_d"),
+    ("simulate", {"atom": {"t_d": -5.0}}, "atom.t_d"),
+    ("sweep", {"atom": {"t_d": -5.0}, "sweep": {"tau_f": {"start": 1.0, "num": 1},
+                                              "kappa": {"start": 10.0, "num": 1}}}, "atom.t_d"),
     # extreme finite values used to end in OverflowError or ZeroDivisionError
     ("simulate", {"grid": {"dt": 1e-320}}, "grid.dt"),
     ("simulate", {"grid": {"t_max": 1e308}}, "grid.t_max"),
@@ -208,7 +214,8 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     ("simulate", {"grid": {"t_max": -1}}, "grid.t_max"),
     # a grid whose sample times would repeat, and a span below one step of a grid.t_max unset
     ("simulate", {"grid": {"t0": 1e13}}, "grid.t0"),
-    ("simulate", {"atom": {"gamma": 6e49}, "pulse": {"shape": "delta"}}, "grid.dt"),
+    ("simulate", {"atom": {"gamma": 6e49}, "pulse": {"shape": "delta"},
+                  "spectrum": {"kind": "flat"}}, "grid.dt"),
     ("delta-rise", {"spectrum": {"kappa": 0.5}}, "spectrum.kappa"),
     ("detector-compare", {"pulse": {"shape": "delta"}}, "pulse.shape"),
     ("detector-compare", {"pulse": {"delta0": 0.5}}, "pulse.delta0"),
@@ -406,6 +413,57 @@ def test_a_field_set_moves_the_output_or_is_refused(work, base_csvs, capsys, com
     else:
         assert code == 0, err
         assert (csvs != base_csvs[command][1]) != ((command, field) in UNMOVED), cfg
+
+
+DELAY_DT = 2.0 ** -9  # grid.t0, t_d and a set arrival are whole steps of it, exactly
+
+
+def _simulate_peak(work, capsys, cfg):
+    """`fockatom validate` of a simulate config: exit 2 and the field it names, or exit 0 and
+    the refined peak of the trajectory simulate computes."""
+    code, _ = _run(work, "validate", cfg)
+    err = capsys.readouterr().err
+    if code:
+        return code, json.loads(err)["field"]
+    [(make, _)] = cli._plan(cli.normalize_config(cfg)).values()
+    traj = make()
+    return code, analysis._refine_peak(traj.grid, traj.p, int(np.argmax(traj.p)))[1]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(shape=st.sampled_from(PULSE_SHAPES), tau_f=st.floats(-1.3, 0.3).map(lambda x: 10.0 ** x),
+       kappa=st.one_of(st.none(), st.floats(-1.0, 2.0).map(lambda x: 10.0 ** x)),
+       t0=st.integers(-1000, 1000), t_a=st.one_of(st.none(), st.integers(0, 5000)),
+       t_d=st.one_of(st.integers(0, round(15.0 / DELAY_DT)),
+                     st.integers(0, round(60.0 / DELAY_DT))))
+# t_d = 30 past the Gaussian's threshold trail - prefix = 10.5, then each at a threshold
+@example(shape="gaussian", tau_f=1.0, kappa=10.0, t0=0, t_a=None, t_d=round(30.0 / DELAY_DT))
+@example(shape="gaussian", tau_f=1.0, kappa=10.0, t0=0, t_a=None, t_d=round(10.5 / DELAY_DT))
+@example(shape="delta", tau_f=1.0, kappa=0.1, t0=0, t_a=None, t_d=round(17.0 / DELAY_DT))
+def test_a_delay_is_refused_or_keeps_the_peak(work, capsys, shape, tau_f, kappa, t0, t_a, t_d):
+    # a derived grid does not span the delay: simulate refuses t_d on atom.t_d exactly when
+    # the end of the response's certified prefix, t_a + t_d + prefix, lies past the grid end
+    # t_a + trail, and otherwise peaks as the undelayed run of the arrival t_a + t_d on a
+    # grid that spans it, which sees the same pulse head past grid.t0; grid.t0, t_d and a
+    # set arrival are whole steps, so both runs sample the response alike
+    t0, t_d = t0 * DELAY_DT, t_d * DELAY_DT
+    pulse = {"shape": shape} if shape == "delta" else {"shape": shape, "tau_f": tau_f}
+    lead, prefix, trail = analysis.pulse_window(shape, pulse.get("tau_f", 1.0),
+                                                np.inf if kappa is None else kappa, 1.0)
+    if t_a is not None:
+        pulse["t_a"] = t0 + t_a * DELAY_DT
+    cfg = {"spectrum": {"kind": "flat"} if kappa is None else {"kappa": kappa},
+           "grid": {"t0": t0, "dt": DELAY_DT}}
+    later = {**pulse, "t_a": pulse.get("t_a", t0 + lead) + t_d}
+    code, undelayed = _simulate_peak(work, capsys, {**cfg, "pulse": later})
+    assert code == 0, undelayed
+    code, delayed = _simulate_peak(work, capsys, {**cfg, "pulse": pulse, "atom": {"t_d": t_d}})
+    if t_d > trail - prefix:
+        assert (code, delayed) == (2, "atom.t_d")
+    else:
+        assert code == 0, delayed
+        assert abs(delayed - undelayed) <= 1e-6, (delayed, undelayed)
 
 
 def test_sample_budget_message_is_short(tmp_path, capsys):

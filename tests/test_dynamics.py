@@ -860,7 +860,7 @@ def test_trajectory_digests_its_params_on_demand():
                  solve_volterra(atom, spec, pulse, grid),
                  solve_markov(atom, pulse, grid)):
         assert traj.params["solver"] == traj.solver_id
-        assert traj.params["grid"] == {"t0": grid.t0, "dt": grid.dt, "n": grid.n}
+        assert traj.grid == grid and "grid" not in traj.params  # the grid is kept once
 
 
 def test_gamma_rescaling_invariance():
