@@ -8,7 +8,8 @@ compared to the analytic e-folding bound 1/kappa + 1/gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,16 +245,16 @@ def _cell_peak(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec
     if solver == "closed_form" and not branch_params(atom.gamma, spectrum.kappa).degenerate:
         prefix = pulse_window(pulse.shape, pulse.tau_f, spectrum.kappa, atom.gamma)[1]
         end = atom.t_d + pulse.t_a + prefix
-        m = int(np.ceil((end - grid.t0) / grid.dt)) + 1
+        m = math.ceil((end - grid.t0) / grid.dt) + 1
         if m < grid.n:  # always so on a sweep's own cell grid
             solved = m
             try:
-                traj = solve(atom, spectrum, pulse, replace(grid, n=m))
+                traj = solve(atom, spectrum, pulse, TimeGrid(grid.t0, grid.dt, m))
             except ValueError:  # the guard: the whole grid gives the cell its status
                 pass
             else:
                 i = int(np.argmax(traj.p))
-                if i < m - 1 and traj.tail_bound < np.sqrt(traj.p[i]) * (1.0 - _TAIL_MARGIN):
+                if i < m - 1 and traj.tail_bound < math.sqrt(traj.p[i]) * (1.0 - _TAIL_MARGIN):
                     return (*_refine_peak(traj.grid, traj.p, i), m)
     traj = solve(atom, spectrum, pulse, grid, solver)
     return (*_refine_peak(grid, traj.p, int(np.argmax(traj.p))), solved + grid.n)

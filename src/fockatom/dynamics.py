@@ -36,8 +36,9 @@ the dynamics is linear, so the result is the superposition of the two
 responses. The drive arrives as the float64 parts (re, im) of
 `driving_term_uniform`, a part that is zero by construction marked None.
 The closed form, RK4 and the Volterra solver on a real memory column keep
-the parts through to the amplitude; the Markov reference and the double
-pole join them into one complex array (`_joined`). Each solver returns
+the parts through to the amplitude, which the trajectory joins into one
+complex array (`_joined`) only when `Trajectory.c` is first read; the Markov
+reference and the double pole join them up front. Each solver returns
 `Trajectory.from_amplitude(grid, c, solver, atom, pulse, **extra)`, which
 carries the grid, keeps those inputs as the trajectory's `params` (which
 `serialize.write_trajectory` writes to its sidecar) and guards P <= 1.
@@ -51,6 +52,7 @@ pulse has arrived at the first sample with tau_k >= 0 in each of them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -130,13 +132,16 @@ class LorentzBranches:
         return ((self.p1, self.s1), (self.p2, self.s2))
 
 
+@functools.lru_cache(typed=True)
 def branch_params(gamma: float, kappa: float) -> LorentzBranches:
     """Branch decay rates and weights of the exact Lorentzian solution.
 
     p_j = (kappa + (-1)^j sqrt(kappa^2 - 2 kappa gamma))/2 and
     s_j = (1 - (-1)^j / sqrt(1 - 2 gamma/kappa))/2, principal square roots.
     p1 is computed from the product identity p1*p2 = gamma*kappa/2 in the
-    real-branch regime to avoid cancellation at kappa >> gamma.
+    real-branch regime to avoid cancellation at kappa >> gamma. Memoised, as
+    every cell of a sweep's kappa row asks for the same branches; a refused
+    (gamma, kappa) raises on every call.
     """
     check_range("gamma", gamma, MIN_SCALE)
     check_range("kappa", kappa, MIN_SCALE)
@@ -159,18 +164,40 @@ def branch_params(gamma: float, kappa: float) -> LorentzBranches:
     return LorentzBranches(p1=p1, p2=p2, s1=s1, s2=s2, degenerate=degenerate)
 
 
+class _Amplitude:
+    """The `Trajectory.c` field: kept as given, except that float64 parts (re, im) are
+    joined into the complex array (`_joined`) on the first read, which keeps the result."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, traj, owner=None):
+        if traj is None:
+            raise AttributeError(self.slot)  # the field has no default
+        c = traj.__dict__[self.slot]
+        if isinstance(c, tuple):
+            c = traj.__dict__[self.slot] = _joined(c, traj.grid.n)
+        return c
+
+    def __set__(self, traj, c):
+        traj.__dict__[self.slot] = c
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Complex amplitude C and probability P = |C|^2 on the grid it was computed on.
 
-    `params` holds what the solver ran on besides the grid: the solver, the
+    c may be given as the complex array or as its float64 parts (re, im), a
+    part that is zero by construction given as None; parts are joined on the
+    first read of `c`, so a run that reads only P (a sweep cell) builds no
+    complex array. `params` holds what the solver ran on besides the grid: the solver, the
     atom, the pulse and the solver's own parameters. `tail_bound` bounds |C| from
     the last sample on, should the same solve run on a longer grid of the
     same t0 and dt; inf where the solver gives no bound.
     """
 
     grid: TimeGrid
-    c: np.ndarray
+    c: np.ndarray = _Amplitude()
     p: np.ndarray
     solver_id: str
     params: dict
@@ -184,9 +211,10 @@ class Trajectory:
         the pulse and the solver's own parameters `extra` as its params.
 
         c is the complex amplitude or its float64 parts (re, im), a part that
-        is zero by construction given as None. With no real part P is im*im,
-        bit for bit the |1j im|^2 of the complex amplitude; otherwise P is
-        |C|^2 of the complex array.
+        is zero by construction given as None. With one part x present P is
+        x*x, bit for bit the |x + 0j|^2 or |0 + 1j x|^2 of the complex amplitude
+        (hypot(x, 0) = |x|), and the parts stay the trajectory's `c` until it is
+        read; with both present P is |C|^2 of the joined complex array.
 
         Refuses, as a step that does not resolve the dynamics, a non-finite
         amplitude and, unless the pulse is a delta (an unnormalizable drive),
@@ -194,13 +222,17 @@ class Trajectory:
         """
         if isinstance(c, tuple):
             re, im = c
-            c = _joined(c, grid.n)
-            p = im * im if re is None and im is not None else np.abs(c) ** 2
+            if re is not None and im is not None:
+                c = _joined(c, grid.n)
+                p = np.abs(c) ** 2
+            else:
+                x = im if re is None else re
+                p = np.zeros(grid.n) if x is None else x * x
         else:
             c = np.asarray(c, complex)
             p = np.abs(c) ** 2
         p_max = p.max(initial=0.0)  # NaN if any sample is NaN
-        if not np.isfinite(p_max):
+        if not math.isfinite(p_max):
             raise ParameterError("dt", f"non-finite amplitude from {solver}: max P = {p_max}")
         if (pulse is None or pulse.shape != DELTA) and p_max > 1.0 + _PROB_TOL:
             raise ParameterError(
@@ -246,20 +278,23 @@ def _drive_on_grid(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
 
 
 def _first_order_recursion(e, b: np.ndarray) -> np.ndarray:
-    """y_k = e y_{k-1} + b_k with y_{-1} = 0, overwriting the array b.
+    """y_k = e y_{k-1} + b_k with y_{-1} = 0, overwriting the array b, which holds the
+    dtype of y: complex when e is.
 
     The recursion is the unit lower-bidiagonal system y_k - e y_{k-1} = b_k,
-    solved by one LAPACK banded triangular solve: `dtbtrs` when e and b are
-    both real, `ztbtrs` otherwise. The band is built in Fortran order so it
+    solved by one LAPACK banded triangular solve: `dtbtrs` when b is real,
+    `ztbtrs` otherwise, its info checked. The band is built in Fortran order so it
     reaches LAPACK without a copy; only its sub-diagonal row is filled, as
     the diagonal row is not referenced (diag="U").
     """
     n = len(b)
-    dtype = np.result_type(e, b)
-    tbtrs = dtbtrs if dtype == np.float64 else ztbtrs
-    band = np.empty((2, n), dtype=dtype, order="F")
+    real = b.dtype == np.float64
+    band = np.empty((2, n), dtype=b.dtype, order="F")
     band[1] = -e
-    y, _ = tbtrs(band, b.reshape(n, 1), uplo="L", diag="U", overwrite_b=1)
+    tbtrs = dtbtrs if real else ztbtrs
+    y, info = tbtrs(band, b.reshape(n, 1), uplo="L", diag="U", overwrite_b=1)
+    if info:
+        raise np.linalg.LinAlgError(f"{'dtbtrs' if real else 'ztbtrs'} failed: info {info}")
     return y[:, 0]
 
 
@@ -269,10 +304,12 @@ def _exp_conv_trapezoid(p, D: np.ndarray, dt: float) -> np.ndarray:
     Evaluated through the stable recursion J_k = e^{-p dt}(J_{k-1} +
     dt/2 D_{k-1}) + dt/2 D_k, identical to trapezoid in exact arithmetic,
     as one banded solve (`_first_order_recursion`). A real p and a real D
-    give a real J, computed in float64.
+    give a real J, computed in float64. The factor e^{-p dt} stays on np.exp:
+    math.exp differs from it in the last bit on some arguments, and the
+    recursion carries that bit into every later sample.
     """
-    e = np.exp(-p * dt)
-    b = np.empty(len(D), dtype=np.result_type(e, D))
+    e = np.exp(-p * dt)  # np.complex128 is a complex, np.float64 is not
+    b = np.empty(len(D), dtype=complex if isinstance(e, complex) else D.dtype)
     b[0] = 0.0
     rest = b[1:]  # dt/2 (e D_{k-1} + D_k), formed in place
     np.multiply(e, D[:-1], out=rest)
@@ -295,14 +332,16 @@ def _branch_sum(br: LorentzBranches, D: tuple, dt: float) -> tuple[tuple, float]
     (p1, s1), (p2, s2) = br.pairs
     ends = []
 
-    def response(x):
+    def response(x):  # the weighted sums are formed in place, as s_j J_j, then summed
         if p1.imag == 0.0:
             j1, j2 = (_exp_conv_trapezoid(p.real, x, dt) for p in (p1, p2))
             ends.append(abs(s1) * abs(j1[-1]) + abs(s2) * abs(j2[-1]))
-            return s1.real * j1 + s2.real * j2
+            j1 *= s1.real
+            j1 += np.multiply(s2.real, j2, out=j2)
+            return j1
         j1 = _exp_conv_trapezoid(p1, x, dt)
         ends.append(2.0 * abs(s1) * abs(j1[-1]))
-        return 2.0 * (s1 * j1).real
+        return 2.0 * np.multiply(s1, j1, out=j1).real
 
     return tuple(None if x is None else response(x) for x in D), sum(ends)
 

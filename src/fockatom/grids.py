@@ -84,7 +84,7 @@ class TimeGrid:
         if not t_max > t0:
             raise ParameterError("t_max", f"t_max={t_max} must exceed t0={t0}")
         q = (t_max - t0) / dt
-        n = int(np.ceil(q - 1e-12 * max(q, 1.0))) + 1
+        n = math.ceil(q - 1e-12 * max(q, 1.0)) + 1
         if n < 2:
             raise ParameterError("dt", f"dt={dt} exceeds the span {t_max - t0} by over 1e12")
         return cls(t0=t0, dt=dt, n=n)

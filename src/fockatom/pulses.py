@@ -118,7 +118,10 @@ def spectral_amplitude(spec: PulseSpec, delta) -> np.ndarray | complex:
 
 def _pulse_clock(t_a: float, t0: float, dt: float, n: int) -> np.ndarray:
     """Pulse time tau_k = (t0 - t_a) + k*dt of the n samples t0 + k*dt."""
-    return (t0 - t_a) + dt * np.arange(n)
+    tau = np.arange(n, dtype=float)  # k < 2^53, exact
+    tau *= dt
+    tau += t0 - t_a
+    return tau
 
 
 def envelope(spec: PulseSpec, t) -> np.ndarray | complex:

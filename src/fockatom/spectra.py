@@ -38,6 +38,8 @@ Bluestein's algorithm on numpy's FFT.
 from __future__ import annotations
 
 import csv
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +63,9 @@ TABULATED = "tabulated"
 # Degenerate-pole guard for the decaying-exp filter: wide enough that the
 # (e^{-a tau} - e^{-r tau})/(r - a) cancellation stays benign.
 _POLE_TOL = 1e-7
+# |x| past which the Gaussian factor exp(-x^2) of `exp_filter` is +0 in float64, with a
+# margin: exp underflows to +0 below -745.14.
+_GAUSS_UNDERFLOW = math.sqrt(746.0)
 # Largest distance of a table node from delta_0 + j h, h the mean gap, relative to h, on
 # top of 4 ulp of the largest |delta| (a uniform grid's rounding leaves at most 2). The
 # chirp-z sums place node j there: a stray of e*h moves the phase at t <= 2*pi/h by <= 2*pi*e.
@@ -117,7 +122,10 @@ class InteractionSpectrum:
         return 2.0 * np.pi / np.diff(self.table_delta).max()
 
     @classmethod
+    @functools.lru_cache(typed=True)
     def lorentzian(cls, kappa: float, gamma_p: float = 1.0, gamma: float = 1.0):
+        """Memoised, as every cell of a sweep's kappa row builds the same spectrum (which
+        holds no array); refused rates raise on every call."""
         return cls(kind=LORENTZIAN, gamma_p=gamma_p, gamma=gamma, kappa=kappa)
 
     @classmethod
@@ -265,13 +273,13 @@ def driving_term_uniform(spec: InteractionSpectrum, pulse: PulseSpec,
         # Markov short-circuit: D = sqrt(gamma_p) * u(tau), real without a carrier
         u = _envelope_at(pulse, tau)
         if pulse.delta0 == 0.0:
-            return np.sqrt(spec.gamma_p) * u.real, None
-        return _parts(np.sqrt(spec.gamma_p) * u)
+            return math.sqrt(spec.gamma_p) * u.real, None
+        return _parts(math.sqrt(spec.gamma_p) * u)
     f = exp_filter(spec.kappa, pulse, tau)
     if np.iscomplexobj(f):
-        return _parts(-1j * np.sqrt(spec.gamma_p) * spec.kappa * f)
+        return _parts(-1j * math.sqrt(spec.gamma_p) * spec.kappa * f)
     # Im(-1j a f) = 0 * 0 + (-a) f for real a and f: a +0.0 turns the product's -0 into +0
-    f *= -(np.sqrt(spec.gamma_p) * spec.kappa)
+    f *= -(math.sqrt(spec.gamma_p) * spec.kappa)
     f += 0.0
     return None, f
 
@@ -303,13 +311,14 @@ def exp_filter(rate: complex, pulse: PulseSpec, tau) -> np.ndarray:
     A rate with an exactly zero imaginary part (kappa, a real branch pole) and the
     carrier 1j delta0 at delta0 = 0 are carried as floats, so with both real, exp and
     erfcx run in real arithmetic and the result is a float64 array, the real part of
-    the complex one; otherwise it is complex.
+    the complex one; otherwise it is complex. The real Gaussian filter also skips the
+    samples where its Gaussian factor underflows to +0 (`_GAUSS_UNDERFLOW`).
     """
     tau = np.asarray(tau, dtype=float)
     rate = _real_if_exact(rate)
     on = int(np.searchsorted(tau, 0.0))  # the first sample at tau >= 0
     if pulse.shape == DELTA:
-        body = pulse.xi0 * np.sqrt(2.0 * np.pi) * np.exp(-rate * tau[on:])
+        body = pulse.xi0 * math.sqrt(2.0 * np.pi) * np.exp(-rate * tau[on:])
         out = np.zeros(tau.shape, body.dtype)
         out[on:] = body
         return out
@@ -322,26 +331,48 @@ def exp_filter(rate: complex, pulse: PulseSpec, tau) -> np.ndarray:
         else:
             body = (np.exp(-a * tpos) - np.exp(-rate * tpos)) / (rate - a)
         out = np.zeros(tau.shape, body.dtype)
-        out[on:] = body / np.sqrt(tf)
+        out[on:] = body / math.sqrt(tf)
         return out
     if pulse.shape == RISING_EXP:
         b = 0.5 / tf - carrier  # the pulse tail before cut-off grows as e^{b tau}
-        out = np.empty(tau.shape, np.result_type(rate, b))
+        norm = (rate + b) * math.sqrt(tf)  # a float or a complex, as rate and b are
+        out = np.empty(tau.shape, type(norm))
         out[:on] = np.exp(b * tau[:on])
         out[on:] = np.exp(-rate * tau[on:])
-        out /= (rate + b) * np.sqrt(tf)
+        out /= norm
         return out
     # gaussian: erfcx(z) at Re z >= 0, the reflection at the tail Re z < 0
-    amp = (2.0 * np.pi * tf**2) ** -0.25 * tf * np.sqrt(np.pi)
+    amp = (2.0 * np.pi * tf**2) ** -0.25 * tf * math.sqrt(np.pi)
     q = (rate - carrier) * tf
     x = tau / (2.0 * tf)
-    z = q - x
     tail = int(np.searchsorted(x, q.real, side="right"))  # Re z = q.real - x < 0 from here
-    gauss = np.exp(-carrier * tau - tau**2 / (4.0 * tf**2))
-    out = np.empty(tau.shape, np.result_type(z, gauss))
-    out[:tail] = np.multiply(amp * gauss[:tail], erfcx(z[:tail]))
+
+    def gauss(t):  # e^{-carrier t - t^2/(4 tf^2)}; t^2/(-4 tf^2) is the same bits at carrier 0
+        if carrier == 0.0:
+            return np.exp(t**2 / (-4.0 * tf**2))
+        return np.exp(-carrier * t - t**2 / (4.0 * tf**2))
+
+    if isinstance(q, float):
+        # real rate and carrier: past |tau| = 2 tf sqrt(746) the Gaussian factor underflows
+        # to +0 (exp(x) is +0 below x = -745.14), and so does its product with the finite
+        # positive erfcx, so neither is evaluated there: the head is +0 and the tail is
+        # amp 2 e^{q^2 - r tau}, the same bits
+        cut = 2.0 * tf * _GAUSS_UNDERFLOW
+        lo, hi = tau.searchsorted((-cut, cut))
+        out = np.zeros(tau.shape)
+        head = slice(lo, min(hi, tail))
+        out[head] = np.multiply(amp * gauss(tau[head]), erfcx(q - x[head]))
+        out[tail:] = 2.0 * np.exp(q * q - rate * tau[tail:])
+        near = slice(tail, hi)  # the tail has tau > 2 q tf > 0 > -cut
+        out[near] -= np.multiply(gauss(tau[near]), erfcx(x[near] - q))
+        out[tail:] *= amp
+        return out
+    z = q - x
+    g = gauss(tau)
+    out = np.empty(tau.shape, complex)
+    out[:tail] = np.multiply(amp * g[:tail], erfcx(z[:tail]))
     out[tail:] = amp * (2.0 * np.exp(q * q - rate * tau[tail:])
-                        - np.multiply(gauss[tail:], erfcx(-z[tail:])))
+                        - np.multiply(g[tail:], erfcx(-z[tail:])))
     return out
 
 

@@ -14,14 +14,16 @@ from fockatom import (
     PulseSpec,
     TimeGrid,
     Trajectory,
+    branch_params,
     delta_pulse_rise,
     linear_response,
     solve,
+    solve_closed_form_lorentzian,
     solve_markov,
     sweep_pmax,
     transduction_metrics,
 )
-from fockatom import analysis
+from fockatom import analysis, dynamics
 from fockatom.analysis import SOLVERS, _argmax_with_tiebreak, _local_maxima
 from fockatom.dynamics import check_ode_step
 from fockatom.grids import ParameterError
@@ -357,18 +359,50 @@ def _refine_on_times(t, y, i):
 @pytest.mark.parametrize("shape", ["gaussian", "decaying_exp", "rising_exp"])
 def test_sweep_cell_is_the_refined_peak_of_its_solve(shape, c0):
     # kappa = 0.5 has a complex pole pair, 10 real poles; each cell's (p_max, t_peak) is the
-    # peak of solve(...).p refined on its times array, bit for bit
-    atom = AtomParams(c0=c0)
-    taus, kappas = [0.3, 1.0], [0.5, 10.0]
-    sweep = sweep_pmax(atom, shape, taus, kappas)
-    for i, kappa in enumerate(kappas):
-        for j, tau_f in enumerate(taus):
-            grid, t_a = analysis.cell_grid(shape, tau_f, kappa, atom.gamma)
-            traj = solve(atom, InteractionSpectrum.lorentzian(kappa), PulseSpec(shape, tau_f=tau_f,
-                                                                                t_a=t_a), grid)
-            tp, pm = _refine_on_times(traj.grid.times, traj.p, int(np.argmax(traj.p)))
-            assert (sweep.p_max[i, j], sweep.t_peak[i, j]) == (pm, tp)
-            assert analysis._refine_peak(traj.grid, traj.p, int(np.argmax(traj.p))) == (tp, pm)
+    # peak of solve(...).p refined on its times array, bit for bit. The matched atom runs
+    # first and a mode fraction of 0.5 then sweeps the same kappas: the spectra and branches
+    # memoised per kappa row are keyed on the rates too
+    for mode_fraction in (1.0, 0.5):
+        atom = AtomParams(gamma_p=mode_fraction, c0=c0)
+        taus, kappas = [0.3, 1.0], [0.5, 10.0]
+        sweep = sweep_pmax(atom, shape, taus, kappas)
+        for i, kappa in enumerate(kappas):
+            for j, tau_f in enumerate(taus):
+                grid, t_a = analysis.cell_grid(shape, tau_f, kappa, atom.gamma)
+                traj = solve(atom, InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p),
+                             PulseSpec(shape, tau_f=tau_f, t_a=t_a), grid)
+                tp, pm = _refine_on_times(traj.grid.times, traj.p, int(np.argmax(traj.p)))
+                assert (sweep.p_max[i, j], sweep.t_peak[i, j]) == (pm, tp)
+                assert analysis._refine_peak(traj.grid, traj.p, int(np.argmax(traj.p))) == (tp, pm)
+
+
+@pytest.mark.parametrize("kappa", [np.nan, 0.0, -1.0])
+def test_memoised_kappa_constants_refuse_a_bad_kappa_on_every_call(kappa):
+    # the memoised spectrum and branches keep their range check: a refused kappa raises each
+    # time it is asked for, and a sweep row of it fails every cell
+    grid = TimeGrid.from_span(0.0, 8.0, 1e-2)
+    pulse = PulseSpec("gaussian", tau_f=1.0, t_a=4.0)
+    for _ in range(2):
+        for call in (lambda: InteractionSpectrum.lorentzian(kappa),
+                     lambda: branch_params(1.0, kappa),
+                     lambda: solve_closed_form_lorentzian(AtomParams(), kappa, pulse, grid)):
+            with pytest.raises(ParameterError) as err:
+                call()
+            assert err.value.field == "kappa"
+    if np.isnan(kappa):
+        return  # a NaN axis is refused as unsorted before any cell
+    sweep = sweep_pmax(AtomParams(), "gaussian", [1.0, 2.0], [kappa, 1.0])
+    assert all(status.startswith("error: kappa must lie in") for status in sweep.status[0])
+    assert sweep.status[1] == ["ok", "ok"]
+
+
+def test_sweep_records_a_failed_banded_solve_as_an_error_cell(monkeypatch):
+    # real poles (kappa = 10) run the float64 dtbtrs, a complex pair (kappa = 0.5) ztbtrs:
+    # a dtbtrs that reports failure fails the real-pole cells alone
+    monkeypatch.setattr(dynamics, "dtbtrs", lambda band, b, **kw: (b, -2))
+    sweep = sweep_pmax(AtomParams(), "gaussian", [1.0], [0.5, 10.0])
+    assert sweep.status == [["ok"], ["error: dtbtrs failed: info -2"]]
+    assert np.isfinite(sweep.p_max[0, 0]) and np.isnan(sweep.p_max[1, 0])
 
 
 def _full_grid_cell(atom, shape, tau_f, kappa):

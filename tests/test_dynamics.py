@@ -1,6 +1,6 @@
 """Solver cross-validation, branch algebra, decay laws, rising edges."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -848,6 +848,56 @@ def test_trajectory_probability_from_parts_is_modulus_squared(delta0, c0):
                                          AtomParams(), None)
         assert traj.c.dtype == complex
         assert np.array_equal(traj.p.view(np.int64), (np.abs(traj.c) ** 2).view(np.int64))
+
+
+def test_lazy_amplitude_is_the_eagerly_joined_array():
+    # parts are joined on the first read of c into the array `_joined` builds from them, bit
+    # for bit: an absent part is +0.0, never -0.0 (which a CSV prints as -0); P, formed from
+    # the parts before any join, is |C|^2 of that array bit for bit, signed zeros, subnormals
+    # and squares that underflow included
+    rng = np.random.default_rng(5)
+    re, im = (np.concatenate((rng.uniform(-0.7, 0.7, 60), [0.0, -0.0, 5e-324, -1e-310, 1e-160]))
+              for _ in range(2))
+    grid = TimeGrid(0.0, 0.1, re.size)
+    for parts in ((None, im), (re, None), (re, im), (None, None)):
+        eager = _joined(parts, grid.n)
+        traj = Trajectory.from_amplitude(grid, parts, "closed_form", AtomParams(), None)
+        assert np.array_equal(traj.p.view(np.int64), (np.abs(eager) ** 2).view(np.int64))
+        assert isinstance(traj.__dict__["_c"], tuple) == (parts[0] is None or parts[1] is None)
+        c = traj.c
+        assert c.dtype == complex and np.array_equal(c.view(np.int64), eager.view(np.int64))
+        for part, view in zip(parts, (c.real, c.imag)):
+            if part is None:
+                assert not np.signbit(view).any()
+        assert traj.c is c  # joined once, then kept
+
+
+def test_trajectory_constructs_from_its_fields():
+    # c stays a constructor field: the complex array given is the array read, and the
+    # dataclass field machinery (fields, replace, the frozen guard) holds for it
+    grid = TimeGrid(0.0, 0.1, 4)
+    c = np.array([0.0, 0.5j, 0.25, -0.1 + 0.2j])
+    traj = Trajectory(grid=grid, c=c, p=np.abs(c) ** 2, solver_id="closed_form", params={})
+    assert traj.c is c
+    assert [f.name for f in fields(Trajectory)] == ["grid", "c", "p", "solver_id", "params",
+                                                    "tail_bound"]
+    other = replace(traj, c=2.0 * c)
+    assert np.array_equal(other.c, 2.0 * c) and other.p is traj.p
+    with pytest.raises(FrozenInstanceError):
+        traj.c = c
+    with pytest.raises(TypeError):
+        Trajectory(grid=grid, p=traj.p, solver_id="closed_form", params={})  # c is required
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_first_order_recursion_refuses_a_failed_solve(monkeypatch, real):
+    # LAPACK's info is checked: a failed banded solve raises LinAlgError, a ValueError
+    name = "dtbtrs" if real else "ztbtrs"
+    monkeypatch.setattr(dynamics, name, lambda band, b, **kw: (b, -2))
+    b = np.ones(5) if real else np.ones(5, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError, match=f"{name} failed: info -2"):
+        _first_order_recursion(0.5, b)
+    assert issubclass(np.linalg.LinAlgError, ValueError)
 
 
 def test_trajectory_digests_its_params_on_demand():

@@ -98,3 +98,26 @@ def test_sweep_csv_deterministic(tmp_path):
         sweep = sweep_pmax(AtomParams(), "gaussian", tau, kap)
         write_sweep(tmp_path / name, sweep)
     assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
+
+
+def test_lazy_amplitude_writes_the_eager_bytes(tmp_path):
+    # a resonant closed-form run keeps its amplitude as the parts (None, im) until the CSV
+    # reads it: the bytes are those of the complex array joined when the run ends, re_C
+    # printed as 0, never -0
+    from dataclasses import replace
+
+    from fockatom import solve_closed_form_lorentzian
+    from fockatom.dynamics import _joined
+
+    grid = TimeGrid.from_span(0.0, 12.0, 1e-2)
+    pulse = PulseSpec("gaussian", tau_f=1.0, t_a=6.0)
+    for kappa in (0.5, 10.0):  # a complex pole pair and real poles
+        lazy = solve_closed_form_lorentzian(AtomParams(gamma_p=0.7), kappa, pulse, grid)
+        parts = lazy.__dict__["_c"]
+        assert isinstance(parts, tuple) and parts[0] is None
+        eager = replace(lazy, c=_joined(parts, grid.n))
+        write_trajectory(tmp_path / "eager", eager)
+        write_trajectory(tmp_path / "lazy", lazy)
+        text = (tmp_path / "lazy.csv").read_bytes()
+        assert text == (tmp_path / "eager.csv").read_bytes()
+        assert b",-0," not in text

@@ -334,6 +334,27 @@ def test_exp_filter_is_the_mask_formula_bit_for_bit(rate, shape, delta0):
     assert np.array_equal(_bits(got), _bits(want))
 
 
+@pytest.mark.parametrize("rate, tail", [(10.0, "in_band"), (branch_params(1.0, 10.0).p1, "in_band"),
+                                        (1000.0, "past_cut"), (3e4, "none")])
+def test_exp_filter_skips_the_underflowing_gaussian_bit_for_bit(rate, tail):
+    # past |tau| = 2 tf sqrt(746) exp(-tau^2/(4 tf^2)) is +0, so the real Gaussian filter skips
+    # it and its erfcx there: the clock runs from far before the pulse to far after it, and
+    # the reflection (from tau = 2 tf q) starts inside the band, past it or not at all; the
+    # result is still the mask formula, bit for bit
+    pulse = PulseSpec("gaussian", tau_f=0.05)
+    tau = -20.0 + 2.0**-9 * np.arange(25601)
+    cut, start = 2.0 * pulse.tau_f * np.sqrt(746.0), 2.0 * pulse.tau_f**2 * complex(rate).real
+    assert (tau < -cut).sum() > 1000 and (tau > cut).sum() > 1000
+    assert {"in_band": start < cut, "past_cut": cut < start < tau[-1],
+            "none": tau[-1] < start}[tail]
+    got, want = exp_filter(rate, pulse, tau), _exp_filter_masks(rate, pulse, tau)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(_bits(got), _bits(want))
+    # exp is +0 on every argument below -746
+    x = -np.concatenate((np.linspace(746.0, 1e4, 10001), [1e300, np.inf]))
+    assert np.array_equal(np.exp(x).view(np.int64), np.zeros(x.size, np.int64))
+
+
 @pytest.mark.parametrize("delta0", [0.0, 0.4])
 @pytest.mark.parametrize("shape", ["gaussian", "decaying_exp", "rising_exp", "delta"])
 @pytest.mark.parametrize("kind", ["lorentzian", "flat", "tabulated"])
