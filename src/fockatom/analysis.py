@@ -8,6 +8,7 @@ compared to the analytic e-folding bound 1/kappa + 1/gamma.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -202,11 +203,13 @@ def solve(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | No
     return _SOLVERS[name](atom, *args, pulse, grid)
 
 
+@functools.lru_cache(typed=True)
 def pulse_window(shape: str, tau_f: float, kappa: float,
                  gamma: float) -> tuple[float, float, float]:
     """The `_WINDOWS` row of a pulse as times: its lead (grid start to arrival t_a), and the
     certified prefix and the trail past t_a. kappa enters only as min(kappa, 2 gamma), so a
-    flat spectrum passes kappa = inf."""
+    flat spectrum passes kappa = inf. Memoised, as a sweep cell reads its window in
+    `cell_grid` and again in `_cell_peak`; a refused argument raises on every call."""
     if kappa != np.inf:
         check_range("kappa", kappa, MIN_SCALE)
     check_range("tau_f", tau_f, MIN_SCALE)

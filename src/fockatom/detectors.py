@@ -126,7 +126,9 @@ def bloch_trajectories(atom: AtomParams, pulse: CoherentPulseSpec,
     y = _affine_march(G[:, :2], G[:, 2], (0.0, 0.0), grid.n)
     pop = y[0]
     if not np.all((pop >= -_PROB_TOL) & (pop <= 1.0 + _PROB_TOL)):
-        raise ParameterError("dt", f"Bloch population left [0, 1] (max {pop.max():.6g}): "
+        top = pop.max()  # NaN if any is
+        left = f"left [0, 1] (max {top:.6g})" if np.isfinite(top) else "is not finite"
+        raise ParameterError("dt", f"Bloch population {left}: "
                                    f"dt={dt:g} does not resolve the Rabi frequency")
     coh = np.zeros(grid.n, dtype=complex)
     coh.imag = y[1]

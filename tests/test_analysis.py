@@ -378,22 +378,48 @@ def test_sweep_cell_is_the_refined_peak_of_its_solve(shape, c0):
 
 @pytest.mark.parametrize("kappa", [np.nan, 0.0, -1.0])
 def test_memoised_kappa_constants_refuse_a_bad_kappa_on_every_call(kappa):
-    # the memoised spectrum and branches keep their range check: a refused kappa raises each
-    # time it is asked for, and a sweep row of it fails every cell
+    # the memoised spectrum, branches and pulse window keep their range checks: a refused
+    # kappa (or tau_f) raises each time it is asked for, and a sweep row of it fails every cell
     grid = TimeGrid.from_span(0.0, 8.0, 1e-2)
     pulse = PulseSpec("gaussian", tau_f=1.0, t_a=4.0)
     for _ in range(2):
-        for call in (lambda: InteractionSpectrum.lorentzian(kappa),
-                     lambda: branch_params(1.0, kappa),
-                     lambda: solve_closed_form_lorentzian(AtomParams(), kappa, pulse, grid)):
+        for call, field in ((lambda: InteractionSpectrum.lorentzian(kappa), "kappa"),
+                            (lambda: branch_params(1.0, kappa), "kappa"),
+                            (lambda: solve_closed_form_lorentzian(AtomParams(), kappa, pulse,
+                                                                  grid), "kappa"),
+                            (lambda: analysis.pulse_window("gaussian", 1.0, kappa, 1.0), "kappa"),
+                            (lambda: analysis.pulse_window("gaussian", kappa, 10.0, 1.0), "tau_f")):
             with pytest.raises(ParameterError) as err:
                 call()
-            assert err.value.field == "kappa"
+            assert err.value.field == field
     if np.isnan(kappa):
         return  # a NaN axis is refused as unsorted before any cell
     sweep = sweep_pmax(AtomParams(), "gaussian", [1.0, 2.0], [kappa, 1.0])
     assert all(status.startswith("error: kappa must lie in") for status in sweep.status[0])
     assert sweep.status[1] == ["ok", "ok"]
+
+
+def test_sweep_cell_reads_its_window_once(monkeypatch):
+    # cell_grid and _cell_peak share one memoised window per cell; a fresh cache counts the
+    # evaluations of the _WINDOWS table
+    reads = []
+
+    class Counting(dict):
+        def __getitem__(self, shape):
+            reads.append(shape)
+            return super().__getitem__(shape)
+
+    monkeypatch.setattr(analysis, "_WINDOWS", Counting(analysis._WINDOWS))
+    analysis.pulse_window.cache_clear()
+    sweep = sweep_pmax(AtomParams(), "gaussian", [0.5, 1.0], [1.0, 10.0])
+    assert sweep.samples_solved < sweep.samples_grid  # every cell took its prefix
+    assert reads == ["gaussian"] * 4
+
+
+def test_sweep_with_no_successful_cell_is_refused():
+    with pytest.raises(ParameterError) as err:
+        sweep_pmax(AtomParams(), "gaussian", [0.5, 1.0], [-1.0, 0.0])
+    assert err.value.field == "sweep"
 
 
 def test_sweep_records_a_failed_banded_solve_as_an_error_cell(monkeypatch):

@@ -98,6 +98,18 @@ def test_mistyped_config_exits_2_with_field(tmp_path, capsys, cfg, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [None, "{\"atom\": "], ids=["missing", "invalid_json"])
+def test_unreadable_config_exits_2_with_field(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "o"
+    code, _, err = _run(["simulate", "--config", str(path), "--out", str(out)], capsys)
+    assert code == 2
+    assert json.loads(err)["field"] == "config"
+    assert not out.exists()
+
+
 def test_tabulated_grid_past_alias_horizon_exits_2(tmp_path, capsys):
     # node gap h = 0.05: the tabulated kernel repeats after 2*pi/h = 125.7
     d = np.linspace(-50.0, 50.0, 2001)
@@ -567,6 +579,19 @@ def test_detector_compare_scenario(tmp_path, capsys):
         with open(os.path.join(out, f"{name}.json")) as fh:
             meta = json.load(fh)
         assert (meta["detector"], meta["statistics"], meta["n_bar"]) == want, name
+
+
+def test_detector_compare_refuses_an_unresolved_rabi_frequency(tmp_path, capsys):
+    # n_bar = 1e6 drives at a Rabi frequency dt = 0.05 cannot resolve: the Bloch march
+    # leaves the finite numbers, and the run is refused on grid.dt before anything is written
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, {"pulse": {"n_bar": 1e6}})
+    code, _, err = _run(["detector-compare", "--config", cfg, "--dt", "0.05", "--out", str(out)],
+                        capsys)
+    payload = json.loads(err)
+    assert (code, payload["field"]) == (2, "grid.dt")
+    assert "population is not finite" in payload["error"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

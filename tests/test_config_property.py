@@ -221,6 +221,8 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     ("detector-compare", {"pulse": {"delta0": 0.5}}, "pulse.delta0"),
     ("decay", {"spectrum": {"kind": "flat", "kappa": -1}}, "spectrum.kappa"),
     ("simulate", {"pulse": {"shape": "rising_exp"}, "grid": {"dt": 1.0}}, "grid.dt"),
+    # a delay whose closed-form factor kappa e^(gamma t_d/2) overflows
+    ("delta-rise", {"atom": {"t_d": 2000}}, "atom.t_d"),
     # the field the user set, not the one derived from it
     ("simulate", {"grid": {"t0": 1e308}}, "grid.t0"),
     ("simulate", {"pulse": {"t_a": 1e308}}, "pulse.t_a"),

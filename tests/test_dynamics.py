@@ -27,7 +27,6 @@ from fockatom import detectors, dynamics
 from fockatom.detectors import bloch_trajectories
 from fockatom.dynamics import (
     _TOEPLITZ_BLOCK,
-    _TOEPLITZ_BLOCK_REAL,
     MODE_FRACTION_PRESETS,
     _affine_march,
     _branch_sum,
@@ -433,9 +432,11 @@ def _gaussian_tabulated_spectrum():
     return InteractionSpectrum.tabulated(d, np.exp(-0.5 * (d / 20.0) ** 2) / (2 * np.pi))
 
 
-@pytest.mark.parametrize("n", [2, 3, _TOEPLITZ_BLOCK - 1, _TOEPLITZ_BLOCK,
-                               _TOEPLITZ_BLOCK + 1, 1000, 4097, _TOEPLITZ_BLOCK_REAL,
-                               _TOEPLITZ_BLOCK_REAL + 1, 2 * _TOEPLITZ_BLOCK_REAL + 1])
+# n = B - 1 .. 4B + 1 for the one block size B of both dtypes: the dyadic carry at s = B,
+# 2B and 4B, and a last block cut short or of one row
+@pytest.mark.parametrize("n", [2, 3, _TOEPLITZ_BLOCK - 1, _TOEPLITZ_BLOCK, _TOEPLITZ_BLOCK + 1,
+                               2 * _TOEPLITZ_BLOCK, 2 * _TOEPLITZ_BLOCK + 1,
+                               4 * _TOEPLITZ_BLOCK + 1, 1000, 4097])
 @pytest.mark.parametrize("kind", ["lorentzian", "tabulated"])
 def test_volterra_matches_step_loop_oracle(kind, n):
     spec = (InteractionSpectrum.lorentzian(5.0) if kind == "lorentzian"

@@ -3,10 +3,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from fockatom import AtomParams, PulseSpec, SweepResult, TimeGrid, solve_markov
 from fockatom.serialize import (
     _CSV_CHUNK,
+    _atomic_write,
     _csv_chunks,
     write_csv,
     write_sweep,
@@ -63,6 +65,21 @@ def test_csv_chunks_print_as_str_format():
     text = ["100% {} %s {:.17g}"] + [f"row {i}" for i in range(1, len(x))]
     got = "".join(_csv_chunks(["x", "note"], [np.array(x), text]))
     assert got == "x,note\n" + "".join("{:.17g},{}\n".format(v, t) for v, t in zip(x, text))
+
+
+def test_failed_write_leaves_no_temp_file_and_the_target_untouched(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "new,"
+        raise OSError("disk full")
+
+    for target in (path, tmp_path / "fresh.csv"):
+        with pytest.raises(OSError, match="disk full"):
+            _atomic_write(target, chunks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    assert path.read_text() == "old\n"
 
 
 def test_trajectory_bundle(tmp_path):
