@@ -5,7 +5,8 @@ Configs are strict JSON: an unknown key, or a field set away from its default th
 run builds no input from or a figure preset sets to another value, exits 2 naming it, as
 does a file's scenario or figure_id other than the command's. Each
 command-line flag sets one config field (`_FLAGS`), overriding the file, and its value is
-checked and refused as that field's value.
+checked and refused as that field's value; a figure preset that sets the field to another
+value refuses it even at the field's default.
 Outputs are deterministic: identical configs produce byte-identical CSVs, with timestamps
 confined to the JSON sidecars. The default output directory comes from the FOCKATOM_OUT
 environment variable (falling back to ./out).
@@ -272,12 +273,14 @@ def _fields(cfg: dict) -> dict:
                for key, val in cfg[name].items()}, "solver": cfg["solver"]}
 
 
-def _outputs(cfg: dict, given: dict) -> dict:
+def _outputs(cfg: dict, given: dict, flagged=frozenset()) -> dict:
     """Named outputs of the scenario run cfg, each a thunk of inputs built, and so checked,
     here. A field of the user's config given set away from its `normalize_config({})` default
     is refused unless the run read it and took that value (a figure preset sets its own). A
-    value equal to the default cannot be told from an unset one, so a preset replaces it
-    unrefused: `figure fig4e --pulse gaussian` runs decaying_exp."""
+    field set by a command-line flag (in flagged) is the user's at any value, so a preset
+    that sets it to another is refused too: `figure fig4e --pulse gaussian` names
+    pulse.shape. A file value equal to the default cannot be told from an unset one, so a
+    preset replaces it unrefused."""
     read, ran = set(), _fields(cfg)
     cfg = _Recording(cfg, read)
     a, scenario = cfg["atom"], cfg["scenario"]
@@ -322,7 +325,7 @@ def _outputs(cfg: dict, given: dict) -> dict:
     for field, val in _fields(given).items():
         if val != defaults[field] and field not in read:
             raise ParameterError(field, f"set, but {scenario} builds no input from it")
-        if val not in (defaults[field], ran[field]):  # a figure preset's value
+        if val != ran[field] and (val != defaults[field] or field in flagged):  # a preset's
             raise ParameterError(field, f"set, but the run takes the preset's value {ran[field]}")
     return outputs
 
@@ -346,12 +349,13 @@ def _write(base: str, item, meta: dict) -> list[str]:
     return [base + ".csv", base + ".json"]
 
 
-def _plan(cfg: dict) -> dict:
+def _plan(cfg: dict, flagged=frozenset()) -> dict:
     """Output path base -> (thunk computing the output, sidecar fields) of a config.
 
     A figure merges each run of its FIGURES preset over cfg, as `normalize_config`
-    merges a config over the defaults, and runs it through `_outputs`; its
-    sidecars record the effective config of each run.
+    merges a config over the defaults, and runs it through `_outputs`, with the
+    fields set by command-line flags; its sidecars record the effective config
+    of each run.
     """
     if cfg["scenario"] != "figure":
         return {os.path.join(cfg["output_dir"], name): (make, {"config": cfg})
@@ -360,7 +364,7 @@ def _plan(cfg: dict) -> dict:
 
     def run(overrides, output):
         run_cfg = _merged("", cfg, overrides)
-        return run_cfg, _outputs(run_cfg, cfg)[output]
+        return run_cfg, _outputs(run_cfg, cfg, flagged)[output]
 
     def joined(attr, runs):
         traces = [make() for _, make in runs.values()]
@@ -379,12 +383,13 @@ def _plan(cfg: dict) -> dict:
     return plan
 
 
-def run_scenario(cfg: dict) -> list[str]:
-    """Execute a normalized config; returns the list of files written.
+def run_scenario(cfg: dict, flagged=frozenset()) -> list[str]:
+    """Execute a normalized config, flagged the fields set by command-line flags; returns
+    the list of files written.
 
     Every output is computed before the first file is written.
     """
-    items = {base: (make(), meta) for base, (make, meta) in _plan(cfg).items()}
+    items = {base: (make(), meta) for base, (make, meta) in _plan(cfg, flagged).items()}
     return [path for base, (item, meta) in items.items() for path in _write(base, item, meta)]
 
 
@@ -478,7 +483,8 @@ def main(argv=None) -> int:
             if raw.get(key, _DEFAULTS[key]) not in (_DEFAULTS[key], val):
                 raise ParameterError(key, f"set to {raw[key]!r}, but the command runs {val!r}")
         raw.update(command)
-        for path in run_scenario(normalize_config(raw)):
+        flagged = {field for flag, field in _FLAGS.items() if getattr(args, flag) is not None}
+        for path in run_scenario(normalize_config(raw), flagged):
             print(path)
         return 0
     except (ValueError, OSError) as exc:  # reads raise tagged errors; an OSError left is a write

@@ -257,8 +257,11 @@ def _joined(parts, n: int) -> np.ndarray:
     return out
 
 
-def _lorentz_spectrum(atom: AtomParams, kappa: float) -> InteractionSpectrum:
-    return InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p, gamma=atom.gamma)
+def _per_part(fn, D: tuple, c0: complex) -> tuple:
+    """fn(d, c) for each float64 part, d the drive's part (None if zero) and c that part of
+    c0; None, with fn not called, where d is None and c is zero."""
+    return tuple(None if d is None and c == 0.0 else fn(d, c)
+                 for d, c in zip(D, (c0.real, c0.imag)))
 
 
 def _drive_on_grid(atom: AtomParams, spectrum: InteractionSpectrum, pulse: PulseSpec | None,
@@ -388,7 +391,7 @@ def solve_closed_form_lorentzian(atom: AtomParams, kappa: float, pulse: PulseSpe
     only when C(t0) = c0 is nonzero; with c0 = 0 the amplitude goes to
     `Trajectory.from_amplitude` as its parts.
     """
-    spectrum = _lorentz_spectrum(atom, kappa)
+    spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p, gamma=atom.gamma)
     D = _drive_on_grid(atom, spectrum, pulse, grid)
     br = branch_params(atom.gamma, kappa)
     if br.degenerate:
@@ -486,7 +489,7 @@ def solve_ode_reduction(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
     diagonalisable, is no special case.
     """
     check_ode_step(atom.gamma, kappa, grid.dt)
-    spectrum = _lorentz_spectrum(atom, kappa)
+    spectrum = InteractionSpectrum.lorentzian(kappa, gamma_p=atom.gamma_p, gamma=atom.gamma)
     Dh = _drive_on_grid(atom, spectrum, pulse, grid, half_step=True)
     gk = 0.5 * atom.gamma * kappa
 
@@ -500,13 +503,10 @@ def solve_ode_reduction(atom: AtomParams, kappa: float, pulse: PulseSpec | None,
     R, A = G[:, :2], G[:, 2:]
 
     def part(d, c):
-        if d is None and c == 0.0:
-            return None
         f = 0.0 if d is None else A @ np.stack((d[:-1:2], d[1::2], d[2::2]))
         return _affine_march(R, f, (c, 0.0), grid.n)[0]
 
-    c0 = complex(atom.c0)
-    C = tuple(part(d, c) for d, c in zip(Dh, (c0.real, c0.imag)))
+    C = _per_part(part, Dh, complex(atom.c0))
     return Trajectory.from_amplitude(grid, C, "ode_rk4", atom, pulse, kappa=kappa)
 
 
@@ -630,24 +630,22 @@ def solve_volterra(atom: AtomParams, spectrum: InteractionSpectrum, pulse: Pulse
     mem[1:] += half * w[:-1]
     A_pair = A.copy()
     A_pair[1:] += A[:-1]
+    part = functools.partial(_volterra_part, mem, half, A_pair)
     if np.iscomplexobj(mem):
-        C = _volterra_part(mem, half, A_pair, _joined(D, grid.n), c0, grid.n)
+        C = part(_joined(D, grid.n), c0)
     else:  # the column is real: each part of r is its own real system
-        C = tuple(_volterra_part(mem, half, A_pair, d, c, grid.n)
-                  for d, c in zip(D, (c0.real, c0.imag)))
+        C = _per_part(part, D, c0)
     return Trajectory.from_amplitude(grid, C, "volterra", atom, pulse,
                                      spectrum_kind=spectrum.kind, kappa=spectrum.kappa)
 
 
-def _volterra_part(mem: np.ndarray, half: float, A_pair: np.ndarray, d, c, n: int):
+def _volterra_part(mem: np.ndarray, half: float, A_pair: np.ndarray, d, c):
     """The Volterra amplitude from drive d (None if zero) and initial value c, in the dtype
     of its right-hand side: on a real memory column, one float64 part, with d and c the
-    parts of the drive and of c0; None when both are zero."""
-    if d is None and c == 0.0:
-        return None
+    parts of the drive and of c0."""
     r = (0.0 if d is None else half * (d[:-1] + d[1:])) - half * A_pair * c
     r[0] += c
-    x = np.empty(n, dtype=r.dtype)
+    x = np.empty(len(r) + 1, dtype=r.dtype)
     x[0] = c
     x[1:] = _solve_memory_toeplitz(mem, r)
     return x

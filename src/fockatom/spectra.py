@@ -311,8 +311,9 @@ def exp_filter(rate: complex, pulse: PulseSpec, tau) -> np.ndarray:
     A rate with an exactly zero imaginary part (kappa, a real branch pole) and the
     carrier 1j delta0 at delta0 = 0 are carried as floats, so with both real, exp and
     erfcx run in real arithmetic and the result is a float64 array, the real part of
-    the complex one; otherwise it is complex. The real Gaussian filter also skips the
-    samples where its Gaussian factor underflows to +0 (`_GAUSS_UNDERFLOW`).
+    the complex one; otherwise it is complex. Every Gaussian filter, real or complex,
+    with or without a carrier, skips the samples where its Gaussian factor underflows
+    (`_GAUSS_UNDERFLOW`): there the product with erfcx was +-0, and it is +0.
     """
     tau = np.asarray(tau, dtype=float)
     rate = _real_if_exact(rate)
@@ -352,27 +353,19 @@ def exp_filter(rate: complex, pulse: PulseSpec, tau) -> np.ndarray:
             return np.exp(t**2 / (-4.0 * tf**2))
         return np.exp(-carrier * t - t**2 / (4.0 * tf**2))
 
-    if isinstance(q, float):
-        # real rate and carrier: past |tau| = 2 tf sqrt(746) the Gaussian factor underflows
-        # to +0 (exp(x) is +0 below x = -745.14), and so does its product with the finite
-        # positive erfcx, so neither is evaluated there: the head is +0 and the tail is
-        # amp 2 e^{q^2 - r tau}, the same bits
-        cut = 2.0 * tf * _GAUSS_UNDERFLOW
-        lo, hi = tau.searchsorted((-cut, cut))
-        out = np.zeros(tau.shape)
-        head = slice(lo, min(hi, tail))
-        out[head] = np.multiply(amp * gauss(tau[head]), erfcx(q - x[head]))
-        out[tail:] = 2.0 * np.exp(q * q - rate * tau[tail:])
-        near = slice(tail, hi)  # the tail has tau > 2 q tf > 0 > -cut
-        out[near] -= np.multiply(gauss(tau[near]), erfcx(x[near] - q))
-        out[tail:] *= amp
-        return out
-    z = q - x
-    g = gauss(tau)
-    out = np.empty(tau.shape, complex)
-    out[:tail] = np.multiply(amp * g[:tail], erfcx(z[:tail]))
-    out[tail:] = amp * (2.0 * np.exp(q * q - rate * tau[tail:])
-                        - np.multiply(g[tail:], erfcx(-z[tail:])))
+    # past |tau| = 2 tf sqrt(746) the Gaussian factor underflows to +-0 (exp(x) is +0 below
+    # x = -745.14, and |e^{-carrier t}| = 1), and so does its product with erfcx, |erfcx(z)| <= 1
+    # at Re z >= 0, so neither is evaluated there: the head is +0 and the tail is
+    # amp 2 e^{q^2 - r tau}, the same values
+    cut = 2.0 * tf * _GAUSS_UNDERFLOW
+    lo, hi = tau.searchsorted((-cut, cut))
+    out = np.zeros(tau.shape, type(q))
+    head = slice(lo, min(hi, tail))
+    out[head] = np.multiply(amp * gauss(tau[head]), erfcx(q - x[head]))
+    out[tail:] = 2.0 * np.exp(q * q - rate * tau[tail:])
+    near = slice(tail, hi)  # the tail has tau > 2 q.real tf > 0 > -cut
+    out[near] -= np.multiply(gauss(tau[near]), erfcx(x[near] - q))
+    out[tail:] *= amp
     return out
 
 

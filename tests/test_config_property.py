@@ -324,6 +324,10 @@ def test_every_table_runs_right_or_exits_2_naming_it(work, capsys, table, tau_f,
     ("figure fig2a", {"pulse": {"tau_f": 5.0}}, "pulse.tau_f"),
     ("figure fig3", {"spectrum": {"kappa": 20.0}}, "spectrum.kappa"),
     ("figure fig2d", {"grid": {"t_max": 30.0}}, "grid.t_max"),
+    # a flag is the user's choice at any value, so a preset that runs another refuses it,
+    # also at the field's default (fig4e runs decaying_exp, fig6 first kappa = 1)
+    ("figure fig4e --pulse gaussian", {}, "pulse.shape"),
+    ("figure fig6 --kappa 10", {}, "spectrum.kappa"),
     # every detector-compare trace, and so its window, is of the flat spectrum
     ("detector-compare", {"spectrum": {"kappa": 1.0}}, "spectrum.kappa"),
     # the command sets the scenario and figure id: a file may not set another
@@ -350,9 +354,12 @@ def test_fig3_and_fig6_accept_atom_fields(tmp_path, capsys):
 
 def test_figure_accepts_the_value_its_preset_sets(tmp_path, capsys):
     # a field set to the value the preset runs is read and taken, so it is accepted, also
-    # when the config gives a number as an integer
+    # when the config gives a number as an integer; a file value equal to the field's
+    # default cannot be told from an unset one, so the preset replaces it
     small = {"tau_f": {"start": 0.5, "stop": 2.0, "num": 2}, "kappa": {"num": 1}}
     for command, cfg in [("figure fig4e --pulse decaying_exp", {"sweep": small}),
+                         ("figure fig4d --pulse gaussian", {"sweep": small}),
+                         ("figure fig4e", {"pulse": {"shape": "gaussian"}, "sweep": small}),
                          ("figure fig2a", {"pulse": {"tau_f": 0.1}, "grid": {"dt": 0.01}}),
                          ("figure fig3", {"spectrum": {"kappa": 10}})]:
         code, csvs = _run(str(tmp_path), command, cfg)

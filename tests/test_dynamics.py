@@ -873,6 +873,32 @@ def test_lazy_amplitude_is_the_eagerly_joined_array():
         assert traj.c is c  # joined once, then kept
 
 
+@pytest.mark.parametrize("solver", ["ode_rk4", "volterra"])
+def test_absent_amplitude_part_stays_absent(solver):
+    # a float64 part whose drive part is absent and whose c0 part is zero is never solved: a
+    # resonant pulse drives only Im C (D = -1j sqrt(gamma_p) kappa F, F real), so at c0 = 0
+    # the stored amplitude, before c is read, is (None, im); c0 alone drives only Re C; a
+    # resonant pulse with c0_re != 0 drives both, which are joined
+    kappa, grid = 10.0, TimeGrid(0.0, 5e-3, 2001)
+    pulse = PulseSpec("gaussian", tau_f=1.0, t_a=5.0)
+    for c0, pls, present in ((0.0, pulse, (False, True)), (0.5, None, (True, False)),
+                             (0.5, pulse, (True, True))):
+        atom = AtomParams(c0=c0)
+        if solver == "ode_rk4":
+            traj = solve_ode_reduction(atom, kappa, pls, grid)
+        else:
+            traj = solve_volterra(atom, InteractionSpectrum.lorentzian(kappa), pls, grid)
+        stored = traj.__dict__["_c"]
+        if all(present):
+            assert stored.dtype == complex and stored[0] == c0
+            assert np.abs(stored.imag).max() > 0.1
+        else:
+            assert isinstance(stored, tuple)
+            assert tuple(part is not None for part in stored) == present
+            part = stored[present.index(True)]
+            assert part.dtype == np.float64 and np.abs(part).max() > 0.1
+
+
 def test_trajectory_constructs_from_its_fields():
     # c stays a constructor field: the complex array given is the array read, and the
     # dataclass field machinery (fields, replace, the frozen guard) holds for it

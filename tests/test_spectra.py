@@ -20,6 +20,7 @@ from fockatom import (
     envelope,
     memory_kernel,
 )
+from fockatom import spectra
 from fockatom.dynamics import _joined
 from fockatom.grids import ParameterError
 from fockatom.spectra import (
@@ -353,6 +354,39 @@ def test_exp_filter_skips_the_underflowing_gaussian_bit_for_bit(rate, tail):
     # exp is +0 on every argument below -746
     x = -np.concatenate((np.linspace(746.0, 1e4, 10001), [1e300, np.inf]))
     assert np.array_equal(np.exp(x).view(np.int64), np.zeros(x.size, np.int64))
+
+
+@pytest.mark.parametrize("rate, delta0", [(10.0, 0.4), (branch_params(1.0, 0.5).p1, 0.0),
+                                          (branch_params(1.0, 0.5).p1, 0.4)],
+                         ids=["carrier", "complex_pole", "complex_pole_carrier"])
+def test_complex_gaussian_filter_skips_the_underflowing_samples(monkeypatch, rate, delta0):
+    # a complex rate or a carrier takes the same path as the real filter: |e^{-1j delta0 t}|
+    # = 1 and |erfcx(z)| <= 1 at Re z >= 0, so past |tau| = 2 tf sqrt(746) the product is
+    # +-0 and is not evaluated. The mask formula evaluates it, so the two agree in value
+    # everywhere and bit for bit away from zeros, whose sign the carrier's phase sets
+    pulse = PulseSpec("gaussian", tau_f=0.05, delta0=delta0)
+    tau = -20.0 + 2.0**-9 * np.arange(25601)
+    cut = 2.0 * pulse.tau_f * np.sqrt(746.0)
+    inside = int(np.sum(np.abs(tau) <= cut))
+    assert (tau < -cut).sum() > 1000 and (tau > cut).sum() > 1000
+    seen = []
+
+    def counting(z):
+        seen.append(np.size(z))
+        return erfcx(z)
+
+    monkeypatch.setattr(spectra, "erfcx", counting)
+    got = exp_filter(rate, pulse, tau)
+    monkeypatch.undo()
+    want = _exp_filter_masks(rate, pulse, tau)
+    assert got.dtype == want.dtype == np.complex128
+    assert np.array_equal(got, want)
+    got_parts, want_parts = got.view(float), want.view(float)
+    nonzero = want_parts != 0.0
+    assert nonzero.sum() > 1000
+    assert np.array_equal(got_parts[nonzero].view(np.int64), want_parts[nonzero].view(np.int64))
+    # erfcx saw only samples inside the cut, so never one past it: their values agree above
+    assert 0 < sum(seen) <= inside
 
 
 @pytest.mark.parametrize("delta0", [0.0, 0.4])
